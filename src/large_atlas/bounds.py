@@ -58,6 +58,26 @@ def order_bounds(family, n, q):
     raise UnknownCase(f"no order bounds for family {family!r}")
 
 
+def _simple_leads(fam, n, q):
+    """(e_lo, c, e_hi) with q^e_lo / c <= |G0| <= q^e_hi for the simple
+    group G0 of family fam in dimension n over GF(q)."""
+    if fam == "PSL":
+        least, e_lo, c, e_hi = 2, n * n - 2, 1, n * n - 1
+    elif fam == "PSU":
+        least, e_lo, c, e_hi = 3, n * n - 2, 2, n * n - 1
+    elif fam == "PSp":
+        least, e_lo, c = 4, n * (n + 1) // 2, 2 * gcd(2, int(q) - 1)
+        e_hi = e_lo
+    elif fam == "POmega":
+        least, e_lo, c = 7, n * (n - 1) // 2, 4 * gcd(2, n)
+        e_hi = e_lo
+    else:
+        raise UnknownCase(f"no simple order bounds for family {fam!r}")
+    if n < least:
+        raise ConstraintViolation(f"{fam} bounds need n >= {least}")
+    return e_lo, c, e_hi
+
+
 def simple_order_bounds(g):
     """Rational (lower, upper) bounds on the order of a simple group id."""
     from .orders import parse_group
@@ -65,28 +85,31 @@ def simple_order_bounds(g):
     if isinstance(g, str):
         g = parse_group(g)
     fam, n, q = g.family, g.n, int(g.q)
+    e_lo, c, e_hi = _simple_leads(fam, n, q)
     x = ExactRatio(1, q)
+    lower, upper = ExactRatio(q) ** e_lo, ExactRatio(q) ** e_hi
     if fam == "PSL":
-        if n < 2:
-            raise ConstraintViolation("PSL bounds need n >= 2")
-        return (ExactRatio(q) ** (n * n - 2),
-                (1 - x ** 2) * ExactRatio(q) ** (n * n - 1))
+        return lower, (1 - x ** 2) * upper
     if fam == "PSU":
-        if n < 3:
-            raise ConstraintViolation("PSU bounds need n >= 3")
-        return ((1 - x) * ExactRatio(q) ** (n * n - 2),
-                (1 - x ** 2) * (1 + x ** 3) * ExactRatio(q) ** (n * n - 1))
-    if fam == "PSp":
-        if n < 4:
-            raise ConstraintViolation("PSp bounds need n >= 4")
-        lead = ExactRatio(q) ** (n * (n + 1) // 2)
-        return (lead / (2 * gcd(2, q - 1)), lead)
-    if fam == "POmega":
-        if n < 7:
-            raise ConstraintViolation("orthogonal simple bounds need n >= 7")
-        lead = ExactRatio(q) ** (n * (n - 1) // 2)
-        return (lead / (4 * gcd(2, n)), lead)
-    raise UnknownCase(f"no simple order bounds for {g}")
+        # 1 - x >= 1/2 = 1/c
+        return (1 - x) * lower, (1 - x ** 2) * (1 + x ** 3) * upper
+    return lower / c, upper
+
+
+def simple_order_bits(g):
+    """Integer bracket (lo, hi) with 2^lo <= |G0| < 2^hi, or None.
+
+    Read off the leading powers of simple_order_bounds: with a the bit
+    length of q, 2^(a-1) <= q < 2^a gives q^e_lo / c > 2^((a-1) e_lo -
+    bitlen(c)) and q^e_hi < 2^(a e_hi).  None where those bounds do not
+    apply.  No order is built, so the cost does not grow with |G0|.
+    """
+    try:
+        e_lo, c, e_hi = _simple_leads(g.family, g.n, g.q)
+    except (ConstraintViolation, UnknownCase):
+        return None
+    a = int(g.q).bit_length()
+    return (a - 1) * e_lo - c.bit_length(), a * e_hi
 
 
 def omega_upper(n, eps, q):

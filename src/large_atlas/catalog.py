@@ -18,8 +18,8 @@ from math import factorial, gcd, lcm
 from .arith import parse_prime_power
 from .errors import (ConstraintViolation, DataIntegrityError, UnknownCase,
                      UnsupportedGroup)
-from .orders import (CIRC, MINUS, PLUS, GroupId, alt_order, g2_order,
-                     gl_order, gu_order, omega_order, order, out_order,
+from .orders import (CIRC, CLASSICAL, MINUS, PLUS, GroupId, alt_order,
+                     g2_order, gl_order, gu_order, omega_order, order, out_order,
                      parse_group, pgl_order, pgu_order, pomega, psl, psl_order,
                      psp, psp_order, psu, psu_order, sl_order, so_order,
                      sp_order, sporadic_order, su_order, subgroup_name_order,
@@ -1002,6 +1002,8 @@ def candidates(g0):
     if isinstance(g0, str):
         g0 = parse_group(g0)
     fam, n, qq, eps = g0.family, g0.n, g0.q, g0.eps
+    if fam not in CLASSICAL:
+        raise UnsupportedGroup(f"no catalog for family {fam}")
     q = int(qq)
     out = []
     if fam == "PSL":
@@ -1072,7 +1074,8 @@ def candidates(g0):
                 for e2 in (PLUS, MINUS, CIRC):
                     _collect(out, pso_c5, n, eps, q, r,
                              e2 if r == 2 else None)
-        _collect(out, pso_c6, n, q)
+        if eps == PLUS:
+            _collect(out, pso_c6, n, q)
         for m, t in _power_splits(n):
             for kind in ("sp", "circ", "signed"):
                 if kind == "signed":
@@ -1080,8 +1083,6 @@ def candidates(g0):
                         _collect(out, pso_c7, n, eps, q, m, t, kind, e1)
                 else:
                     _collect(out, pso_c7, n, eps, q, m, t, kind)
-    else:
-        raise UnsupportedGroup(f"no catalog for family {fam}")
     out.extend(table_entries(g0))
     seen = set()
     uniq = []

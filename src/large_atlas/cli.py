@@ -66,6 +66,8 @@ def _parse_item(text):
 def _resolve_entries(g0, args):
     """All catalog entries matched by the selector flags."""
     if getattr(args, "exceptional", None):
+        if g0.q is None:
+            raise UnsupportedGroup(f"{g0} has no exceptional candidate pool")
         q = int(g0.q)
         if args.exceptional == "sp4":
             pool = catalog.sp4_graph_candidates(q)
@@ -86,7 +88,7 @@ def _resolve_entries(g0, args):
                 raise UnsupportedGroup(
                     f"item {args.item} out of range 1..{len(pool)}")
     else:
-        pool = catalog.candidates(g0) + catalog.table_entries(g0)
+        pool = catalog.candidates(g0)
     if getattr(args, "klass", None):
         pool = [e for e in pool if e.aschbacher_class.lower() == args.klass.lower()]
     if getattr(args, "type", None):

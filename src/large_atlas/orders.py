@@ -21,6 +21,9 @@ PLUS = "+"
 MINUS = "-"
 CIRC = "o"
 
+# the simple classical families: the hosts with an |Out| formula and a catalog
+CLASSICAL = ("PSL", "PSU", "PSp", "POmega")
+
 _SPORADIC_SHA256 = "3c8d1b241ad9e43ca67360240bbb6deb9c8971ad56c1c54610217f33e55b7b39"
 
 
@@ -387,6 +390,8 @@ def out_order(g):
     if isinstance(g, str):
         g = parse_group(g)
     fam, n, q, eps = g.family, g.n, g.q, g.eps
+    if fam not in CLASSICAL:
+        raise UnsupportedGroup(f"out_order not defined for {g}")
     e = q.e
     qi = q.q
     if fam == "PSL":
@@ -410,7 +415,6 @@ def out_order(g):
         if eps == PLUS and m == 4:
             return 6 * d * e
         return 2 * d * e
-    raise UnsupportedGroup(f"out_order not defined for {g}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 Every finite member list produced by the classification is recomputed here
 by exact enumeration over a parameter grid at least twice as wide as the
 cutoff the source argument derives, then diffed against a committed golden
-file.  Membership is always the exact cube inequality; where a ratio
-sandwich exists for the case, a decisive sandwich verdict that contradicts
-the exact one is reported as an alarm.
+file.  Membership is the cube inequality, decided first from an integer
+bit-length bracket on |G0| (bounds.simple_order_bits) and from the exact
+|G0| only where the bracket cannot decide; both routes are exact, and no
+point's membership depends on which one settled it.  Where a ratio sandwich
+exists for the case, a decisive sandwich verdict that contradicts the
+membership is reported as an alarm.
 """
 
 import json
@@ -18,7 +21,7 @@ from math import factorial, gcd
 from . import catalog
 from .arith import parse_prime_power
 from .arith import prime_powers as _prime_power_objects
-from .bounds import CERTAINLY_LARGE, CERTAINLY_NOT_LARGE, sandwich
+from .bounds import CERTAINLY_LARGE, CERTAINLY_NOT_LARGE, sandwich, simple_order_bits
 from .errors import ConstraintViolation, MissingGolden, UnknownCase, UnsupportedGroup
 from .largeness import decisive, is_large, is_large_h1
 from .orders import (CIRC, MINUS, PLUS, is_simple, order, out_order, pomega,
@@ -112,8 +115,37 @@ def _e_of(q):
 
 
 def _member(g0, entry):
-    """Exact cube-inequality membership for one catalog entry."""
-    v = is_large_h1(order(g0), entry)
+    """Cube-inequality membership for one catalog entry: from the bit-length
+    bracket on |G0| when it decides, else from the exact order."""
+    got = _bracket_member(g0, entry)
+    if got is not None:
+        return got
+    return _exact_member(order(g0), entry)
+
+
+def _bracket_member(g0, entry):
+    """Membership when 2^lo <= |G0| < 2^hi settles the cube test, else None.
+
+    With b the bit length of rhs = |H0|^3 |O1|^2, b <= lo means rhs < |G0|
+    (not large) and b - 1 >= hi means rhs > |G0| (large).  A large row is a
+    member unless it stores only an upper bound on |H0|, as in
+    _exact_member.
+    """
+    bits = simple_order_bits(g0)
+    if bits is None:
+        return None
+    lo, hi = bits
+    b = (entry.h0_order ** 3 * entry.o1_order ** 2).bit_length()
+    if b <= lo:
+        return False
+    if b - 1 >= hi:
+        return entry.bound != catalog.UPPER
+    return None
+
+
+def _exact_member(g0_order, entry):
+    """Membership from the exact |G0|."""
+    v = is_large_h1(g0_order, entry)
     if v.mode == "exact":
         return v.is_large
     # one-sided rows: trust them only when decisive, else not a member

@@ -13,6 +13,7 @@ from large_atlas.bounds import (
     order_bounds,
     omega_upper,
     sandwich,
+    simple_order_bits,
     simple_order_bounds,
 )
 from large_atlas.errors import ConstraintViolation, UnknownCase
@@ -26,7 +27,10 @@ from large_atlas.orders import (
     omega_order,
     order,
     parse_group,
+    pomega,
     psl,
+    psp,
+    psu,
     so_order,
     sp_order,
 )
@@ -95,6 +99,36 @@ def test_simple_order_bounds_bracket(name):
     g = parse_group(name)
     lo, up = simple_order_bounds(g)
     assert lo < order(g) <= up
+
+
+def _bracket_hosts():
+    for q in [int(q) for q in prime_powers(2, 16)]:
+        for n in range(2, 13):
+            yield psl(n, q)
+            if n >= 3:
+                yield psu(n, q)
+            if n >= 4 and n % 2 == 0:
+                yield psp(n, q)
+            if n >= 7:
+                for eps in ((CIRC,) if n % 2 else (PLUS, MINUS)):
+                    yield pomega(n, q, eps)
+    yield psp(1024, 3)
+
+
+def test_simple_order_bits_bracket():
+    hosts = list(_bracket_hosts())
+    assert {g.family for g in hosts} == {"PSL", "PSU", "PSp", "POmega"}
+    for g in hosts:
+        lo, hi = simple_order_bits(g)
+        assert 2 ** lo <= order(g) < 2 ** hi, str(g)
+
+
+@pytest.mark.parametrize("name", [
+    "PSU(2,5)", "PSp(2,7)", "POmega+(6,3)", "POmega(5,3)", "Alt(7)",
+    "Sporadic(J3)", "G2(3)",
+])
+def test_simple_order_bits_none_outside_the_bounds(name):
+    assert simple_order_bits(parse_group(name)) is None
 
 
 def test_omega_upper():

@@ -3,10 +3,11 @@
 import pytest
 
 from large_atlas import catalog
-from large_atlas.arith import gcd
+from large_atlas.arith import gcd, prime_powers
 from large_atlas.errors import ConstraintViolation, UnsupportedGroup
 from large_atlas.largeness import is_large_h1
-from large_atlas.orders import MINUS, PLUS, order, parse_group, psl
+from large_atlas.orders import (CIRC, MINUS, PLUS, is_simple, order, parse_group,
+                                pomega, psl, psp, psu)
 
 
 def test_psl_c2_wreath_entry():
@@ -116,3 +117,33 @@ def test_collection_a_host_map():
     assert str(catalog.collection_a_host(12, 2)) == "POmega-(10,2)"
     with pytest.raises(ConstraintViolation):
         catalog.collection_a_host(4, 2)
+
+
+def _simple_hosts(qmax, nmax):
+    for q in [int(q) for q in prime_powers(2, qmax)]:
+        for n in range(2, nmax + 1):
+            hosts = [psl(n, q), psu(n, q)]
+            if n % 2 == 0:
+                hosts.append(psp(n, q))
+            hosts += [pomega(n, q, eps) for eps in ((CIRC,) if n % 2 else (PLUS, MINUS))]
+            yield from (g for g in hosts if is_simple(g))
+
+
+def test_every_row_names_its_host_and_exact_rows_divide():
+    bad = []
+    for g in _simple_hosts(16, 10):
+        g_order = order(g)
+        for e in catalog.candidates(g):
+            if e.host != g:
+                bad.append((str(g), "names host", str(e.host), e.type_descriptor))
+            elif e.bound == catalog.EXACT and g_order % e.h0_order:
+                bad.append((str(g), "does not divide", e.type_descriptor))
+    assert bad == []
+
+
+def test_pso_c6_only_on_plus_type_hosts():
+    minus = [e for e in catalog.candidates(pomega(8, 3, MINUS))
+             if e.aschbacher_class == "C6"]
+    plus = [e for e in catalog.candidates(pomega(8, 3, PLUS))
+            if e.aschbacher_class == "C6"]
+    assert minus == [] and len(plus) == 1

@@ -119,3 +119,26 @@ def test_reproduce_family(capsys, tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "psl-c3-r5.json").read_text())
     assert report["members"] == ["5,2"]
+
+
+@pytest.mark.parametrize("host, selector", [
+    ("PSL(4,2)", "A7"), ("PSp(4,2)", "A5"),
+])
+def test_table_rows_are_not_listed_twice(capsys, host, selector):
+    code, out, _ = run(capsys, "check", host, "--type", selector)
+    assert code == 0
+    code, out, _ = run(capsys, "subgroups", host, "--json")
+    assert code == 0
+    rows = [json.dumps(r, sort_keys=True) for r in json.loads(out)]
+    assert any(selector in r for r in rows)
+    assert len(rows) == len(set(rows))
+
+
+@pytest.mark.parametrize("host", ["Alt(7)", "Sym(6)", "Sporadic(J3)"])
+@pytest.mark.parametrize("argv", [
+    ("out",), ("subgroups",), ("check", "--class", "C1"),
+    ("check", "--exceptional", "sp4", "--item", "1"),
+])
+def test_hosts_without_a_field_exit_unsupported(capsys, host, argv):
+    code, _, err = run(capsys, argv[0], host, *argv[1:])
+    assert code == 3 and "error" in err

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from large_atlas import sweep
+from large_atlas import catalog, orders, sweep
 from large_atlas.errors import MissingGolden, UnknownCase
 
 # cases whose generators intentionally disagree with the checked-in golden;
@@ -83,3 +83,52 @@ def test_report_json_shape(sweep_reports):
     d = json.loads(sweep_reports["psl-c3-r5"].to_json())
     assert d["members"] == ["5,2"]
     assert d["missing"] == [] and d["extra"] == [] and d["alarms"] == []
+
+
+def test_bracket_agrees_with_exact_membership(monkeypatch):
+    """Every point the bit-length bracket decides gets the same membership
+    from the exact |G0|.  The goldens alone cannot show this: pso-c2-o1p
+    and pso-c7 drop eps from their member tuples."""
+    bracket = sweep._bracket_member
+    decided = []
+
+    def checked(g0, entry):
+        got = bracket(g0, entry)
+        if got is not None:
+            exact = sweep._exact_member(orders.order(g0), entry)
+            assert got == exact, (str(g0), entry.type_descriptor)
+            decided.append(g0)
+        return got
+
+    monkeypatch.setattr(sweep, "_bracket_member", checked)
+    for cid in sweep.case_ids():
+        sweep.run_case(cid)
+    assert len(decided) > 3000
+
+
+def test_psp_c7_never_builds_the_dimension_1024_order(monkeypatch):
+    exact = sweep.order
+    built = []
+
+    def spy(g):
+        built.append(g.n)
+        return exact(g)
+
+    monkeypatch.setattr(sweep, "order", spy)
+    report = sweep.run_case("psp-c7")
+    assert report.ok and report.members == []
+    assert 1024 not in built
+
+
+@pytest.mark.parametrize("bound, small, big", [
+    (catalog.EXACT, False, True),
+    (catalog.LOWER, False, True),
+    (catalog.UPPER, False, False),
+])
+def test_bracket_follows_the_one_sided_row_rule(bound, small, big):
+    g0 = orders.psl(4, 5)
+    g0_order = orders.order(g0)
+    for h0, want in ((2, small), (g0_order, big)):
+        entry = catalog.SubgroupEntry(g0, "C1", "test row", (), h0, 1, 1, bound)
+        assert sweep._bracket_member(g0, entry) is want
+        assert sweep._exact_member(g0_order, entry) is want
