@@ -15,14 +15,14 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from math import factorial, gcd, lcm
 
-from .arith import parse_prime_power
+from .arith import is_prime, parse_prime_power
 from .errors import (ConstraintViolation, DataIntegrityError, UnknownCase,
                      UnsupportedGroup)
 from .orders import (CIRC, CLASSICAL, MINUS, PLUS, GroupId, alt_order,
                      g2_order, gl_order, gu_order, omega_order, order, out_order,
                      parse_group, pgl_order, pgu_order, pomega, psl, psl_order,
                      psp, psp_order, psu, psu_order, sl_order, so_order,
-                     sp_order, sporadic_order, su_order, subgroup_name_order,
+                     sp_order, su_order, subgroup_name_order,
                      sym_order, sz_order, tri_d4_order)
 
 EXACT = "exact"
@@ -40,13 +40,12 @@ class SubgroupEntry:
     params: tuple
     h0_order: int
     o1_order: int
-    class_count: int
     bound: str = EXACT
     name: str = ""
     formula: str = ""
 
     def __post_init__(self):
-        if self.h0_order < 1 or self.o1_order < 1 or self.class_count < 1:
+        if self.h0_order < 1 or self.o1_order < 1:
             raise ConstraintViolation(f"bad entry numbers for {self.type_descriptor}")
 
 
@@ -55,9 +54,9 @@ def _require(cond, msg):
         raise ConstraintViolation(msg)
 
 
-def _entry(host, klass, desc, params, h0, o1, c=1, bound=EXACT, name="", formula=""):
+def _entry(host, klass, desc, params, h0, o1, bound=EXACT, name="", formula=""):
     return SubgroupEntry(host, klass, desc, tuple(sorted(params.items())),
-                         int(h0), int(o1), int(c), bound, name, formula)
+                         int(h0), int(o1), bound, name, formula)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +88,7 @@ def psl_c2(n, q, m, t):
 def psl_c3(n, q, m, r):
     g = psl(n, q)
     q = int(g.q)
-    _require(n == m * r and r >= 2 and _is_prime(r), "field-extension degree must be prime")
+    _require(n == m * r and r >= 2 and is_prime(r), "field-extension degree must be prime")
     d = gcd(n, q - 1)
     h0 = gl_order(m, q ** r) * r // (d * (q - 1))
     return _entry(g, "C3", f"GL({m},{q}^{r})", {"m": m, "r": r},
@@ -104,13 +103,13 @@ def psl_c4(n, q, n1, n2):
     cc = gcd(gcd(q - 1, n1), n2)
     h0 = sl_order(n1, q) * sl_order(n2, q) * cc // d
     return _entry(g, "C4", f"GL({n1},{q}) (x) GL({n2},{q})", {"n1": n1, "n2": n2},
-                  h0, out_order(g) // cc, c=cc, formula="psl-c4")
+                  h0, out_order(g) // cc, formula="psl-c4")
 
 
 def psl_c5(n, q, r):
     g = psl(n, q)
     qq = g.q
-    _require(qq.e % r == 0 and _is_prime(r), "subfield index must be a prime dividing e")
+    _require(qq.e % r == 0 and is_prime(r), "subfield index must be a prime dividing e")
     q = qq.q
     q0 = qq.p ** (qq.e // r)
     d = gcd(n, q - 1)
@@ -118,7 +117,7 @@ def psl_c5(n, q, r):
     h0 = pgl_order(n, q0) * s // (q0 - 1)
     c = (q - 1) // lcm(q0 - 1, (q - 1) // d)
     return _entry(g, "C5", f"GL({n},{q0})", {"q0": q0, "r": r},
-                  h0, out_order(g) // c, c=c, formula="psl-c5")
+                  h0, out_order(g) // c, formula="psl-c5")
 
 
 def psl_c6(n, q):
@@ -130,28 +129,28 @@ def psl_c6(n, q):
     out = []
     if n == 2:
         if q % 8 in (1, 7):
-            out.append(_entry(g, "C6", "2^(1+2).O2-(2)", {}, 24, 1, c=2,
+            out.append(_entry(g, "C6", "2^(1+2).O2-(2)", {}, 24, 1,
                               name="S4", formula="psl-c6-n2"))
         elif q % 8 in (3, 5) and q > 3:
-            out.append(_entry(g, "C6", "2^(1+2).O2-(2)", {}, 12, 2, c=1,
+            out.append(_entry(g, "C6", "2^(1+2).O2-(2)", {}, 12, 2,
                               name="A4", formula="psl-c6-n2"))
     elif n == 3 and q % 3 == 1:
         h0 = 216 if q % 9 == 1 else 72
         name = "3^2:SL2(3)" if h0 == 216 else "3^2:Q8"
-        out.append(_entry(g, "C6", "3^(1+2):Sp2(3)", {}, h0, 2, c=gcd(3, q - 1),
+        out.append(_entry(g, "C6", "3^(1+2):Sp2(3)", {}, h0, 2,
                           name=name, formula="psl-c6-n3"))
     elif n == 4:
         if q % 8 == 5:
             out.append(_entry(g, "C6", "(4 o 2^(1+4)).Sp4(2)", {},
-                              16 * alt_order(6), 4, c=2, name="2^4.A6",
+                              16 * alt_order(6), 4, name="2^4.A6",
                               formula="psl-c6-n4"))
         elif q % 8 == 1:
             out.append(_entry(g, "C6", "(4 o 2^(1+4)).Sp4(2)", {},
-                              16 * sym_order(6), 2, c=4, name="2^4.S6",
+                              16 * sym_order(6), 2, name="2^4.S6",
                               formula="psl-c6-n4"))
     elif n == 8 and q % 4 == 1:
         out.append(_entry(g, "C6", "(4 o 2^(1+6)).Sp6(2)", {},
-                          64 * sp_order(6, 2), 2, c=gcd(8, q - 1),
+                          64 * sp_order(6, 2), 2,
                           name="2^6.Sp6(2)", formula="psl-c6-n8"))
     return out
 
@@ -220,7 +219,7 @@ def psu_c2_gl(n, q):
 def psu_c3(n, q, m, r):
     g = psu(n, q)
     q = int(g.q)
-    _require(n == m * r and r >= 3 and r % 2 == 1 and _is_prime(r),
+    _require(n == m * r and r >= 3 and r % 2 == 1 and is_prime(r),
              "unitary field extension needs an odd prime degree")
     d = gcd(n, q + 1)
     h0 = gu_order(m, q ** r) * r // (d * (q + 1))
@@ -236,14 +235,14 @@ def psu_c4(n, q, n1, n2):
     cc = gcd(gcd(q + 1, n1), n2)
     h0 = su_order(n1, q) * su_order(n2, q) * cc * cc // d
     return _entry(g, "C4", f"GU({n1},{q}) (x) GU({n2},{q})", {"n1": n1, "n2": n2},
-                  h0, out_order(g) // max(cc, 1), c=max(cc, 1),
+                  h0, out_order(g) // max(cc, 1),
                   bound=UPPER, formula="psu-c4")
 
 
 def psu_c5_subfield(n, q, r):
     g = psu(n, q)
     qq = g.q
-    _require(qq.e % r == 0 and r % 2 == 1 and _is_prime(r),
+    _require(qq.e % r == 0 and r % 2 == 1 and is_prime(r),
              "unitary subfield index must be an odd prime dividing e")
     q = qq.q
     q0 = qq.p ** (qq.e // r)
@@ -252,7 +251,7 @@ def psu_c5_subfield(n, q, r):
     h0 = pgu_order(n, q0) * s // (q0 + 1)
     c = (q + 1) // lcm(q0 + 1, (q + 1) // d)
     return _entry(g, "C5", f"GU({n},{q0})", {"q0": q0, "r": r},
-                  h0, out_order(g) // c, c=c, formula="psu-c5")
+                  h0, out_order(g) // c, formula="psu-c5")
 
 
 def psu_c5_form(n, q, kind):
@@ -277,17 +276,17 @@ def psu_c6(n, q):
     if n == 3 and q % 3 == 2:
         cc = gcd(9, q + 1) // 3
         out.append(_entry(g, "C6", "3^(1+2):Sp2(3)", {}, 72 * cc,
-                          2 * gcd(3, q + 1) // cc, c=cc,
+                          2 * gcd(3, q + 1) // cc,
                           name="3^2:Q8" if cc == 1 else "3^2:Q8.3",
                           formula="psu-c6-n3"))
     elif n == 4:
         if q % 8 == 3:
             out.append(_entry(g, "C6", "(4 o 2^(1+4)).Sp4(2)", {},
-                              16 * alt_order(6), 4, c=2, name="2^4.A6",
+                              16 * alt_order(6), 4, name="2^4.A6",
                               formula="psu-c6-n4"))
         elif q % 8 == 7:
             out.append(_entry(g, "C6", "(4 o 2^(1+4)).Sp4(2)", {},
-                              16 * sym_order(6), 2, c=4, name="2^4.S6",
+                              16 * sym_order(6), 2, name="2^4.S6",
                               formula="psu-c6-n4"))
     elif n >= 8 and n & (n - 1) == 0 and q % 4 == 3:
         m = n.bit_length() - 1
@@ -338,14 +337,14 @@ def psp_c2_wr(n, q, m, t):
     d = gcd(2, q - 1)
     h0 = sp_order(m, q) ** t * factorial(t) // d
     return _entry(g, "C2", f"Sp({m},{q}) wr S{t}", {"m": m, "t": t},
-                  h0, d * qq.e, c=out_order(g) // (d * qq.e), formula="psp-c2")
+                  h0, d * qq.e, formula="psp-c2")
 
 
 def psp_c3(n, q, m, r):
     g = psp(n, q)
     qq = g.q
     q = qq.q
-    _require(n == m * r and m % 2 == 0 and _is_prime(r), "extension degree must be prime")
+    _require(n == m * r and m % 2 == 0 and is_prime(r), "extension degree must be prime")
     d = gcd(2, q - 1)
     h0 = r * sp_order(m, q ** r) // d
     return _entry(g, "C3", f"Sp({m},{q}^{r})", {"m": m, "r": r},
@@ -377,7 +376,7 @@ def psp_c4(n, q, n1, n2, eps):
 def psp_c5(n, q, r):
     g = psp(n, q)
     qq = g.q
-    _require(qq.e % r == 0 and _is_prime(r), "subfield index must be a prime dividing e")
+    _require(qq.e % r == 0 and is_prime(r), "subfield index must be a prime dividing e")
     q0 = qq.p ** (qq.e // r)
     cc = gcd(gcd(2, qq.q - 1), r)
     h0 = psp_order(n, q0) * cc
@@ -401,7 +400,7 @@ def psp_c6(n, q):
         o1 = 2
         name = f"2^{2 * m}.O{2 * m}-(2)"
     return _entry(g, "C6", f"2^(1+{2 * m}).O{2 * m}-(2)", {}, h0, o1,
-                  c=2 // o1, name=name, formula="psp-c6")
+                  name=name, formula="psp-c6")
 
 
 def psp_c7(n, q, m, t):
@@ -565,7 +564,7 @@ def pso_c3(n, eps, q, kind):
 def pso_c3_extra(n, eps, q, m, s):
     g = pomega(n, q, eps)
     q = int(g.q)
-    _require(n == m * s and m >= 3 and s % 2 == 1 and _is_prime(s),
+    _require(n == m * s and m >= 3 and s % 2 == 1 and is_prime(s),
              "degree must be an odd prime with n = m*s")
     _require(eps != CIRC or m % 2 == 1, "sign must match the block dimension")
     z = _pomega_center(n, eps, q)
@@ -585,10 +584,22 @@ def pso_c4(n, eps, q):
                   bound=LOWER, formula="pso-c4-lower")
 
 
+def pso_c4_odd(n, q):
+    """The exact order of the type pso_c4 bounds, for q odd: |Sp_2 x
+    Sp_{n/2}| / 2 times the extra diagonal part gcd(2, n/4), divided by the
+    center, of order 2 since q is odd and n/2 is even."""
+    g = pomega(n, q, PLUS)
+    q = int(g.q)
+    _require(q % 2 == 1 and n % 4 == 0, "the exact symplectic tensor row needs odd q and 4 | n")
+    h0 = sp_order(2, q) * sp_order(n // 2, q) // 2 * gcd(2, n // 4) // 2
+    return _entry(g, "C4", f"Sp(2,{q}) (x) Sp({n // 2},{q})", {}, h0, _pso_o1(g),
+                  formula="pso-c4-odd")
+
+
 def pso_c5(n, eps, q, r, eps_sub=None):
     g = pomega(n, q, eps)
     qq = g.q
-    _require(qq.e % r == 0 and _is_prime(r), "subfield index must be a prime dividing e")
+    _require(qq.e % r == 0 and is_prime(r), "subfield index must be a prime dividing e")
     q0 = qq.p ** (qq.e // r)
     if eps_sub is None:
         eps_sub = eps
@@ -612,7 +623,7 @@ def pso_c6(n, q):
     cc = 4 if q % 8 in (3, 5) else 8
     h0 = 2 ** (2 * m + 2) * omega_order(2 * m, PLUS, 2) // cc
     return _entry(g, "C6", f"2^(2+{2 * m}).O{2 * m}+(2)", {}, h0, 8 // cc,
-                  c=cc, name=f"2^{2 * m}.O{2 * m}+(2)", formula="pso-c6")
+                  name=f"2^{2 * m}.O{2 * m}+(2)", formula="pso-c6")
 
 
 def pso_c7(n, eps, q, m, t, kind, eps1=None):
@@ -964,11 +975,6 @@ def table_entries(g0):
 # ---------------------------------------------------------------------------
 
 
-def _is_prime(n):
-    from .arith import is_prime
-    return is_prime(n)
-
-
 def _divisor_splits(n):
     return [(n // t, t) for t in range(2, n + 1) if n % t == 0]
 
@@ -1011,7 +1017,7 @@ def candidates(g0):
         for m, t in _divisor_splits(n):
             _collect(out, psl_c2, n, q, m, t)
         for m, r in _divisor_splits(n):
-            if _is_prime(r):
+            if is_prime(r):
                 _collect(out, psl_c3, n, q, m, r)
         for n1, n2 in _divisor_splits(n):
             _collect(out, psl_c4, n, q, min(n1, n2), max(n1, n2))
@@ -1028,7 +1034,7 @@ def candidates(g0):
         for m, t in _divisor_splits(n):
             _collect(out, psu_c2_wr, n, q, m, t)
         for m, r in _divisor_splits(n):
-            if r % 2 and _is_prime(r):
+            if r % 2 and is_prime(r):
                 _collect(out, psu_c3, n, q, m, r)
         for n1, n2 in _divisor_splits(n):
             _collect(out, psu_c4, n, q, min(n1, n2), max(n1, n2))
@@ -1092,42 +1098,3 @@ def candidates(g0):
             seen.add(key)
             uniq.append(e)
     return uniq
-
-
-# ---------------------------------------------------------------------------
-# registry validation against the entry list data file
-# ---------------------------------------------------------------------------
-
-FORMULAS = {
-    "sylow-p-lower", "psl-c2", "psl-c3", "psl-c4", "psl-c5", "psl-c6-n2",
-    "psl-c6-n3", "psl-c6-n4", "psl-c6-n8", "psl-c7", "c8-classical-lower",
-    "psu-c2", "psu-c2-gl", "psu-c3", "psu-c4", "psu-c5", "psu-c6-n3",
-    "psu-c6-n4", "psu-c6-n8", "psu-c7", "psp-c2", "psp-c2-gl-lower",
-    "psp-c3", "psp-c3-gu-lower", "psp-c4", "psp-c5", "psp-c6", "psp-c7",
-    "pso-c2-gl-lower", "pso-c2-o1p", "pso-c2-go-wr", "pso-c3-lower",
-    "pso-c3-extra", "pso-c4-lower", "pso-c5", "pso-c6", "pso-c7",
-    "sp4-graph", "o8-tri", "table-a-row", "table-b-row",
-}
-
-
-def validate_registry():
-    """Cross-check the human-readable entry list against the formula
-    registry; raises DataIntegrityError naming the offending record."""
-    raw = resources.files("large_atlas.data").joinpath("catalog_entries.txt").read_text()
-    seen = set()
-    for lineno, line in enumerate(raw.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split("|")]
-        if len(parts) != 4:
-            raise DataIntegrityError(f"catalog_entries.txt:{lineno}: expected 4 fields")
-        family, klass, desc, formula = parts
-        if formula not in FORMULAS:
-            raise DataIntegrityError(
-                f"catalog_entries.txt:{lineno}: unknown formula id {formula!r}")
-        seen.add(formula)
-    missing = FORMULAS - seen - {"table-a-row", "table-b-row"}
-    if missing:
-        raise DataIntegrityError(f"catalog_entries.txt lacks records for {sorted(missing)}")
-    return True

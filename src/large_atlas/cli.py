@@ -24,6 +24,8 @@ EXIT_UNSUPPORTED = 3
 EXIT_AMBIGUOUS = 4
 EXIT_MISSING_GOLDEN = 5
 
+_EXCEPTIONAL = {"sp4": "sp4_graph", "o8": "o8_triality"}
+
 _ROMAN = ["i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x",
           "xi", "xii", "xiii", "xiv", "xv"]
 
@@ -66,13 +68,7 @@ def _parse_item(text):
 def _resolve_entries(g0, args):
     """All catalog entries matched by the selector flags."""
     if getattr(args, "exceptional", None):
-        if g0.q is None:
-            raise UnsupportedGroup(f"{g0} has no exceptional candidate pool")
-        q = int(g0.q)
-        if args.exceptional == "sp4":
-            pool = catalog.sp4_graph_candidates(q)
-        else:
-            pool = catalog.o8_triality_candidates(q)
+        pool = catalog.exceptional_candidates(g0, _EXCEPTIONAL[args.exceptional])
         if args.item:
             idx = _parse_item(args.item)
             label = _ROMAN[idx - 1] if idx <= len(_ROMAN) else str(idx)

@@ -3,12 +3,21 @@
 Every finite member list produced by the classification is recomputed here
 by exact enumeration over a parameter grid at least twice as wide as the
 cutoff the source argument derives, then diffed against a committed golden
-file.  Membership is the cube inequality, decided first from an integer
-bit-length bracket on |G0| (bounds.simple_order_bits) and from the exact
-|G0| only where the bracket cannot decide; both routes are exact, and no
-point's membership depends on which one settled it.  Where a ratio sandwich
-exists for the case, a decisive sandwich verdict that contradicts the
-membership is reported as an alarm.
+file.
+
+A registered case is only its grid.  The grid of a catalog case yields
+(member key, catalog constructor, args), and one driver, `_catalog_members`,
+does the rest for every case: it builds the row, skips points the
+constructor rejects and rows whose host is not simple, and decides
+membership by the cube inequality.  A constructor that returns a list of
+rows adds each row's name to the member key.  Membership is decided first
+from an integer bit-length bracket on |G0| (bounds.simple_order_bits) and
+from the exact |G0| only where the bracket cannot decide; both routes are
+exact, and no point's membership depends on which one settled it.  For a
+case with a ratio sandwich of the same name in bounds.SANDWICH_CASES, a
+decisive sandwich verdict that contradicts the membership is reported as an
+alarm.  The two cases without a catalog row, tableA-cutoff and
+s-collection-n-bound, are plain predicates whose grids yield member keys.
 """
 
 import json
@@ -16,26 +25,34 @@ import os
 import time
 from dataclasses import dataclass, field
 from importlib import resources
-from math import factorial, gcd
+from math import factorial
+from typing import Callable
 
 from . import catalog
-from .arith import parse_prime_power
 from .arith import prime_powers as _prime_power_objects
-from .bounds import CERTAINLY_LARGE, CERTAINLY_NOT_LARGE, sandwich, simple_order_bits
+from .bounds import (CERTAINLY_LARGE, CERTAINLY_NOT_LARGE, SANDWICH_CASES,
+                     sandwich, simple_order_bits)
 from .errors import ConstraintViolation, MissingGolden, UnknownCase, UnsupportedGroup
-from .largeness import decisive, is_large, is_large_h1
-from .orders import (CIRC, MINUS, PLUS, is_simple, order, out_order, pomega,
-                     pomega_order, psl, psl_order, psp, psu, sp_order)
+from .largeness import decisive, is_large_h1
+from .orders import CIRC, MINUS, PLUS, is_simple, order
 
 
 @dataclass(frozen=True)
 class SweepCase:
-    """One registered sweep: a grid, a membership predicate, a golden."""
+    """One registered sweep: its grid and the golden it is diffed against.
+
+    A catalog case's grid yields (member key, constructor, args); a plain
+    case's grid yields the member keys themselves.
+    """
 
     case_id: str
-    description: str
-    golden: str  # file name under the golden directory
-    sandwich_case: str = ""
+    grid: Callable
+    plain: bool = False
+
+    @property
+    def golden(self):
+        """File name under the golden directory."""
+        return self.case_id + ".golden"
 
 
 @dataclass
@@ -104,13 +121,8 @@ def prime_powers(lo, hi):
     return [int(q) for q in _prime_power_objects(lo, hi)]
 
 
-def _e_of(q):
-    """The field degree e with q = p^e."""
-    return parse_prime_power(q).e
-
-
 # ---------------------------------------------------------------------------
-# membership helpers
+# membership and the driver
 # ---------------------------------------------------------------------------
 
 
@@ -162,356 +174,254 @@ def _alarm_check(alarms, scase, q, got, n=None):
         alarms.append(f"{scase}: sandwich says not large at q={q}, exact says yes")
 
 
-# ---------------------------------------------------------------------------
-# case generators: each yields member tuples
-# ---------------------------------------------------------------------------
+def _catalog_members(case, alarms):
+    """Member keys of a catalog case, from the rows its grid names."""
+    sandwiched = case.case_id in SANDWICH_CASES
+    for key, ctor, args in case.grid():
+        try:
+            rows = ctor(*args)
+        except (ConstraintViolation, UnsupportedGroup):
+            continue
+        named = isinstance(rows, list)
+        for entry in rows if named else (rows,):
+            if not is_simple(entry.host):
+                continue
+            got = _member(entry.host, entry)
+            if sandwiched:
+                _alarm_check(alarms, case.case_id, int(entry.host.q), got)
+            if got:
+                yield key + (entry.name,) if named else key
 
 
-def _gen_psl_c2_t3(alarms):
+# ---------------------------------------------------------------------------
+# the registered cases: one grid each
+# ---------------------------------------------------------------------------
+
+CASES = {}
+
+
+def _case(case_id, plain=False):
+    """Register the decorated grid as the sweep case_id."""
+    def register(grid):
+        CASES[case_id] = SweepCase(case_id, grid, plain)
+        return grid
+    return register
+
+
+def _signs(n):
+    """The orthogonal signs a host of dimension n can carry."""
+    return (CIRC,) if n % 2 else (PLUS, MINUS)
+
+
+@_case("psl-c2-t3")
+def _psl_c2_t3():
     for q in prime_powers(2, 512):
         m = 1 if q >= 5 else (2 if q >= 3 else 3)
-        entry = catalog.psl_c2(3 * m, q, m, 3)
-        got = _member(psl(3 * m, q), entry)
-        _alarm_check(alarms, "psl-c2-t3", q, got)
-        if got:
-            yield (q,)
+        yield (q,), catalog.psl_c2, (3 * m, q, m, 3)
 
 
-def _gen_psl_c3_r3(alarms):
+@_case("psl-c3-r3")
+def _psl_c3_r3():
     for q in prime_powers(2, 512):
-        entry = catalog.psl_c3(3, q, 1, 3)
-        got = _member(psl(3, q), entry)
-        _alarm_check(alarms, "psl-c3-r3", q, got)
-        if got:
-            yield (q,)
+        yield (q,), catalog.psl_c3, (3, q, 1, 3)
 
 
-def _gen_psl_c3_r5(alarms):
+@_case("psl-c3-r5")
+def _psl_c3_r5():
     for r in (5, 7, 11):
         for m in (1, 2, 3):
-            n = m * r
             for q in prime_powers(2, 64):
-                try:
-                    entry = catalog.psl_c3(n, q, m, r)
-                except (ConstraintViolation, UnsupportedGroup):
-                    continue
-                if _member(psl(n, q), entry):
-                    yield (n, q)
+                yield (m * r, q), catalog.psl_c3, (m * r, q, m, r)
 
 
-def _gen_psu_c2_t3(alarms):
+@_case("psl-c4")
+def _psl_c4():
+    for q in prime_powers(2, 32):
+        for n1 in range(2, 5):
+            for n2 in range(n1 + 1, 9):
+                yield (q, n1, n2), catalog.psl_c4, (n1 * n2, q, n1, n2)
+
+
+@_case("psl-c6")
+def _psl_c6():
+    for q in prime_powers(2, 97):
+        for n in (2, 3, 4, 8):
+            yield (q, n), catalog.psl_c6, (n, q)
+
+
+@_case("psl-c7")
+def _psl_c7():
+    for q in prime_powers(2, 32):
+        for m in (3, 4, 5):
+            for t in (2, 3):
+                yield (q, m, t), catalog.psl_c7, (m ** t, q, m, t)
+
+
+@_case("psu-c2-t3")
+def _psu_c2_t3():
     for q in prime_powers(2, 400):
         m = 1 if q >= 3 else 2
-        n = 3 * m
-        entry = catalog.psu_c2_wr(n, q, m, 3)
-        got = _member(psu(n, q), entry)
-        _alarm_check(alarms, "psu-c2-t3", q, got)
-        if got:
-            yield (q,)
+        yield (q,), catalog.psu_c2_wr, (3 * m, q, m, 3)
 
 
-def _gen_psu_c2_t4plus(alarms):
+@_case("psu-c2-t4plus")
+def _psu_c2_t4plus():
     for q in prime_powers(2, 40):
         for m in range(1, 7):
             for t in range(4, 17):
-                n = m * t
-                g = psu(n, q)
-                if not is_simple(g):
-                    continue
-                try:
-                    entry = catalog.psu_c2_wr(n, q, m, t)
-                except (ConstraintViolation, UnsupportedGroup):
-                    continue
-                if _member(g, entry):
-                    yield (q, m, t)
+                yield (q, m, t), catalog.psu_c2_wr, (m * t, q, m, t)
 
 
-def _gen_psu_c3_r3(alarms):
+@_case("psu-c3-r3")
+def _psu_c3_r3():
     for q in prime_powers(2, 512):
         m = 1 if q >= 3 else 2
-        n = 3 * m
-        entry = catalog.psu_c3(n, q, m, 3)
-        got = _member(psu(n, q), entry)
-        _alarm_check(alarms, "psu-c3-r3", q, got)
-        if got:
-            yield (q,)
+        yield (q,), catalog.psu_c3, (3 * m, q, m, 3)
 
 
-def _gen_psl_c4(alarms):
+@_case("psu-c4")
+def _psu_c4():
     for q in prime_powers(2, 32):
         for n1 in range(2, 5):
             for n2 in range(n1 + 1, 9):
-                entry = catalog.psl_c4(n1 * n2, q, n1, n2)
-                if _member(psl(n1 * n2, q), entry):
-                    yield (q, n1, n2)
+                yield (q, n1, n2), catalog.psu_c4, (n1 * n2, q, n1, n2)
 
 
-def _gen_psl_c7(alarms):
-    for q in prime_powers(2, 32):
-        for m in (3, 4, 5):
-            for t in (2, 3):
-                entry = catalog.psl_c7(m ** t, q, m, t)
-                if _member(psl(m ** t, q), entry):
-                    yield (q, m, t)
-
-
-def _gen_psu_c4(alarms):
-    for q in prime_powers(2, 32):
-        for n1 in range(2, 5):
-            for n2 in range(n1 + 1, 9):
-                entry = catalog.psu_c4(n1 * n2, q, n1, n2)
-                if _member(psu(n1 * n2, q), entry):
-                    yield (q, n1, n2)
-
-
-def _gen_psu_c7(alarms):
-    for q in prime_powers(2, 32):
-        for m in (3, 4, 5):
-            for t in (2, 3):
-                try:
-                    entry = catalog.psu_c7(m ** t, q, m, t)
-                except ConstraintViolation:
-                    continue
-                if _member(psu(m ** t, q), entry):
-                    yield (q, m, t)
-
-
-def _gen_psl_c6(alarms):
-    for q in prime_powers(2, 97):
-        for n in (2, 3, 4, 8):
-            g = psl(n, q)
-            if not is_simple(g):
-                continue
-            try:
-                entries = catalog.psl_c6(n, q)
-            except ConstraintViolation:
-                continue
-            for entry in entries:
-                if _member(g, entry):
-                    yield (q, n, entry.name)
-
-
-def _gen_psu_c6(alarms):
+@_case("psu-c6")
+def _psu_c6():
     for q in prime_powers(2, 97):
         for n in (3, 4, 8):
-            g = psu(n, q)
-            if not is_simple(g):
-                continue
-            try:
-                entries = catalog.psu_c6(n, q)
-            except ConstraintViolation:
-                continue
-            for entry in entries:
-                if _member(g, entry):
-                    yield (q, n, entry.name)
+            yield (q, n), catalog.psu_c6, (n, q)
 
 
-def _gen_psp_c2_t5(alarms):
+@_case("psu-c7")
+def _psu_c7():
+    for q in prime_powers(2, 32):
+        for m in (3, 4, 5):
+            for t in (2, 3):
+                yield (q, m, t), catalog.psu_c7, (m ** t, q, m, t)
+
+
+@_case("psp-c2-t5")
+def _psp_c2_t5():
     for q in prime_powers(2, 16):
         for m in (2, 4, 6):
             for t in range(4, 11):
-                if (m, t) == (2, 4):
-                    continue  # an always-large family, not part of this list
-                try:
-                    entry = catalog.psp_c2_wr(m * t, q, m, t)
-                except ConstraintViolation:
-                    continue
-                if _member(psp(m * t, q), entry):
-                    yield (q, m, t)
+                if (m, t) != (2, 4):  # an always-large family, not part of this list
+                    yield (q, m, t), catalog.psp_c2_wr, (m * t, q, m, t)
 
 
-def _gen_psp_c3_r5(alarms):
+@_case("psp-c3-r5")
+def _psp_c3_r5():
     for q in prime_powers(2, 32):
         for m in (2, 4, 6):
             for r in (5, 7, 11):
-                entry = catalog.psp_c3(m * r, q, m, r)
-                if _member(psp(m * r, q), entry):
-                    yield (q, m, r)
+                yield (q, m, r), catalog.psp_c3, (m * r, q, m, r)
 
 
-def _gen_psp_c4(alarms):
+@_case("psp-c4")
+def _psp_c4():
     for q in prime_powers(2, 13):
-        if q % 2 == 0:
-            continue
         for n1 in (2, 4, 6):
             for n2 in range(3, 9):
-                for eps in ((CIRC,) if n2 % 2 else (PLUS, MINUS)):
-                    try:
-                        entry = catalog.psp_c4(n1 * n2, q, n1, n2, eps)
-                    except (ConstraintViolation, UnsupportedGroup):
-                        continue
-                    if _member(psp(n1 * n2, q), entry):
-                        yield (q, n1, n2, eps)
+                for eps in _signs(n2):
+                    yield (q, n1, n2, eps), catalog.psp_c4, (n1 * n2, q, n1, n2, eps)
 
 
-def _gen_psp_c7(alarms):
+@_case("psp-c6")
+def _psp_c6():
+    for q in prime_powers(2, 23):
+        for n in (4, 8, 16, 32):
+            yield (q, n), catalog.psp_c6, (n, q)
+
+
+@_case("psp-c7")
+def _psp_c7():
     for q in prime_powers(2, 16):
         for m in (2, 4):
             for t in (3, 5):
-                try:
-                    entry = catalog.psp_c7(m ** t, q, m, t)
-                except ConstraintViolation:
-                    continue
-                if _member(psp(m ** t, q), entry):
-                    yield (q, m, t)
+                yield (q, m, t), catalog.psp_c7, (m ** t, q, m, t)
 
 
-def _gen_psp_c6(alarms):
-    for q in prime_powers(2, 23):
-        for n in (4, 8, 16, 32):
-            try:
-                entry = catalog.psp_c6(n, q)
-            except (ConstraintViolation, UnsupportedGroup):
-                continue
-            if _member(psp(n, q), entry):
-                yield (q, n)
-
-
-def _gen_pso_c2_o1p(alarms):
+@_case("pso-c2-o1p")
+def _pso_c2_o1p():
     for q in prime_powers(3, 13):
         for n in range(7, 31):
-            for eps in ((CIRC,) if n % 2 else (PLUS, MINUS)):
-                try:
-                    entry = catalog.pso_c2_o1p(n, eps, q)
-                except (ConstraintViolation, UnsupportedGroup):
-                    continue
-                if _member(pomega(n, q, eps), entry):
-                    yield (q, n)
+            for eps in _signs(n):
+                yield (q, n), catalog.pso_c2_o1p, (n, eps, q)
 
 
-def _gen_pso_c2_go_wr(alarms):
+@_case("pso-c2-go-wr")
+def _pso_c2_go_wr():
     for q in prime_powers(2, 9):
         for m in range(2, 9):
+            # t = 2 is the always-large family and not part of this list
             for t in range(3, 9):
-                # t = 2 is the always-large family and not part of this list
-                n = m * t
-                if n < 7 or n > 64:
+                if not 7 <= m * t <= 64:
                     continue
                 for eps1 in ((PLUS, MINUS) if m % 2 == 0 else (CIRC,)):
-                    for eps in ((CIRC,) if n % 2 else (PLUS, MINUS)):
-                        g = pomega(n, q, eps)
-                        if not is_simple(g):
-                            continue
-                        try:
-                            entry = catalog.pso_c2_go_wr(n, eps, q, m, eps1, t)
-                        except (ConstraintViolation, UnsupportedGroup):
-                            continue
-                        if _member(g, entry):
-                            yield (q, m, t, eps1, eps)
+                    for eps in _signs(m * t):
+                        yield ((q, m, t, eps1, eps), catalog.pso_c2_go_wr,
+                               (m * t, eps, q, m, eps1, t))
 
 
-def _gen_pso_c3_extra(alarms):
+@_case("pso-c3-extra")
+def _pso_c3_extra():
     for q in prime_powers(2, 8):
         for m in range(3, 10):
             for s in (3, 5, 7):
-                n = m * s
-                for eps in ((CIRC,) if n % 2 else (PLUS, MINUS)):
-                    try:
-                        entry = catalog.pso_c3_extra(n, eps, q, m, s)
-                    except (ConstraintViolation, UnsupportedGroup):
-                        continue
-                    if _member(pomega(n, q, eps), entry):
-                        yield (q, m, s, eps)
+                for eps in _signs(m * s):
+                    yield (q, m, s, eps), catalog.pso_c3_extra, (m * s, eps, q, m, s)
 
 
-def _gen_pso_c4_large_n(alarms):
-    """The degree-2 symplectic tensor type beyond the two always-large
-    dimensions: the exact cube test must already fail everywhere.  The
-    projective stabilizer order is |Sp_2 x Sp_{n/2}| / 2 times the extra
-    diagonal part gcd(2, n/4), divided by the center (order 2 here since
-    q is odd and n/2 is even)."""
+@_case("pso-c4-large-n")
+def _pso_c4_large_n():
+    # the dimensions beyond the two always-large ones, 8 and 12
     for q in prime_powers(3, 9):
-        if q % 2 == 0:
-            continue
         for n in range(16, 41, 4):
-            h0 = (sp_order(2, q) * sp_order(n // 2, q) // 2
-                  * gcd(2, n // 4) // 2)
-            o1 = 2 * gcd(4, q ** (n // 2) - 1) * _e_of(q)
-            if is_large(order(pomega(n, q, PLUS)), h0, o1).is_large:
-                yield (q, n)
+            yield (q, n), catalog.pso_c4_odd, (n, q)
 
 
-def _gen_pso_c7(alarms):
+@_case("pso-c6")
+def _pso_c6():
+    for q in prime_powers(3, 23):
+        for n in (8, 16, 32):
+            yield (q, n), catalog.pso_c6, (n, q)
+
+
+@_case("pso-c7")
+def _pso_c7():
     for q in prime_powers(2, 9):
         for m in range(2, 7):
             for t in (2, 3, 4):
                 n = m ** t
-                if n < 7 or n > 100:
+                if not 7 <= n <= 100:
                     continue
                 for kind, eps1 in (("sp", None), ("circ", None),
                                    ("signed", PLUS), ("signed", MINUS)):
-                    eps = CIRC if n % 2 else PLUS
-                    try:
-                        entry = catalog.pso_c7(n, eps, q, m, t, kind, eps1)
-                    except (ConstraintViolation, UnsupportedGroup):
-                        continue
-                    if _member(pomega(n, q, eps), entry):
-                        yield (q, m, t, kind)
+                    yield ((q, m, t, kind), catalog.pso_c7,
+                           (n, CIRC if n % 2 else PLUS, q, m, t, kind, eps1))
 
 
-def _gen_pso_c6(alarms):
-    for q in prime_powers(3, 23):
-        for n in (8, 16, 32):
-            try:
-                entry = catalog.pso_c6(n, q)
-            except (ConstraintViolation, UnsupportedGroup):
-                continue
-            if _member(pomega(n, q, PLUS), entry):
-                yield (q, n)
+# Plain predicates.  tableA-cutoff must not pass the simplicity skip of
+# _catalog_members: its host PSp(4,2) at (p, d) = (2, 6) is not simple and
+# is a golden member.
 
 
-def _gen_table_a_cutoff(alarms):
+@_case("tableA-cutoff", plain=True)
+def _table_a_cutoff():
     for p in (2, 3):
         for d in range(5, 29):
-            g0 = catalog.collection_a_host(d, p)
-            if factorial(d) ** 3 >= order(g0):
+            if factorial(d) ** 3 >= order(catalog.collection_a_host(d, p)):
                 yield (p, d)
 
 
-def _gen_s_collection_n_bound(alarms):
+@_case("s-collection-n-bound", plain=True)
+def _s_collection_n_bound():
     # 2^((d-2)(d-3) - 6 + 6d) < (d+1)^(6d), the a-priori degree frontier
     for d in range(5, 61):
         if 2 ** ((d - 2) * (d - 3) - 6 + 6 * d) < (d + 1) ** (6 * d):
             yield (d,)
-
-
-_GENERATORS = {
-    "psl-c2-t3": _gen_psl_c2_t3,
-    "psl-c3-r3": _gen_psl_c3_r3,
-    "psl-c3-r5": _gen_psl_c3_r5,
-    "psl-c4": _gen_psl_c4,
-    "psl-c6": _gen_psl_c6,
-    "psl-c7": _gen_psl_c7,
-    "psu-c2-t3": _gen_psu_c2_t3,
-    "psu-c2-t4plus": _gen_psu_c2_t4plus,
-    "psu-c3-r3": _gen_psu_c3_r3,
-    "psu-c4": _gen_psu_c4,
-    "psu-c6": _gen_psu_c6,
-    "psu-c7": _gen_psu_c7,
-    "psp-c2-t5": _gen_psp_c2_t5,
-    "psp-c3-r5": _gen_psp_c3_r5,
-    "psp-c4": _gen_psp_c4,
-    "psp-c6": _gen_psp_c6,
-    "psp-c7": _gen_psp_c7,
-    "pso-c2-o1p": _gen_pso_c2_o1p,
-    "pso-c2-go-wr": _gen_pso_c2_go_wr,
-    "pso-c3-extra": _gen_pso_c3_extra,
-    "pso-c4-large-n": _gen_pso_c4_large_n,
-    "pso-c6": _gen_pso_c6,
-    "pso-c7": _gen_pso_c7,
-    "tableA-cutoff": _gen_table_a_cutoff,
-    "s-collection-n-bound": _gen_s_collection_n_bound,
-}
-
-CASES = {
-    cid: SweepCase(cid, cid.replace("-", " "), cid + ".golden")
-    for cid in _GENERATORS
-}
-
-EMPTY_CASES = (
-    "psl-c4", "psl-c7", "psu-c4", "psu-c7", "psp-c3-r5", "psp-c4",
-    "psp-c7", "pso-c3-extra", "pso-c4-large-n", "pso-c7",
-)
 
 
 def case_ids():
@@ -521,10 +431,12 @@ def case_ids():
 def run_case(case_id, directory=None):
     if case_id not in CASES:
         raise UnknownCase(f"unknown sweep case {case_id!r}")
+    case = CASES[case_id]
     t0 = time.monotonic()
     alarms = []
-    members = sorted(set(_GENERATORS[case_id](alarms)), key=_sort_key)
-    expected = load_golden(CASES[case_id].golden, directory)
+    found = case.grid() if case.plain else _catalog_members(case, alarms)
+    members = sorted(set(found), key=_sort_key)
+    expected = load_golden(case.golden, directory)
     missing = [m for m in expected if m not in members]
     extra = [m for m in members if m not in expected]
     elapsed = int((time.monotonic() - t0) * 1000)

@@ -147,3 +147,12 @@ def test_pso_c6_only_on_plus_type_hosts():
     plus = [e for e in catalog.candidates(pomega(8, 3, PLUS))
             if e.aschbacher_class == "C6"]
     assert minus == [] and len(plus) == 1
+
+
+def test_pso_c4_odd_rows_divide_and_need_odd_q():
+    for q in (3, 5, 7, 9):
+        for n in range(8, 41, 4):
+            e = catalog.pso_c4_odd(n, q)
+            assert order(e.host) % e.h0_order == 0, (q, n)
+    with pytest.raises(ConstraintViolation):
+        catalog.pso_c4_odd(16, 4)

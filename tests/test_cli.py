@@ -62,6 +62,16 @@ def test_check_exceptional_item(capsys):
     assert d["is_large"] is True and d["rhs"] == 576000000
 
 
+@pytest.mark.parametrize("argv", [
+    ("explain", "PSL(3,4)", "--exceptional", "sp4", "--item", "1"),
+    ("check", "PSp(4,3)", "--exceptional", "sp4"),
+    ("check", "POmega-(8,2)", "--exceptional", "o8"),
+])
+def test_exceptional_pool_needs_its_host(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and "error" in err
+
+
 def test_ambiguous_selector_exit_code(capsys):
     code, _, err = run(capsys, "check", "PSL(4,5)", "--class", "C2")
     assert code == 4
@@ -105,6 +115,15 @@ def test_explain_prints_cube_test(capsys):
     assert code == 0
     assert "|H0|^3 |O1|^2 = 3623878656" in out
     assert "not large" in out
+
+
+def test_tables_exit_codes_and_flagged_rows(capsys):
+    code, out, _ = run(capsys, "tables", "A", "--json")
+    assert code == 0 and not any(r["flag"] for r in json.loads(out))
+    code, out, _ = run(capsys, "tables", "B", "--json")
+    assert code == 1
+    flagged = [(r["host"], r["subgroup"]) for r in json.loads(out) if r["flag"]]
+    assert flagged == [("PSU(3,5)", "PSL2(7)")]
 
 
 def test_tables_a0(capsys):

@@ -1,24 +1,16 @@
 """Sweep machinery and golden-file regression state."""
 
 import os
+from collections import Counter
 
 import pytest
 
-from large_atlas import catalog, orders, sweep
+from large_atlas import bounds, catalog, orders, sweep
 from large_atlas.errors import MissingGolden, UnknownCase
-
-# cases whose generators intentionally disagree with the checked-in golden;
-# the discrepancies are asserted one by one below
-KNOWN_DIFFS = {
-    "psu-c2-t3": [(31,)],
-    "pso-c2-go-wr": [(2, 2, 6, "-", "+")],
-}
 
 
 def test_case_registry_is_complete():
-    ids = sweep.case_ids()
-    assert len(ids) == 25
-    assert set(sweep.EMPTY_CASES) <= set(ids)
+    assert len(sweep.case_ids()) == 25
 
 
 def test_member_formatting_round_trip():
@@ -35,6 +27,11 @@ def test_goldens_exist_for_every_case():
     for cid, case in sweep.CASES.items():
         members = sweep.load_golden(case.golden)
         assert isinstance(members, list), cid
+
+
+def test_every_golden_belongs_to_a_case():
+    goldens = {f for f in os.listdir(sweep.golden_dir()) if f.endswith(".golden")}
+    assert goldens == {case.golden for case in sweep.CASES.values()}
 
 
 def test_missing_golden_raises(tmp_path):
@@ -59,23 +56,11 @@ def test_all_cases_free_of_sandwich_alarms(sweep_reports):
         assert report.alarms == [], cid
 
 
-def test_clean_cases_match_goldens_exactly(sweep_reports):
+def test_clean_cases_match_goldens_exactly(sweep_reports, known_diffs):
     for cid, report in sweep_reports.items():
-        if cid in KNOWN_DIFFS:
+        if cid in known_diffs:
             continue
         assert report.ok, (cid, report.missing, report.extra)
-
-
-def test_known_diffs_are_exactly_the_recorded_ones(sweep_reports):
-    for cid, extras in KNOWN_DIFFS.items():
-        report = sweep_reports[cid]
-        assert report.missing == []
-        assert report.extra == extras
-
-
-def test_empty_cases_have_no_members(sweep_reports):
-    for cid in sweep.EMPTY_CASES:
-        assert sweep_reports[cid].members == [], cid
 
 
 def test_report_json_shape(sweep_reports):
@@ -129,6 +114,48 @@ def test_bracket_follows_the_one_sided_row_rule(bound, small, big):
     g0 = orders.psl(4, 5)
     g0_order = orders.order(g0)
     for h0, want in ((2, small), (g0_order, big)):
-        entry = catalog.SubgroupEntry(g0, "C1", "test row", (), h0, 1, 1, bound)
+        entry = catalog.SubgroupEntry(g0, "C1", "test row", (), h0, 1, bound)
         assert sweep._bracket_member(g0, entry) is want
         assert sweep._exact_member(g0_order, entry) is want
+
+
+def _calls_by_case(monkeypatch, attr):
+    """Run every case with sweep.<attr> spied on; returns (case id, args)
+    for each call."""
+    inner = getattr(sweep, attr)
+    calls = []
+    current = [None]
+
+    def spy(*args, **kwargs):
+        calls.append((current[0], args))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, attr, spy)
+    for cid in sweep.case_ids():
+        current[0] = cid
+        sweep.run_case(cid)
+    return calls
+
+
+def test_sandwich_runs_on_exactly_the_sandwich_cases(monkeypatch):
+    want = {"psl-c2-t3", "psl-c3-r3", "psu-c2-t3", "psu-c3-r3"}
+    calls = _calls_by_case(monkeypatch, "sandwich")
+    assert {(cid, args[0]) for cid, args in calls} == {(c, c) for c in want}
+    assert want == set(bounds.SANDWICH_CASES) & set(sweep.CASES)
+
+
+# grid points whose membership _member decides, per case, 4387 in all
+MEMBER_POINTS = {
+    "psl-c2-t3": 117, "psl-c3-r3": 117, "psl-c3-r5": 243, "psl-c4": 270,
+    "psl-c6": 56, "psl-c7": 108,
+    "psu-c2-t3": 97, "psu-c2-t4plus": 1482, "psu-c3-r3": 117, "psu-c4": 270,
+    "psu-c6": 38, "psu-c7": 106,
+    "psp-c2-t5": 194, "psp-c3-r5": 162, "psp-c4": 162, "psp-c6": 32, "psp-c7": 22,
+    "pso-c2-o1p": 120, "pso-c2-go-wr": 391, "pso-c3-extra": 180,
+    "pso-c4-large-n": 28, "pso-c6": 24, "pso-c7": 51,
+}
+
+
+def test_member_decides_every_catalog_grid_point(monkeypatch):
+    calls = _calls_by_case(monkeypatch, "_member")
+    assert Counter(cid for cid, _ in calls) == MEMBER_POINTS
