@@ -16,18 +16,15 @@ from importlib import resources
 from math import factorial, gcd, lcm
 
 from .arith import is_prime, parse_prime_power
-from .errors import (ConstraintViolation, DataIntegrityError, UnknownCase,
-                     UnsupportedGroup)
+from .errors import (ConstraintViolation, DataIntegrityError, GroupParseError,
+                     UnknownCase, UnsupportedGroup)
+from .largeness import EXACT, LOWER, UPPER
 from .orders import (CIRC, CLASSICAL, MINUS, PLUS, GroupId, alt_order,
                      g2_order, gl_order, gu_order, omega_order, order, out_order,
                      parse_group, pgl_order, pgu_order, pomega, psl, psl_order,
                      psp, psp_order, psu, psu_order, sl_order, so_order,
                      sp_order, su_order, subgroup_name_order,
                      sym_order, sz_order, tri_d4_order)
-
-EXACT = "exact"
-UPPER = "upper"
-LOWER = "lower"
 
 
 @dataclass(frozen=True)
@@ -262,9 +259,9 @@ def psu_c5_form(n, q, kind):
         return _entry(g, "C5", f"Sp({n},{q})", {}, psp_order(n, q), 1,
                       bound=LOWER, formula="c8-classical-lower")
     _require(q % 2 == 1, "orthogonal form subgroup needs odd q")
-    eps = CIRC if n % 2 else kind
-    return _entry(g, "C5", f"GO{'' if eps == CIRC else eps}({n},{q})", {},
-                  so_order(n, eps, q), 1, bound=LOWER, formula="c8-classical-lower")
+    _require((kind == CIRC) == (n % 2 == 1), "odd n takes no sign, even n needs one")
+    return _entry(g, "C5", f"GO{eps_tag(kind)}({n},{q})", {},
+                  so_order(n, kind, q), 1, bound=LOWER, formula="c8-classical-lower")
 
 
 def psu_c6(n, q):
@@ -444,14 +441,9 @@ def _pomega_center(n, eps, q):
 
 def _pso_o1(g):
     """Outer part available to the normalizer of a geometric subgroup of an
-    orthogonal group: diagonal and field parts only.  The order-3 graph
-    automorphism of the 8-dimensional plus type never normalizes these
-    subgroups, so it is excluded even when n = 8."""
-    qq = g.q
-    if g.eps == CIRC:
-        return 2 * qq.e
-    s = 1 if g.eps == PLUS else -1
-    return 2 * gcd(4, int(qq) ** (g.n // 2) - s) * qq.e
+    orthogonal group: |Out| without the order-3 graph automorphism of the
+    8-dimensional plus type, which never normalizes these subgroups."""
+    return out_order(g) // (3 if (g.n, g.eps) == (8, PLUS) else 1)
 
 
 def pso_c1(n, eps, q):
@@ -546,7 +538,8 @@ def pso_c3(n, eps, q, kind):
     q = int(g.q)
     m = n // 2
     if kind == "GU":
-        _require(n % 2 == 0, "the unitary field-change type needs even n")
+        _require(eps == (PLUS if m % 2 == 0 else MINUS),
+                 "the unitary field-change type needs n = 2m and sign (-1)^m")
         return _entry(g, "C3", f"GU({m},{q})", {},
                       gu_order(m, q) // (gcd(2, q - 1) * (q + 1)), 1,
                       bound=LOWER, formula="pso-c3-lower")
@@ -576,10 +569,12 @@ def pso_c3_extra(n, eps, q, m, s):
 
 
 def pso_c4(n, eps, q):
+    """Lower bound |PSp_2(q) x PSp_{n/2}(q)|, the image of Sp_2 (x) Sp_{n/2}
+    in POmega; pso_c4_odd gives the exact order for q odd."""
     g = pomega(n, q, eps)
     q = int(g.q)
     _require(eps == PLUS and n % 4 == 0, "the symplectic tensor type needs plus type")
-    h0 = sp_order(2, q) * sp_order(n // 2, q) // gcd(2, q - 1)
+    h0 = sp_order(2, q) * sp_order(n // 2, q) // gcd(2, q - 1) ** 2
     return _entry(g, "C4", f"Sp(2,{q}) (x) Sp({n // 2},{q})", {}, h0, 1,
                   bound=LOWER, formula="pso-c4-lower")
 
@@ -671,7 +666,7 @@ def sp4_graph_candidates(q):
     if qq.p != 2 or q < 4:
         raise UnsupportedGroup("the graph automorphism case needs Sp4(2^e), q >= 4")
     g = psp(4, q)
-    o1 = 2 * qq.e
+    o1 = out_order(g)
     rows = [
         _entry(g, "X", "[q^4]:(q-1)^2", {}, q ** 4 * (q - 1) ** 2, o1,
                name="[q^4]:(q-1)^2", formula="sp4-graph"),
@@ -711,7 +706,7 @@ def o8_triality_candidates(q):
     q = qq.q
     g = pomega(8, q, PLUS)
     d = gcd(2, q - 1)
-    o1 = 6 * gcd(4, q ** 4 - 1) * qq.e
+    o1 = out_order(g)
     rows = [
         ("i", _entry(g, "X", "parabolic", {}, q ** 12, o1, bound=LOWER,
                      name="parabolic", formula="o8-tri")),
@@ -770,11 +765,11 @@ def exceptional_candidates(g0, which):
     if which == "sp4_graph":
         if g0.family != "PSp" or g0.n != 4:
             raise UnsupportedGroup(f"{g0} is not a graph-automorphism symplectic host")
-        return sp4_graph_candidates(int(g0.q))
+        return sp4_graph_candidates(g0.q)
     if which == "o8_triality":
         if g0.family != "POmega" or (g0.n, g0.eps) != (8, PLUS):
             raise UnsupportedGroup(f"{g0} is not a triality host")
-        return o8_triality_candidates(int(g0.q))
+        return o8_triality_candidates(g0.q)
     raise UnknownCase(f"unknown exceptional case {which!r}")
 
 
@@ -821,6 +816,7 @@ class TableRow:
 
     Patterns may mention q (the host field size) or q0 (its square or cube
     root); the condition field restricts q.  Concrete rows use condition "-".
+    sample is (host, subgroup name, |H0|) at sample_q(), set by _load_table.
     """
 
     g0_pattern: str
@@ -828,6 +824,7 @@ class TableRow:
     condition: str
     remark: str
     table: str
+    sample: tuple = None
 
     def matches_q(self, q):
         cond = self.condition
@@ -870,19 +867,20 @@ class TableRow:
 
     def sample_q(self):
         cond = self.condition
+        if cond == "-":
+            return int(parse_group(self.g0_pattern).q)
         if cond.startswith("q:in:"):
             return int(cond[5:].split(",")[0])
         if cond == "q:even":
             return 4
         if cond == "q:sz":
             return 8
-        base = 3
         if "q0^2" in self.g0_pattern:
             return 9
         if "q0^3" in self.g0_pattern:
             return 27
-        if cond in ("-", "q:any", "q:odd"):
-            return base
+        if cond in ("q:any", "q:odd"):
+            return 3
         raise DataIntegrityError(f"bad condition {cond!r}")
 
 
@@ -897,14 +895,6 @@ def _subst_q0(text, q0):
     return _re.sub(r"\bq0\b", str(q0), text)
 
 
-def _fixed_q(pattern):
-    """Field size of a fully concrete host pattern, else None."""
-    if _re.search(r"\bq0?\b", pattern):
-        return None
-    m = _re.search(r",\s*(\d+)\)$", pattern)
-    return int(m.group(1)) if m else None
-
-
 def _load_table(fname, table):
     raw = resources.files("large_atlas.data").joinpath(fname).read_text()
     rows = []
@@ -916,10 +906,9 @@ def _load_table(fname, table):
         if len(parts) != 4:
             raise DataIntegrityError(f"{fname}:{lineno}: expected 4 fields")
         row = TableRow(parts[0], parts[1], parts[2], parts[3], table)
-        q = _fixed_q(row.g0_pattern) or row.sample_q()
         try:
-            got = row.instantiate(q)
-        except (UnsupportedGroup, ConstraintViolation) as exc:
+            got = row.instantiate(row.sample_q())
+        except (GroupParseError, UnsupportedGroup, ConstraintViolation) as exc:
             raise DataIntegrityError(f"{fname}:{lineno}: {exc}") from None
         if got is None:
             raise DataIntegrityError(f"{fname}:{lineno}: sample field size rejected")
@@ -927,7 +916,7 @@ def _load_table(fname, table):
         if order(g0) % h0_order:
             raise DataIntegrityError(
                 f"{fname}:{lineno}: |{h0_name}| does not divide |{g0}|")
-        rows.append(row)
+        rows.append(replace(row, sample=got))
     return tuple(rows)
 
 
@@ -947,25 +936,20 @@ def table_rows(which):
 
 def table_entries(g0):
     out = []
-    q = int(g0.q)
     for which in ("A", "B"):
         for row in table_rows(which):
-            fixed = _fixed_q(row.g0_pattern)
-            if fixed is not None and fixed != q:
-                continue
-            try:
-                got = row.instantiate(q)
-            except (UnsupportedGroup, ConstraintViolation):
-                continue
+            if row.condition == "-":
+                got = row.sample
+            else:
+                try:
+                    got = row.instantiate(g0.q)
+                except (UnsupportedGroup, ConstraintViolation):
+                    continue
             if got is None or got[0] != g0:
                 continue
             _, h0_name, h0_order = got
-            try:
-                o1 = out_order(g0)
-            except (UnsupportedGroup, ConstraintViolation):
-                o1 = 1
             out.append(_entry(g0, "A" if which == "A" else "S",
-                              h0_name, {}, h0_order, o1, name=h0_name,
+                              h0_name, {}, h0_order, out_order(g0), name=h0_name,
                               formula=f"table-{which.lower()}-row"))
     return out
 
@@ -1007,10 +991,9 @@ def candidates(g0):
     """All catalog entries whose constraints accept the given simple host."""
     if isinstance(g0, str):
         g0 = parse_group(g0)
-    fam, n, qq, eps = g0.family, g0.n, g0.q, g0.eps
+    fam, n, q, eps = g0.family, g0.n, g0.q, g0.eps
     if fam not in CLASSICAL:
         raise UnsupportedGroup(f"no catalog for family {fam}")
-    q = int(qq)
     out = []
     if fam == "PSL":
         _collect(out, psl_c1, n, q)
@@ -1019,10 +1002,10 @@ def candidates(g0):
         for m, r in _divisor_splits(n):
             if is_prime(r):
                 _collect(out, psl_c3, n, q, m, r)
-        for n1, n2 in _divisor_splits(n):
-            _collect(out, psl_c4, n, q, min(n1, n2), max(n1, n2))
+        for m, t in _divisor_splits(n):
+            _collect(out, psl_c4, n, q, t, m)
         for r in (2, 3, 5, 7):
-            if qq.e % r == 0:
+            if q.e % r == 0:
                 _collect(out, psl_c5, n, q, r)
         _collect(out, psl_c6, n, q)
         for m, t in _power_splits(n):
@@ -1036,13 +1019,13 @@ def candidates(g0):
         for m, r in _divisor_splits(n):
             if r % 2 and is_prime(r):
                 _collect(out, psu_c3, n, q, m, r)
-        for n1, n2 in _divisor_splits(n):
-            _collect(out, psu_c4, n, q, min(n1, n2), max(n1, n2))
+        for m, t in _divisor_splits(n):
+            _collect(out, psu_c4, n, q, t, m)
         for r in (2, 3, 5, 7):
-            if qq.e % r == 0:
+            if q.e % r == 0:
                 _collect(out, psu_c5_subfield, n, q, r)
-        for kind in ("Sp", PLUS, MINUS, "GOo"):
-            _collect(out, psu_c5_form, n, q, kind if kind != "GOo" else CIRC)
+        for kind in ("Sp", PLUS, MINUS, CIRC):
+            _collect(out, psu_c5_form, n, q, kind)
         _collect(out, psu_c6, n, q)
         for m, t in _power_splits(n):
             _collect(out, psu_c7, n, q, m, t)
@@ -1058,7 +1041,7 @@ def candidates(g0):
             for e2 in (PLUS, MINUS, CIRC):
                 _collect(out, psp_c4, n, q, n1, n2, e2)
         for r in (2, 3, 5, 7):
-            if qq.e % r == 0:
+            if q.e % r == 0:
                 _collect(out, psp_c5, n, q, r)
         _collect(out, psp_c6, n, q)
         for m, t in _power_splits(n):
@@ -1075,11 +1058,11 @@ def candidates(g0):
         for m, s in _divisor_splits(n):
             _collect(out, pso_c3_extra, n, eps, q, m, s)
         _collect(out, pso_c4, n, eps, q)
-        for r in (2, 3):
-            if qq.e % r == 0:
-                for e2 in (PLUS, MINUS, CIRC):
-                    _collect(out, pso_c5, n, eps, q, r,
-                             e2 if r == 2 else None)
+        if q.e % 2 == 0:
+            for e2 in (PLUS, MINUS, CIRC):
+                _collect(out, pso_c5, n, eps, q, 2, e2)
+        if q.e % 3 == 0:
+            _collect(out, pso_c5, n, eps, q, 3)
         if eps == PLUS:
             _collect(out, pso_c6, n, q)
         for m, t in _power_splits(n):
@@ -1090,11 +1073,4 @@ def candidates(g0):
                 else:
                     _collect(out, pso_c7, n, eps, q, m, t, kind)
     out.extend(table_entries(g0))
-    seen = set()
-    uniq = []
-    for e in out:
-        key = (e.aschbacher_class, e.type_descriptor, e.params)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(e)
-    return uniq
+    return out

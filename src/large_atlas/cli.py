@@ -9,9 +9,11 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from . import catalog
 from . import sweep as sweep_mod
+from .bounds import simple_order_bits
 from .errors import (AmbiguousSelector, ConstraintViolation, GroupParseError,
                      LargeAtlasError, MissingGolden, NotAPrimePower,
                      UnknownCase, UnsupportedGroup)
@@ -23,6 +25,9 @@ EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_AMBIGUOUS = 4
 EXIT_MISSING_GOLDEN = 5
+
+# the most decimal digits an integer in the output may have
+MAX_DIGITS = 2_000_000
 
 _EXCEPTIONAL = {"sp4": "sp4_graph", "o8": "o8_triality"}
 
@@ -108,13 +113,38 @@ def _resolve_entry(g0, args):
     return pool[0]
 
 
+def _host(args):
+    """The named host G0 and |G0|.  A host whose bit-length bracket puts
+    |G0| >= 10^MAX_DIGITS is refused before its order is built: 2^lo >= 10^D
+    once 1000 lo >= 3322 D, as log2(10) < 3.322."""
+    g0 = parse_group(args.group)
+    bits = simple_order_bits(g0)
+    if bits is not None and 1000 * bits[0] >= 3322 * MAX_DIGITS:
+        raise UnsupportedGroup(f"|{g0}| has more than {MAX_DIGITS} decimal digits")
+    return g0, order(g0)
+
+
+@contextmanager
+def _digit_cap():
+    """Exit 3 where printing meets an integer beyond MAX_DIGITS, the cases
+    the precheck in _host cannot decide.  Wrap only code that formats
+    output: any ValueError inside is taken for the interpreter's digit cap."""
+    try:
+        yield
+    except ValueError:
+        raise UnsupportedGroup(
+            f"output holds an integer of more than {MAX_DIGITS} decimal digits") from None
+
+
 # ---------------------------------------------------------------------------
 # verb handlers
 # ---------------------------------------------------------------------------
 
 
 def cmd_order(args):
-    print(order(parse_group(args.group)))
+    _, g0_order = _host(args)
+    with _digit_cap():
+        print(g0_order)
     return EXIT_OK
 
 
@@ -124,25 +154,21 @@ def cmd_out(args):
 
 
 def cmd_subgroups(args):
-    g0 = parse_group(args.group)
-    g0_order = order(g0)
-    rows = []
-    for entry in _resolve_entries(g0, args):
-        v = is_large_h1(g0_order, entry)
-        rows.append(_entry_dict(entry, v))
-    if args.json:
-        print(json.dumps(rows, indent=2))
-    else:
-        for r in rows:
-            star = "large" if r["verdict"]["is_large"] else "not large"
-            print(f"{r['class']:>2}  {r['type']:<34} |H0|={r['h0_order']} "
-                  f"o1={r['o1_order']} [{r['bound']}] -> {star} ({r['verdict']['mode']})")
+    g0, g0_order = _host(args)
+    verdicts = [(e, is_large_h1(g0_order, e)) for e in _resolve_entries(g0, args)]
+    with _digit_cap():
+        if args.json:
+            print(json.dumps([_entry_dict(e, v) for e, v in verdicts], indent=2))
+        else:
+            for e, v in verdicts:
+                star = "large" if v.is_large else "not large"
+                print(f"{e.aschbacher_class:>2}  {e.type_descriptor:<34} |H0|={e.h0_order} "
+                      f"o1={e.o1_order} [{e.bound}] -> {star} ({v.mode})")
     return EXIT_OK
 
 
 def cmd_check(args):
-    g0 = parse_group(args.group)
-    g0_order = order(g0)
+    g0, g0_order = _host(args)
     if args.h0_order is not None:
         v = is_large(g0_order, args.h0_order, args.o or 1)
     else:
@@ -151,33 +177,34 @@ def cmd_check(args):
             v = is_large(g0_order, entry.h0_order, args.o)
         else:
             v = is_large_h1(g0_order, entry)
-    print(json.dumps(_verdict_dict(v), indent=2))
+    with _digit_cap():
+        print(json.dumps(_verdict_dict(v), indent=2))
     return EXIT_OK
 
 
 def cmd_explain(args):
-    g0 = parse_group(args.group)
-    g0_order = order(g0)
+    g0, g0_order = _host(args)
     entry = _resolve_entry(g0, args)
     v = is_large_h1(g0_order, entry)
-    if args.json:
-        d = _entry_dict(entry, v)
-        d["params"] = dict(entry.params)
-        d["g0_order"] = g0_order
-        print(json.dumps(d, indent=2))
-        return EXIT_OK
-    print(f"host           {entry.host}  (order {g0_order})")
-    print(f"class          {entry.aschbacher_class}")
-    print(f"type           {entry.type_descriptor}")
-    if entry.name:
-        print(f"structure      {entry.name}")
-    print(f"formula        {entry.formula}")
-    if entry.params:
-        print("parameters     " + ", ".join(f"{k}={val}" for k, val in entry.params))
-    print(f"|H0|           {entry.h0_order}  ({entry.bound})")
-    print(f"|O1|           {entry.o1_order}")
-    print(f"cube test      |H0|^3 |O1|^2 = {v.rhs} vs |G0| = {v.lhs}")
-    print(f"verdict        {'large' if v.is_large else 'not large'} ({v.mode})")
+    with _digit_cap():
+        if args.json:
+            d = _entry_dict(entry, v)
+            d["params"] = dict(entry.params)
+            d["g0_order"] = g0_order
+            print(json.dumps(d, indent=2))
+            return EXIT_OK
+        print(f"host           {entry.host}  (order {g0_order})")
+        print(f"class          {entry.aschbacher_class}")
+        print(f"type           {entry.type_descriptor}")
+        if entry.name:
+            print(f"structure      {entry.name}")
+        print(f"formula        {entry.formula}")
+        if entry.params:
+            print("parameters     " + ", ".join(f"{k}={val}" for k, val in entry.params))
+        print(f"|H0|           {entry.h0_order}  ({entry.bound})")
+        print(f"|O1|           {entry.o1_order}")
+        print(f"cube test      |H0|^3 |O1|^2 = {v.rhs} vs |G0| = {v.lhs}")
+        print(f"verdict        {'large' if v.is_large else 'not large'} ({v.mode})")
     return EXIT_OK
 
 
@@ -259,19 +286,11 @@ def cmd_tables(args):
     rows = []
     flagged = False
     for row in catalog.table_rows(which):
-        q = catalog._fixed_q(row.g0_pattern) or row.sample_q()
-        got = row.instantiate(q)
-        if got is None:
-            continue
-        g0, h0_name, h0_order = got
+        g0, h0_name, h0_order = row.sample
         g0_order = order(g0)
         in_g0 = is_large(g0_order, h0_order).is_large
-        try:
-            o1 = out_order(g0)
-        except UnsupportedGroup:
-            o1 = 1
-        with_o1 = is_large(g0_order, h0_order, o1).is_large
-        contradiction = in_g0 == _not_large_expected(row.remark, q)
+        with_o1 = is_large(g0_order, h0_order, out_order(g0)).is_large
+        contradiction = in_g0 == _not_large_expected(row.remark, int(g0.q))
         flagged = flagged or contradiction
         rows.append({
             "host": str(g0),
@@ -366,7 +385,7 @@ def main(argv=None):
     # group orders easily exceed the default digit cap for int printing,
     # and the contract is exact decimal output
     if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(2_000_000)
+        sys.set_int_max_str_digits(MAX_DIGITS)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

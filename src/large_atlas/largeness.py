@@ -18,19 +18,37 @@ BOUND_ONLY = "bound_only"
 FORCED_LARGE = "forced_large"
 EXCLUDED_BY_BOUND = "excluded_by_bound"
 
+# the bound kinds of a catalog row's |H0|, besides EXACT
+UPPER = "upper"
+LOWER = "lower"
+
+# verdict mode by (the row's bound kind, cube test result); see is_large_h1
+_MODES = {
+    (EXACT, True): EXACT,
+    (EXACT, False): EXACT,
+    (UPPER, True): BOUND_ONLY,
+    (UPPER, False): EXCLUDED_BY_BOUND,
+    (LOWER, True): FORCED_LARGE,
+    (LOWER, False): BOUND_ONLY,
+}
+
 
 @dataclass(frozen=True)
 class LargenessVerdict:
     """Outcome of one largeness test, with both sides of the inequality."""
 
-    g0_order: int
     h0_order: int
     o_order: int
     lhs: int
     rhs: int
     is_large: bool
-    margin: ExactRatio
     mode: str = EXACT
+
+    @property
+    def margin(self):
+        """rhs / lhs in lowest terms; built on demand, since the gcd of two
+        huge orders costs more than the test itself."""
+        return ExactRatio(self.rhs, self.lhs)
 
     def __str__(self):
         rel = "<=" if self.is_large else ">"
@@ -38,20 +56,15 @@ class LargenessVerdict:
                 f" ({'large' if self.is_large else 'not large'}, {self.mode})")
 
 
-def _verdict(g0_order, h0_order, o_order, mode):
+def _verdict(g0_order, h0_order, o_order, kind):
     if g0_order <= 0 or h0_order <= 0 or o_order <= 0:
         raise ConstraintViolation("orders must be positive")
     rhs = h0_order ** 3 * o_order ** 2
-    return LargenessVerdict(
-        g0_order=g0_order,
-        h0_order=h0_order,
-        o_order=o_order,
-        lhs=g0_order,
-        rhs=rhs,
-        is_large=g0_order <= rhs,
-        margin=ExactRatio(rhs, g0_order),
-        mode=mode,
-    )
+    large = g0_order <= rhs
+    mode = _MODES.get((kind, large))
+    if mode is None:
+        raise ConstraintViolation(f"unknown bound kind {kind!r}")
+    return LargenessVerdict(h0_order, o_order, g0_order, rhs, large, mode)
 
 
 def is_large(g0_order, h0_order, o_order=1):
@@ -69,18 +82,8 @@ def is_large_h1(g0_order, entry):
     verdict keeps its literal truth value but is flagged bound_only so
     callers know it settles nothing.
     """
-    g0_order = int(g0_order)
-    kind = getattr(entry, "bound", EXACT)
-    v = _verdict(g0_order, entry.h0_order, entry.o1_order, EXACT)
-    if kind == EXACT:
-        return v
-    if kind == "upper":
-        mode = EXCLUDED_BY_BOUND if not v.is_large else BOUND_ONLY
-    elif kind == "lower":
-        mode = FORCED_LARGE if v.is_large else BOUND_ONLY
-    else:
-        raise ConstraintViolation(f"unknown bound kind {kind!r}")
-    return _verdict(g0_order, entry.h0_order, entry.o1_order, mode)
+    return _verdict(int(g0_order), entry.h0_order, entry.o1_order,
+                    getattr(entry, "bound", EXACT))
 
 
 def decisive(verdict):

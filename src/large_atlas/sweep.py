@@ -33,7 +33,7 @@ from .arith import prime_powers as _prime_power_objects
 from .bounds import (CERTAINLY_LARGE, CERTAINLY_NOT_LARGE, SANDWICH_CASES,
                      sandwich, simple_order_bits)
 from .errors import ConstraintViolation, MissingGolden, UnknownCase, UnsupportedGroup
-from .largeness import decisive, is_large_h1
+from .largeness import UPPER, decisive, is_large_h1
 from .orders import CIRC, MINUS, PLUS, is_simple, order
 
 
@@ -151,17 +151,15 @@ def _bracket_member(g0, entry):
     if b <= lo:
         return False
     if b - 1 >= hi:
-        return entry.bound != catalog.UPPER
+        return entry.bound != UPPER
     return None
 
 
 def _exact_member(g0_order, entry):
-    """Membership from the exact |G0|."""
+    """Membership from the exact |G0|: a large verdict that settles the
+    question (a one-sided row that settles nothing is not a member)."""
     v = is_large_h1(g0_order, entry)
-    if v.mode == "exact":
-        return v.is_large
-    # one-sided rows: trust them only when decisive, else not a member
-    return v.is_large if decisive(v) else False
+    return v.is_large and decisive(v)
 
 
 def _alarm_check(alarms, scase, q, got, n=None):

@@ -6,8 +6,8 @@ from large_atlas import catalog
 from large_atlas.arith import gcd, prime_powers
 from large_atlas.errors import ConstraintViolation, UnsupportedGroup
 from large_atlas.largeness import is_large_h1
-from large_atlas.orders import (CIRC, MINUS, PLUS, is_simple, order, parse_group,
-                                pomega, psl, psp, psu)
+from large_atlas.orders import (CIRC, MINUS, PLUS, is_simple, order, out_order,
+                                parse_group, pomega, psl, psp, psu)
 
 
 def test_psl_c2_wreath_entry():
@@ -130,14 +130,21 @@ def _simple_hosts(qmax, nmax):
 
 
 def test_every_row_names_its_host_and_exact_rows_divide():
+    # every row is built once, and only an upper bound may fail to divide
     bad = []
     for g in _simple_hosts(16, 10):
-        g_order = order(g)
-        for e in catalog.candidates(g):
+        g_order, g_out = order(g), out_order(g)
+        rows = catalog.candidates(g)
+        keys = [(e.aschbacher_class, e.type_descriptor, e.params) for e in rows]
+        if len(set(keys)) < len(keys):
+            bad.append((str(g), "repeats a row"))
+        for e in rows:
             if e.host != g:
                 bad.append((str(g), "names host", str(e.host), e.type_descriptor))
-            elif e.bound == catalog.EXACT and g_order % e.h0_order:
+            elif e.bound != catalog.UPPER and g_order % e.h0_order:
                 bad.append((str(g), "does not divide", e.type_descriptor))
+            elif g_out % e.o1_order:
+                bad.append((str(g), "o1 does not divide |Out|", e.type_descriptor))
     assert bad == []
 
 
@@ -154,5 +161,7 @@ def test_pso_c4_odd_rows_divide_and_need_odd_q():
         for n in range(8, 41, 4):
             e = catalog.pso_c4_odd(n, q)
             assert order(e.host) % e.h0_order == 0, (q, n)
+            # the lower-bound row of the same type divides the exact order
+            assert e.h0_order % catalog.pso_c4(n, PLUS, q).h0_order == 0, (q, n)
     with pytest.raises(ConstraintViolation):
         catalog.pso_c4_odd(16, 4)

@@ -1,6 +1,8 @@
 """Command line interface: output, selectors, exit codes."""
 
 import json
+import sys
+import time
 
 import pytest
 
@@ -23,6 +25,34 @@ def test_order_huge_value_prints_in_full(capsys):
     assert code == 0
     digits = out.strip()
     assert digits.isdigit() and len(digits) > 3000  # plain decimal, never 1e+...
+
+
+@pytest.mark.parametrize("argv", [
+    ("order", "PSL(2600,2)"), ("order", "PSL(100000,2)"), ("subgroups", "PSU(3000,2)"),
+])
+def test_orders_beyond_the_digit_cap_exit_unsupported_at_once(capsys, argv):
+    # refused from the bit-length bracket, before |G0| is built
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and "decimal digits" in err
+    assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no digit cap")
+def test_digit_cap_hit_while_printing_exits_unsupported(capsys, monkeypatch):
+    # with a 1000-digit cap the bracket of PSL(50,3) cannot refuse it
+    # (lo = 2497 bits), but its 1192-digit order fails to print
+    old = sys.get_int_max_str_digits()
+    monkeypatch.setattr(cli, "MAX_DIGITS", 1000)
+    try:
+        for argv in (("order",), ("subgroups", "--json"), ("check", "--class", "C1"),
+                     ("explain", "--class", "C1")):
+            code, out, err = run(capsys, argv[0], "PSL(50,3)", *argv[1:])
+            assert code == 3 and out == "" and "decimal digits" in err, argv
+        assert run(capsys, "order", "PSL(45,3)")[0] == 0  # 966 digits
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_out_verb(capsys):
