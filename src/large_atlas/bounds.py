@@ -80,10 +80,6 @@ def _simple_leads(fam, n, q):
 
 def simple_order_bounds(g):
     """Rational (lower, upper) bounds on the order of a simple group id."""
-    from .orders import parse_group
-
-    if isinstance(g, str):
-        g = parse_group(g)
     fam, n, q = g.family, g.n, int(g.q)
     e_lo, c, e_hi = _simple_leads(fam, n, q)
     x = ExactRatio(1, q)
@@ -110,6 +106,35 @@ def simple_order_bits(g):
         return None
     a = int(g.q).bit_length()
     return (a - 1) * e_lo - c.bit_length(), a * e_hi
+
+
+def order_bits_floor(g):
+    """An integer b with 2^b <= |g|, for a group id of any family.
+
+    The simple classical families take the lower end of simple_order_bits
+    where it applies.  Any other group of Lie type holds a Sylow p-subgroup
+    of order q^N, and q >= 2^(a-1) with a the bit length of q.  Alt(d) and
+    Sym(d) have order at least floor(d/3)^d.  As in simple_order_bits, no
+    order is built.
+    """
+    bits = simple_order_bits(g)
+    if bits is not None:
+        return bits[0]
+    fam, n = g.family, g.n
+    if fam == "Sporadic":
+        return 0
+    if fam in ("Alt", "Sym"):
+        return n * max((n // 3).bit_length() - 1, 0)
+    if fam in ("PSL", "PSU", "GL", "SL", "PGL", "GU", "SU", "PGU"):
+        exp = n * (n - 1) // 2
+    elif fam in ("PSp", "Sp"):
+        exp = (n // 2) ** 2
+    elif fam in ("POmega", "SO", "GO", "Omega"):
+        m = n // 2
+        exp = m * m if n % 2 else m * (m - 1)
+    else:
+        exp = {"Sz": 2, "G2": 6, "3D4": 12}[fam]
+    return exp * (int(g.q).bit_length() - 1)
 
 
 def omega_upper(n, eps, q):

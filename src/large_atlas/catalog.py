@@ -20,11 +20,11 @@ from .errors import (ConstraintViolation, DataIntegrityError, GroupParseError,
                      UnknownCase, UnsupportedGroup)
 from .largeness import EXACT, LOWER, UPPER
 from .orders import (CIRC, CLASSICAL, MINUS, PLUS, GroupId, alt_order,
-                     g2_order, gl_order, gu_order, omega_order, order, out_order,
-                     parse_group, pgl_order, pgu_order, pomega, psl, psl_order,
-                     psp, psp_order, psu, psu_order, sl_order, so_order,
-                     sp_order, su_order, subgroup_name_order,
-                     sym_order, sz_order, tri_d4_order)
+                     g2_order, gl_order, go_order, gu_order, omega_order, order,
+                     out_order, parse_group, pomega, psl, psl_order, psp,
+                     psp_order, psu, psu_order, sl_order, so_order, sp_order,
+                     su_order, subgroup_name_order, sym_order, sz_order,
+                     tri_d4_order)
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def psl_c5(n, q, r):
     q0 = qq.p ** (qq.e // r)
     d = gcd(n, q - 1)
     s = gcd(q0 - 1, (q - 1) // d)
-    h0 = pgl_order(n, q0) * s // (q0 - 1)
+    h0 = sl_order(n, q0) * s // (q0 - 1)
     c = (q - 1) // lcm(q0 - 1, (q - 1) // d)
     return _entry(g, "C5", f"GL({n},{q0})", {"q0": q0, "r": r},
                   h0, out_order(g) // c, formula="psl-c5")
@@ -245,7 +245,7 @@ def psu_c5_subfield(n, q, r):
     q0 = qq.p ** (qq.e // r)
     d = gcd(n, q + 1)
     s = gcd(q0 + 1, (q + 1) // d)
-    h0 = pgu_order(n, q0) * s // (q0 + 1)
+    h0 = su_order(n, q0) * s // (q0 + 1)
     c = (q + 1) // lcm(q0 + 1, (q + 1) // d)
     return _entry(g, "C5", f"GU({n},{q0})", {"q0": q0, "r": r},
                   h0, out_order(g) // c, formula="psu-c5")
@@ -426,7 +426,6 @@ def eps_tag(eps):
 def go_order_proj(n, eps, q):
     """|PGO_n^eps(q)| for odd q: the full orthogonal group modulo its
     center of order 2."""
-    from .orders import go_order
     return go_order(n, eps, q) // gcd(2, int(q) - 1)
 
 
@@ -621,6 +620,10 @@ def pso_c6(n, q):
                   name=f"2^{2 * m}.O{2 * m}+(2)", formula="pso-c6")
 
 
+# the kinds of pso_c7, each with the block sign it takes
+PSO_C7_KINDS = (("sp", None), ("circ", None), ("signed", PLUS), ("signed", MINUS))
+
+
 def pso_c7(n, eps, q, m, t, kind, eps1=None):
     g = pomega(n, q, eps)
     qq = g.q
@@ -677,13 +680,11 @@ def sp4_graph_candidates(q):
         _entry(g, "X", "(q^2+1):4", {}, (q * q + 1) * 4, o1,
                name="(q^2+1):4", formula="sp4-graph"),
     ]
-    for r in (2, 3, 5, 7):
-        if qq.e % r == 0:
-            q0 = qq.p ** (qq.e // r)
-            if q0 >= 2:
-                rows.append(_entry(g, "X", f"Sp(4,{q0})", {"q0": q0, "r": r},
-                                   sp_order(4, q0), o1, name=f"Sp4({q0})",
-                                   formula="sp4-graph"))
+    for r in _prime_divisors(qq.e):
+        q0 = qq.p ** (qq.e // r)
+        rows.append(_entry(g, "X", f"Sp(4,{q0})", {"q0": q0, "r": r},
+                           sp_order(4, q0), o1, name=f"Sp4({q0})",
+                           formula="sp4-graph"))
     if qq.e % 2 == 1 and qq.e >= 3:
         rows.append(_entry(g, "X", f"Sz({q})", {}, sz_order(q), o1,
                            name=f"Sz({q})", formula="sp4-graph"))
@@ -760,8 +761,6 @@ def o8_triality_candidates(q):
 
 
 def exceptional_candidates(g0, which):
-    if isinstance(g0, str):
-        g0 = parse_group(g0)
     if which == "sp4_graph":
         if g0.family != "PSp" or g0.n != 4:
             raise UnsupportedGroup(f"{g0} is not a graph-automorphism symplectic host")
@@ -959,6 +958,11 @@ def table_entries(g0):
 # ---------------------------------------------------------------------------
 
 
+def _prime_divisors(k):
+    """The primes dividing k, ascending."""
+    return [r for r in range(2, k + 1) if k % r == 0 and is_prime(r)]
+
+
 def _divisor_splits(n):
     return [(n // t, t) for t in range(2, n + 1) if n % t == 0]
 
@@ -976,21 +980,19 @@ def _power_splits(n):
     return out
 
 
-def _collect(out, fn, *args, **kwargs):
+def _collect(out, fn, *args):
     try:
-        r = fn(*args, **kwargs)
+        r = fn(*args)
     except (ConstraintViolation, UnsupportedGroup):
         return
     if isinstance(r, list):
         out.extend(r)
-    elif r is not None:
+    else:
         out.append(r)
 
 
 def candidates(g0):
     """All catalog entries whose constraints accept the given simple host."""
-    if isinstance(g0, str):
-        g0 = parse_group(g0)
     fam, n, q, eps = g0.family, g0.n, g0.q, g0.eps
     if fam not in CLASSICAL:
         raise UnsupportedGroup(f"no catalog for family {fam}")
@@ -999,14 +1001,12 @@ def candidates(g0):
         _collect(out, psl_c1, n, q)
         for m, t in _divisor_splits(n):
             _collect(out, psl_c2, n, q, m, t)
-        for m, r in _divisor_splits(n):
-            if is_prime(r):
-                _collect(out, psl_c3, n, q, m, r)
+        for r in _prime_divisors(n):
+            _collect(out, psl_c3, n, q, n // r, r)
         for m, t in _divisor_splits(n):
             _collect(out, psl_c4, n, q, t, m)
-        for r in (2, 3, 5, 7):
-            if q.e % r == 0:
-                _collect(out, psl_c5, n, q, r)
+        for r in _prime_divisors(q.e):
+            _collect(out, psl_c5, n, q, r)
         _collect(out, psl_c6, n, q)
         for m, t in _power_splits(n):
             _collect(out, psl_c7, n, q, m, t)
@@ -1016,14 +1016,12 @@ def candidates(g0):
         _collect(out, psu_c2_gl, n, q)
         for m, t in _divisor_splits(n):
             _collect(out, psu_c2_wr, n, q, m, t)
-        for m, r in _divisor_splits(n):
-            if r % 2 and is_prime(r):
-                _collect(out, psu_c3, n, q, m, r)
+        for r in _prime_divisors(n):
+            _collect(out, psu_c3, n, q, n // r, r)
         for m, t in _divisor_splits(n):
             _collect(out, psu_c4, n, q, t, m)
-        for r in (2, 3, 5, 7):
-            if q.e % r == 0:
-                _collect(out, psu_c5_subfield, n, q, r)
+        for r in _prime_divisors(q.e):
+            _collect(out, psu_c5_subfield, n, q, r)
         for kind in ("Sp", PLUS, MINUS, CIRC):
             _collect(out, psu_c5_form, n, q, kind)
         _collect(out, psu_c6, n, q)
@@ -1034,15 +1032,14 @@ def candidates(g0):
         _collect(out, psp_c2_gl, n, q)
         for m, t in _divisor_splits(n):
             _collect(out, psp_c2_wr, n, q, m, t)
-        for m, r in _divisor_splits(n):
-            _collect(out, psp_c3, n, q, m, r)
+        for r in _prime_divisors(n):
+            _collect(out, psp_c3, n, q, n // r, r)
         _collect(out, psp_c3_gu, n, q)
         for n1, n2 in _divisor_splits(n):
             for e2 in (PLUS, MINUS, CIRC):
                 _collect(out, psp_c4, n, q, n1, n2, e2)
-        for r in (2, 3, 5, 7):
-            if q.e % r == 0:
-                _collect(out, psp_c5, n, q, r)
+        for r in _prime_divisors(q.e):
+            _collect(out, psp_c5, n, q, r)
         _collect(out, psp_c6, n, q)
         for m, t in _power_splits(n):
             _collect(out, psp_c7, n, q, m, t)
@@ -1055,22 +1052,16 @@ def candidates(g0):
                 _collect(out, pso_c2_go_wr, n, eps, q, m, e1, t)
         for kind in ("GU", "GO", "GOo"):
             _collect(out, pso_c3, n, eps, q, kind)
-        for m, s in _divisor_splits(n):
-            _collect(out, pso_c3_extra, n, eps, q, m, s)
+        for s in _prime_divisors(n):
+            _collect(out, pso_c3_extra, n, eps, q, n // s, s)
         _collect(out, pso_c4, n, eps, q)
-        if q.e % 2 == 0:
+        for r in _prime_divisors(q.e):
             for e2 in (PLUS, MINUS, CIRC):
-                _collect(out, pso_c5, n, eps, q, 2, e2)
-        if q.e % 3 == 0:
-            _collect(out, pso_c5, n, eps, q, 3)
+                _collect(out, pso_c5, n, eps, q, r, e2)
         if eps == PLUS:
             _collect(out, pso_c6, n, q)
         for m, t in _power_splits(n):
-            for kind in ("sp", "circ", "signed"):
-                if kind == "signed":
-                    for e1 in (PLUS, MINUS):
-                        _collect(out, pso_c7, n, eps, q, m, t, kind, e1)
-                else:
-                    _collect(out, pso_c7, n, eps, q, m, t, kind)
+            for kind, e1 in PSO_C7_KINDS:
+                _collect(out, pso_c7, n, eps, q, m, t, kind, e1)
     out.extend(table_entries(g0))
     return out

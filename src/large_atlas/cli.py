@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 from . import catalog
 from . import sweep as sweep_mod
-from .bounds import simple_order_bits
+from .bounds import order_bits_floor
 from .errors import (AmbiguousSelector, ConstraintViolation, GroupParseError,
                      LargeAtlasError, MissingGolden, NotAPrimePower,
                      UnknownCase, UnsupportedGroup)
@@ -114,12 +114,11 @@ def _resolve_entry(g0, args):
 
 
 def _host(args):
-    """The named host G0 and |G0|.  A host whose bit-length bracket puts
-    |G0| >= 10^MAX_DIGITS is refused before its order is built: 2^lo >= 10^D
-    once 1000 lo >= 3322 D, as log2(10) < 3.322."""
+    """The named host G0 and |G0|.  A host is refused before its order is
+    built when the floor 2^b <= |G0| of order_bits_floor puts |G0| >=
+    10^MAX_DIGITS: 2^b >= 10^D once 1000 b >= 3322 D, as log2(10) < 3.322."""
     g0 = parse_group(args.group)
-    bits = simple_order_bits(g0)
-    if bits is not None and 1000 * bits[0] >= 3322 * MAX_DIGITS:
+    if 1000 * order_bits_floor(g0) >= 3322 * MAX_DIGITS:
         raise UnsupportedGroup(f"|{g0}| has more than {MAX_DIGITS} decimal digits")
     return g0, order(g0)
 

@@ -90,14 +90,6 @@ def _det2(F, m):
     return F.sub(F.mul(a, d), F.mul(b, c))
 
 
-def _det3(F, m):
-    a, b, c, d, e, f, g, h, i = m
-    t1 = F.mul(a, F.sub(F.mul(e, i), F.mul(f, h)))
-    t2 = F.mul(b, F.sub(F.mul(d, i), F.mul(f, g)))
-    t3 = F.mul(c, F.sub(F.mul(d, h), F.mul(e, g)))
-    return F.add(F.sub(t1, t2), t3)
-
-
 def count_gl(n, q, det_one=False):
     """Count invertible n x n matrices over GF(q), optionally with det 1.
 

@@ -9,7 +9,7 @@ orders.  Everything is exact integer arithmetic.
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from math import gcd, prod
 
@@ -77,24 +77,20 @@ class GroupId:
         return f"{self.family}({self.n},{self.q})"
 
 
-def _pp(q):
-    return parse_prime_power(q)
-
-
 def psl(n, q):
-    return GroupId("PSL", n, _pp(q))
+    return GroupId("PSL", n, parse_prime_power(q))
 
 
 def psu(n, q):
-    return GroupId("PSU", n, _pp(q))
+    return GroupId("PSU", n, parse_prime_power(q))
 
 
 def psp(n, q):
-    return GroupId("PSp", n, _pp(q))
+    return GroupId("PSp", n, parse_prime_power(q))
 
 
 def pomega(n, q, eps=None):
-    q = _pp(q)
+    q = parse_prime_power(q)
     if eps is None:
         eps = CIRC if n % 2 else PLUS
     if n % 2 and eps != CIRC:
@@ -102,14 +98,6 @@ def pomega(n, q, eps=None):
     if n % 2 == 0 and eps not in (PLUS, MINUS):
         raise UnsupportedGroup(f"POmega({n},{q}): even dimension needs a sign")
     return GroupId("POmega", n, q, eps)
-
-
-def alt(d):
-    return GroupId("Alt", d)
-
-
-def sym(d):
-    return GroupId("Sym", d)
 
 
 def sporadic(name):
@@ -158,15 +146,14 @@ def omega_order(n, eps, q):
     Odd n over odd q uses the kernel-of-spinor-norm order; odd n over even q
     is the symplectic group of rank (n-1)/2.  n = 2 gives the cyclic torus.
     """
-    qq = _pp(q)
+    qq = parse_prime_power(q)
     q = qq.q
     if n % 2:
         if eps not in ("", CIRC):
             raise UnsupportedGroup("odd-dimensional orthogonal group takes no sign")
         if n == 1:
             return 1
-        m = (n - 1) // 2
-        full = q ** (m * m) * prod(q ** (2 * i) - 1 for i in range(1, m + 1))
+        full = sp_order(n - 1, q)
         if qq.p == 2:
             return full  # Omega_{2m+1}(q) = Sp_{2m}(q) in characteristic 2
         return full // 2
@@ -179,37 +166,27 @@ def omega_order(n, eps, q):
 
 
 def so_order(n, eps, q):
-    qq = _pp(q)
+    qq = parse_prime_power(q)
     if n % 2 and qq.p == 2:
         raise UnsupportedGroup("SO in odd dimension needs odd q")
     return 2 * omega_order(n, eps, q)
 
 
 def go_order(n, eps, q):
-    qq = _pp(q)
+    qq = parse_prime_power(q)
     if n % 2:
         return 2 * so_order(n, eps, q)
     return gcd(2, qq.q - 1) * so_order(n, eps, q)
 
 
-def pgl_order(n, q):
-    q = int(q)
-    return gl_order(n, q) // (q - 1)
-
-
-def pgu_order(n, q):
-    q = int(q)
-    return gu_order(n, q) // (q + 1)
-
-
 def psl_order(n, q):
     q = int(q)
-    return pgl_order(n, q) // gcd(n, q - 1)
+    return sl_order(n, q) // gcd(n, q - 1)
 
 
 def psu_order(n, q):
     q = int(q)
-    return pgu_order(n, q) // gcd(n, q + 1)
+    return su_order(n, q) // gcd(n, q + 1)
 
 
 def psp_order(n, q):
@@ -218,7 +195,7 @@ def psp_order(n, q):
 
 
 def pomega_order(n, eps, q):
-    qq = _pp(q)
+    qq = parse_prime_power(q)
     q = qq.q
     if n % 2:
         return omega_order(n, eps, q)
@@ -230,7 +207,7 @@ def pomega_order(n, eps, q):
 
 def sz_order(q):
     """|Sz(q)| = q^2 (q^2 + 1)(q - 1), q = 2^(2k+1) >= 8."""
-    qq = _pp(q)
+    qq = parse_prime_power(q)
     if qq.p != 2 or qq.e % 2 == 0 or qq.e < 3:
         raise UnsupportedGroup(f"Sz({qq}) is only defined for q = 2^(2k+1) >= 8")
     q = qq.q
@@ -239,13 +216,13 @@ def sz_order(q):
 
 def g2_order(q):
     """|G2(q)| = q^6 (q^6 - 1)(q^2 - 1)."""
-    q = int(_pp(q))
+    q = int(parse_prime_power(q))
     return q ** 6 * (q ** 6 - 1) * (q ** 2 - 1)
 
 
 def tri_d4_order(q):
     """|3D4(q)| = q^12 (q^8 + q^4 + 1)(q^6 - 1)(q^2 - 1)."""
-    q = int(_pp(q))
+    q = int(parse_prime_power(q))
     return q ** 12 * (q ** 8 + q ** 4 + 1) * (q ** 6 - 1) * (q ** 2 - 1)
 
 
@@ -261,21 +238,8 @@ def sym_order(d):
     return factorial(d)
 
 
-def sporadic_order(name):
-    """Order of one of the fixed groups, by name.
-
-    Accepts the checked-in constant names (J2, J3, M10, M22, M24) as well as
-    a few computable spellings used by the tables (A7, Sz(8), ...).
-    """
-    if name in SPORADIC_ORDERS:
-        return SPORADIC_ORDERS[name]
-    return subgroup_name_order(name)
-
-
 def order(g):
-    """Exact order of the group identified by g (GroupId or name string)."""
-    if isinstance(g, str):
-        g = parse_group(g)
+    """Exact order of the group identified by the GroupId g."""
     fam, n, q, eps = g.family, g.n, g.q, g.eps
     if fam == "PSL":
         _check_dim(fam, n, 2)
@@ -290,18 +254,14 @@ def order(g):
         return pomega_order(n, eps, q)
     if fam == "GL":
         return gl_order(n, q)
-    if fam == "SL":
+    if fam in ("SL", "PGL"):
         return sl_order(n, q)
     if fam == "GU":
         return gu_order(n, q)
-    if fam == "SU":
+    if fam in ("SU", "PGU"):
         return su_order(n, q)
     if fam == "Sp":
         return sp_order(n, q)
-    if fam == "PGL":
-        return pgl_order(n, q)
-    if fam == "PGU":
-        return pgu_order(n, q)
     if fam == "SO":
         return so_order(n, eps, q)
     if fam == "GO":
@@ -387,8 +347,6 @@ def canonicalize(g):
 
 def out_order(g):
     """|Out(G0)| for the four simple classical families."""
-    if isinstance(g, str):
-        g = parse_group(g)
     fam, n, q, eps = g.family, g.n, g.q, g.eps
     if fam not in CLASSICAL:
         raise UnsupportedGroup(f"out_order not defined for {g}")
@@ -422,7 +380,7 @@ def out_order(g):
 # ---------------------------------------------------------------------------
 
 _GROUP_RE = re.compile(
-    r"^(?P<fam>PSL|PSU|PSp|POmega|SL|GL|SU|GU|Sp|PGL|PGU|SO|GO|Omega|Alt|Sym|Sz|G2|3D4|Sporadic)"
+    rf"^(?P<fam>{'|'.join(sorted(_FAMILIES))})"
     r"(?P<sign>[+-]?)\((?P<args>[^)]*)\)$"
 )
 
@@ -446,7 +404,7 @@ def parse_group(text):
     if fam in ("Sz", "G2", "3D4"):
         if len(args) != 1 or sign or not args[0].isdigit():
             raise GroupParseError(f"bad field size in {text!r}")
-        g = GroupId(fam, 0, _pp(int(args[0])))
+        g = GroupId(fam, 0, parse_prime_power(int(args[0])))
         order(g)  # validate the field constraint eagerly for Sz
         return g
     if len(args) != 2 or not all(a.isdigit() for a in args):
@@ -461,10 +419,10 @@ def parse_group(text):
             if n % 2 == 0:
                 raise GroupParseError(f"even-dimensional orthogonal group needs a sign: {text!r}")
             eps = CIRC
-        return GroupId(fam, n, _pp(q), eps)
+        return GroupId(fam, n, parse_prime_power(q), eps)
     if sign:
         raise GroupParseError(f"family {fam} takes no sign: {text!r}")
-    return GroupId(fam, n, _pp(q))
+    return GroupId(fam, n, parse_prime_power(q))
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +454,7 @@ def subgroup_name_order(name):
         return mult * (alt_order(d) if m.group("fam") == "A" else sym_order(d))
     m = _CLASSICAL_RE.match(name)
     if m:
-        g = GroupId(m.group("fam"), int(m.group("n")), _pp(int(m.group("q"))))
+        g = GroupId(m.group("fam"), int(m.group("n")), parse_prime_power(int(m.group("q"))))
         return mult * order(g)
     m = _POMEGA_RE.match(name)
     if m:

@@ -102,8 +102,8 @@ def golden_dir():
     return str(resources.files("large_atlas.data").joinpath("goldens"))
 
 
-def load_golden(fname, directory=None):
-    path = os.path.join(directory or golden_dir(), fname)
+def load_golden(fname):
+    path = os.path.join(golden_dir(), fname)
     if not os.path.exists(path):
         raise MissingGolden(f"golden file not found: {path}")
     members = []
@@ -395,8 +395,7 @@ def _pso_c7():
                 n = m ** t
                 if not 7 <= n <= 100:
                     continue
-                for kind, eps1 in (("sp", None), ("circ", None),
-                                   ("signed", PLUS), ("signed", MINUS)):
+                for kind, eps1 in catalog.PSO_C7_KINDS:
                     yield ((q, m, t, kind), catalog.pso_c7,
                            (n, CIRC if n % 2 else PLUS, q, m, t, kind, eps1))
 
@@ -426,7 +425,7 @@ def case_ids():
     return sorted(CASES)
 
 
-def run_case(case_id, directory=None):
+def run_case(case_id):
     if case_id not in CASES:
         raise UnknownCase(f"unknown sweep case {case_id!r}")
     case = CASES[case_id]
@@ -434,17 +433,17 @@ def run_case(case_id, directory=None):
     alarms = []
     found = case.grid() if case.plain else _catalog_members(case, alarms)
     members = sorted(set(found), key=_sort_key)
-    expected = load_golden(case.golden, directory)
+    expected = load_golden(case.golden)
     missing = [m for m in expected if m not in members]
     extra = [m for m in members if m not in expected]
     elapsed = int((time.monotonic() - t0) * 1000)
     return SweepReport(case_id, members, missing, extra, elapsed, alarms)
 
 
-def run_all(prefix=None, directory=None):
+def run_all(prefix=None):
     reports = []
     for cid in case_ids():
         if prefix and not cid.startswith(prefix):
             continue
-        reports.append(run_case(cid, directory))
+        reports.append(run_case(cid))
     return reports

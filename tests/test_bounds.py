@@ -12,11 +12,12 @@ from large_atlas.bounds import (
     SANDWICH_CASES,
     order_bounds,
     omega_upper,
+    order_bits_floor,
     sandwich,
     simple_order_bits,
     simple_order_bounds,
 )
-from large_atlas.errors import ConstraintViolation, UnknownCase
+from large_atlas.errors import ConstraintViolation, UnknownCase, UnsupportedGroup
 from large_atlas.largeness import is_large_h1
 from large_atlas.orders import (
     CIRC,
@@ -129,6 +130,28 @@ def test_simple_order_bits_bracket():
 ])
 def test_simple_order_bits_none_outside_the_bounds(name):
     assert simple_order_bits(parse_group(name)) is None
+
+
+def test_order_bits_floor_never_exceeds_the_order():
+    hosts = [parse_group(f"{fam}({d})") for fam in ("Alt", "Sym") for d in range(1, 201)]
+    hosts += [parse_group(f"{fam}({q})") for fam in ("G2", "3D4") for q in (2, 3, 4, 5)]
+    hosts += [parse_group(f"Sz({q})") for q in (8, 32, 128)]
+    for q in [int(q) for q in prime_powers(2, 16)]:
+        for n in range(1, 13):
+            for fam in ("PSL", "PSU", "PSp", "GL", "SL", "PGL", "GU", "SU", "PGU", "Sp"):
+                hosts.append(parse_group(f"{fam}({n},{q})"))
+            for fam in ("POmega", "SO", "GO", "Omega"):
+                for sign in (("",) if n % 2 else ("+", "-")):
+                    hosts.append(parse_group(f"{fam}{sign}({n},{q})"))
+    checked = 0
+    for g in hosts:
+        try:
+            g_order = order(g)
+        except UnsupportedGroup:
+            continue  # Sp in odd dimension, SO(odd, even q), dimension too small
+        assert 2 ** order_bits_floor(g) <= g_order, str(g)
+        checked += 1
+    assert checked > 2000
 
 
 def test_omega_upper():

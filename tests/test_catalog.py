@@ -119,8 +119,8 @@ def test_collection_a_host_map():
         catalog.collection_a_host(4, 2)
 
 
-def _simple_hosts(qmax, nmax):
-    for q in [int(q) for q in prime_powers(2, qmax)]:
+def _simple_hosts(qs, nmax):
+    for q in [int(q) for q in qs]:
         for n in range(2, nmax + 1):
             hosts = [psl(n, q), psu(n, q)]
             if n % 2 == 0:
@@ -130,9 +130,12 @@ def _simple_hosts(qmax, nmax):
 
 
 def test_every_row_names_its_host_and_exact_rows_divide():
-    # every row is built once, and only an upper bound may fail to divide
+    # every row is built once, and only an upper bound may fail to divide;
+    # the orthogonal hosts over GF(32) add C5 rows of subfield index 5
+    hosts = list(_simple_hosts(prime_powers(2, 16), 10))
+    hosts += [g for g in _simple_hosts([32], 10) if g.family == "POmega"]
     bad = []
-    for g in _simple_hosts(16, 10):
+    for g in hosts:
         g_order, g_out = order(g), out_order(g)
         rows = catalog.candidates(g)
         keys = [(e.aschbacher_class, e.type_descriptor, e.params) for e in rows]
@@ -146,6 +149,16 @@ def test_every_row_names_its_host_and_exact_rows_divide():
             elif g_out % e.o1_order:
                 bad.append((str(g), "o1 does not divide |Out|", e.type_descriptor))
     assert bad == []
+
+
+@pytest.mark.parametrize("name, degrees", [
+    ("PSL(3,2048)", {11}), ("PSU(3,2048)", {11}), ("PSp(4,2048)", {11}),
+    ("POmega+(8,32)", {5}), ("POmega(9,243)", {5}),
+    ("PSL(3,64)", {2, 3}), ("PSU(3,1024)", {5}),  # unitary C5 needs odd r
+])
+def test_c5_rows_take_every_prime_degree_of_the_field(name, degrees):
+    rows = [e for e in catalog.candidates(parse_group(name)) if e.aschbacher_class == "C5"]
+    assert {dict(e.params)["r"] for e in rows if "r" in dict(e.params)} == degrees
 
 
 def test_pso_c6_only_on_plus_type_hosts():

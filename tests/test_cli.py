@@ -21,17 +21,21 @@ def test_order_verb(capsys):
 
 
 def test_order_huge_value_prints_in_full(capsys):
-    code, out, _ = run(capsys, "order", "PSL(99,5)")
-    assert code == 0
-    digits = out.strip()
-    assert digits.isdigit() and len(digits) > 3000  # plain decimal, never 1e+...
+    for name, least in (("PSL(99,5)", 3000), ("GL(40,3)", 750), ("Sym(1000)", 2500)):
+        code, out, _ = run(capsys, "order", name)
+        assert code == 0, name
+        digits = out.strip()
+        # plain decimal, never 1e+...
+        assert digits.isdigit() and len(digits) > least, name
 
 
 @pytest.mark.parametrize("argv", [
     ("order", "PSL(2600,2)"), ("order", "PSL(100000,2)"), ("subgroups", "PSU(3000,2)"),
+    ("order", "GL(6000,2)"), ("order", "Omega+(8000,2)"), ("order", "Sym(1000000)"),
+    ("check", "Alt(1000000)", "--h0-order", "2"),
 ])
 def test_orders_beyond_the_digit_cap_exit_unsupported_at_once(capsys, argv):
-    # refused from the bit-length bracket, before |G0| is built
+    # refused from the bit-length floor, before |G0| is built
     t0 = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == "" and "decimal digits" in err

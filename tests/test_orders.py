@@ -22,7 +22,6 @@ from large_atlas.orders import (
     psu_order,
     sl_order,
     sp_order,
-    sporadic_order,
     subgroup_name_order,
     sym_order,
     sz_order,
@@ -101,8 +100,8 @@ def test_suzuki_and_triality_formulas():
 
 
 def test_sporadic_orders():
-    assert sporadic_order("M11") == 7920
-    assert sporadic_order("J3") == 50232960
+    assert subgroup_name_order("M11") == 7920
+    assert subgroup_name_order("J3") == 50232960
 
 
 def test_out_orders():

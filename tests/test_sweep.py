@@ -34,9 +34,10 @@ def test_every_golden_belongs_to_a_case():
     assert goldens == {case.golden for case in sweep.CASES.values()}
 
 
-def test_missing_golden_raises(tmp_path):
+def test_missing_golden_raises(tmp_path, monkeypatch):
+    monkeypatch.setenv("LARGE_ATLAS_GOLDEN_DIR", str(tmp_path))
     with pytest.raises(MissingGolden):
-        sweep.load_golden("nope.golden", directory=str(tmp_path))
+        sweep.load_golden("nope.golden")
 
 
 def test_golden_dir_env_override(tmp_path, monkeypatch):
