@@ -112,10 +112,12 @@ def order_bits_floor(g):
     """An integer b with 2^b <= |g|, for a group id of any family.
 
     The simple classical families take the lower end of simple_order_bits
-    where it applies.  Any other group of Lie type holds a Sylow p-subgroup
-    of order q^N, and q >= 2^(a-1) with a the bit length of q.  Alt(d) and
-    Sym(d) have order at least floor(d/3)^d.  As in simple_order_bits, no
-    order is built.
+    where it applies.  GL, SL, PGL, GU, SU and PGU have order at least
+    q^(n(n-1)): each factor q^i -+ 1 of the order is at least q^(i-1), and
+    the i = 1 factor covers the division by q -+ 1.  Any other group of Lie
+    type holds a Sylow p-subgroup of order q^N.  Here q >= 2^(a-1) with a
+    the bit length of q.  Alt(d) and Sym(d) have order at least
+    floor(d/3)^d.  As in simple_order_bits, no order is built.
     """
     bits = simple_order_bits(g)
     if bits is not None:
@@ -125,7 +127,9 @@ def order_bits_floor(g):
         return 0
     if fam in ("Alt", "Sym"):
         return n * max((n // 3).bit_length() - 1, 0)
-    if fam in ("PSL", "PSU", "GL", "SL", "PGL", "GU", "SU", "PGU"):
+    if fam in ("GL", "SL", "PGL", "GU", "SU", "PGU"):
+        exp = n * (n - 1)
+    elif fam in ("PSL", "PSU"):
         exp = n * (n - 1) // 2
     elif fam in ("PSp", "Sp"):
         exp = (n // 2) ** 2

@@ -11,8 +11,6 @@ import os
 import sys
 from contextlib import contextmanager
 
-from . import catalog
-from . import sweep as sweep_mod
 from .bounds import order_bits_floor
 from .errors import (AmbiguousSelector, ConstraintViolation, GroupParseError,
                      LargeAtlasError, MissingGolden, NotAPrimePower,
@@ -72,6 +70,8 @@ def _parse_item(text):
 
 def _resolve_entries(g0, args):
     """All catalog entries matched by the selector flags."""
+    from . import catalog
+
     if getattr(args, "exceptional", None):
         pool = catalog.exceptional_candidates(g0, _EXCEPTIONAL[args.exceptional])
         if args.item:
@@ -208,6 +208,8 @@ def cmd_explain(args):
 
 
 def cmd_sweep(args):
+    from . import sweep as sweep_mod
+
     if args.list:
         for cid in sweep_mod.case_ids():
             print(cid)
@@ -232,6 +234,8 @@ def cmd_sweep(args):
 
 
 def cmd_reproduce(args):
+    from . import sweep as sweep_mod
+
     if args.all:
         reports = sweep_mod.run_all()
     elif args.family:
@@ -273,6 +277,8 @@ def _not_large_expected(remark, q):
 
 
 def cmd_tables(args):
+    from . import catalog
+
     which = args.which.upper()
     if which == "A0":
         if args.json:
@@ -318,65 +324,79 @@ def cmd_tables(args):
 # ---------------------------------------------------------------------------
 
 
-def _build_parser():
-    top = argparse.ArgumentParser(
-        prog="large-atlas",
-        description="Exact arithmetic for large maximal subgroups of "
-                    "finite classical groups.")
-    sub = top.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("order", help="print the exact order of a group")
+def _add_group(p):
     p.add_argument("group")
-    p.set_defaults(fn=cmd_order)
 
-    p = sub.add_parser("out", help="print |Out(G0)|")
+
+def _add_selector(p):
     p.add_argument("group")
-    p.set_defaults(fn=cmd_out)
+    p.add_argument("--class", dest="klass", help="Aschbacher class, e.g. C2")
+    p.add_argument("--type", help="type descriptor or structure name")
+    p.add_argument("--exceptional", choices=("sp4", "o8"),
+                   help="graph-automorphism candidate list")
+    p.add_argument("--item", help="1-based or roman index into the list")
 
-    def add_selector(p):
-        p.add_argument("--class", dest="klass", help="Aschbacher class, e.g. C2")
-        p.add_argument("--type", help="type descriptor or structure name")
-        p.add_argument("--exceptional", choices=("sp4", "o8"),
-                       help="graph-automorphism candidate list")
-        p.add_argument("--item", help="1-based or roman index into the list")
 
-    p = sub.add_parser("subgroups", help="list catalog entries for a host")
-    p.add_argument("group")
-    add_selector(p)
+def _add_selector_json(p):
+    _add_selector(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_subgroups)
 
-    p = sub.add_parser("check", help="largeness verdict for one subgroup")
-    p.add_argument("group")
-    add_selector(p)
+
+def _add_check(p):
+    _add_selector(p)
     p.add_argument("--h0-order", type=int, help="explicit |H0| instead of a selector")
     p.add_argument("--o", type=int, help="override the outer part order")
-    p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("explain", help="show the formula behind one entry")
-    p.add_argument("group")
-    add_selector(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_explain)
 
-    p = sub.add_parser("sweep", help="run one sweep case against its golden")
+def _add_sweep(p):
     p.add_argument("case", nargs="?")
     p.add_argument("--list", action="store_true", help="list case ids")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser("reproduce", help="run sweeps and write JSON reports")
+
+def _add_reproduce(p):
     p.add_argument("case", nargs="?")
     p.add_argument("--all", action="store_true")
     p.add_argument("--family", help="case id prefix, e.g. psu")
     p.add_argument("--out-dir", default="reports")
-    p.set_defaults(fn=cmd_reproduce)
 
-    p = sub.add_parser("tables", help="re-emit a data table with verdicts")
+
+def _add_tables(p):
     p.add_argument("which", choices=("A", "B", "A0", "a", "b", "a0"))
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_tables)
 
+
+# verb -> (help line, handler, adds the verb's arguments to its subparser),
+# in the order the top-level help lists them
+_VERBS = {
+    "order": ("print the exact order of a group", cmd_order, _add_group),
+    "out": ("print |Out(G0)|", cmd_out, _add_group),
+    "subgroups": ("list catalog entries for a host", cmd_subgroups, _add_selector_json),
+    "check": ("largeness verdict for one subgroup", cmd_check, _add_check),
+    "explain": ("show the formula behind one entry", cmd_explain, _add_selector_json),
+    "sweep": ("run one sweep case against its golden", cmd_sweep, _add_sweep),
+    "reproduce": ("run sweeps and write JSON reports", cmd_reproduce, _add_reproduce),
+    "tables": ("re-emit a data table with verdicts", cmd_tables, _add_tables),
+}
+
+
+def _build_parser(verb=None):
+    """The command-line parser: with every verb's subparser, or with only
+    the subparser of `verb`.  A one-verb parser parses that verb's command
+    lines as the full one does; its usage line still names every verb
+    (through the metavar), so the top-level errors it can still raise,
+    such as unrecognized arguments, print the same text."""
+    top = argparse.ArgumentParser(
+        prog="large-atlas",
+        description="Exact arithmetic for large maximal subgroups of "
+                    "finite classical groups.")
+    metavar = None if verb is None else "{" + ",".join(_VERBS) + "}"
+    sub = top.add_subparsers(dest="verb", required=True, metavar=metavar)
+    for name in _VERBS if verb is None else (verb,):
+        help_, fn, add_arguments = _VERBS[name]
+        p = sub.add_parser(name, help=help_)
+        add_arguments(p)
+        p.set_defaults(fn=fn)
     return top
 
 
@@ -385,8 +405,12 @@ def main(argv=None):
     # and the contract is exact decimal output
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(MAX_DIGITS)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the parser holds only the subparser of the verb named; any other
+    # first word (none, --help, a typo) gets the full parser and its errors
+    verb = argv[0] if argv and argv[0] in _VERBS else None
+    args = _build_parser(verb).parse_args(argv)
     try:
         return args.fn(args)
     except AmbiguousSelector as exc:

@@ -303,7 +303,7 @@ def is_simple(g):
     if fam == "PSU":
         return n >= 3 and (n, q) != (3, 2)
     if fam == "PSp":
-        return n >= 4 and (n, q) != (4, 2) or (n == 2 and q >= 4)
+        return n % 2 == 0 and (n >= 4 and (n, q) != (4, 2) or (n == 2 and q >= 4))
     if fam == "POmega":
         if n % 2:
             return n >= 5 and q >= 3 or n >= 7
@@ -359,6 +359,8 @@ def out_order(g):
         d = gcd(n, qi + 1)
         return 2 * d * e if n >= 3 else d * e
     if fam == "PSp":
+        if n % 2:
+            raise UnsupportedGroup(f"Sp_{n} needs even dimension")
         if n == 4:
             return 2 * e
         return gcd(2, qi - 1) * e

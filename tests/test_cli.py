@@ -1,11 +1,15 @@
 """Command line interface: output, selectors, exit codes."""
 
+import argparse
 import json
+import os
+import subprocess
 import sys
 import time
 
 import pytest
 
+import large_atlas
 from large_atlas import cli
 
 
@@ -42,6 +46,21 @@ def test_orders_beyond_the_digit_cap_exit_unsupported_at_once(capsys, argv):
     assert time.perf_counter() - t0 < 1
 
 
+@pytest.mark.parametrize("host", ["GL(3000,2)", "SL(3000,2)", "GU(3000,2)", "PGU(3000,2)"])
+def test_linear_and_unitary_orders_beyond_the_digit_cap_are_never_built(capsys, monkeypatch, host):
+    exact = cli.order
+    built = []
+
+    def spy(g):
+        built.append(str(g))
+        return exact(g)
+
+    monkeypatch.setattr(cli, "order", spy)
+    code, out, err = run(capsys, "order", host)
+    assert code == 3 and out == "" and "decimal digits" in err
+    assert built == []
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="the interpreter has no digit cap")
 def test_digit_cap_hit_while_printing_exits_unsupported(capsys, monkeypatch):
@@ -72,6 +91,12 @@ def test_parse_error_exit_code(capsys):
 def test_unsupported_exit_code(capsys):
     code, _, err = run(capsys, "order", "PSp(3,3)")
     assert code == 3
+
+
+@pytest.mark.parametrize("verb", ["order", "out", "subgroups"])
+def test_odd_dimensional_symplectic_host_exits_unsupported(capsys, verb):
+    code, out, err = run(capsys, verb, "PSp(5,3)")
+    assert code == 3 and out == "" and "even dimension" in err
 
 
 def test_check_with_selector(capsys):
@@ -195,3 +220,81 @@ def test_table_rows_are_not_listed_twice(capsys, host, selector):
 def test_hosts_without_a_field_exit_unsupported(capsys, host, argv):
     code, _, err = run(capsys, argv[0], host, *argv[1:])
     assert code == 3 and "error" in err
+
+
+# one command line per verb, parsed by the one-verb and the full parser
+SAMPLE_ARGV = {
+    "order": ["order", "PSL(4,5)"],
+    "out": ["out", "PSL(2,7)"],
+    "subgroups": ["subgroups", "PSL(2,7)", "--class", "C2", "--json"],
+    "check": ["check", "PSL(4,5)", "--type", "x", "--exceptional", "sp4",
+              "--item", "iv", "--h0-order", "60", "--o", "2"],
+    "explain": ["explain", "PSL(4,5)", "--class", "C2", "--type", "x", "--json"],
+    "sweep": ["sweep", "psl-c3-r5", "--json"],
+    "reproduce": ["reproduce", "--family", "psu", "--out-dir", "x", "--all"],
+    "tables": ["tables", "a0", "--json"],
+}
+
+
+def _subparsers(parser):
+    """{verb: subparser} of a parser _build_parser made."""
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def _parse(capsys, parser, argv):
+    """(vars of the namespace or the exit code, stdout, stderr)."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+@pytest.mark.parametrize("verb", list(cli._VERBS))
+def test_one_verb_parser_parses_as_the_full_parser(capsys, verb):
+    full, one = cli._build_parser(), cli._build_parser(verb)
+    assert list(_subparsers(one)) == [verb]
+    assert _subparsers(one)[verb].format_help() == _subparsers(full)[verb].format_help()
+    for argv in (SAMPLE_ARGV[verb], [verb, "--help"], [verb], [verb, "--no-such-flag"],
+                 SAMPLE_ARGV[verb] + ["extra", "args"]):
+        assert _parse(capsys, one, argv) == _parse(capsys, full, argv), argv
+    code, _, err = _parse(capsys, one, [verb])
+    if verb not in ("sweep", "reproduce"):  # their case id is optional
+        assert code == 2 and "the following arguments are required" in err
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus", "PSL(2,7)"], ["--help"], ["-h", "order"]])
+def test_main_falls_back_to_the_full_parser(capsys, monkeypatch, argv):
+    want = _parse(capsys, cli._build_parser(), argv)
+    built = []
+    build = cli._build_parser
+
+    def spy(verb=None):
+        built.append(verb)
+        return build(verb)
+
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out, out.err) == want
+    assert built == [None]
+    assert cli.main(["out", "PSL(2,7)"]) == 0 and built == [None, "out"]
+
+
+def test_small_verbs_import_neither_catalog_nor_sweep():
+    # a fresh interpreter, as every command-line call is
+    code = ("import sys\n"
+            "from large_atlas.cli import main\n"
+            "codes = [main(['out', 'PSL(2,7)']), main(['order', 'PSL(4,5)'])]\n"
+            "print(codes, sorted(m for m in ('large_atlas.catalog', 'large_atlas.sweep')\n"
+            "                    if m in sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(large_atlas.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["2", "7254000000", "[0, 0] []"]

@@ -139,6 +139,16 @@ def test_is_simple():
     assert not is_simple(parse_group("PSU(3,2)"))
 
 
+@pytest.mark.parametrize("name", ["PSp(5,3)", "PSp(3,4)", "PSp(7,2)", "PSp(9,5)"])
+def test_odd_dimensional_symplectic_hosts_are_rejected(name):
+    g = parse_group(name)
+    assert not is_simple(g)
+    with pytest.raises(UnsupportedGroup, match="even dimension"):
+        out_order(g)
+    with pytest.raises(UnsupportedGroup, match="even dimension"):
+        order(g)
+
+
 def test_canonicalize():
     assert str(canonicalize(parse_group("POmega+(6,3)"))) == "PSL(4,3)"
     assert str(canonicalize(parse_group("POmega-(6,3)"))) == "PSU(4,3)"
