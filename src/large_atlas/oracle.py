@@ -1,12 +1,15 @@
 """Independent brute-force checks for small matrix group orders.
 
-This module counts invertible matrices over tiny finite fields by direct
+This module counts invertible matrices over tiny finite fields by
 enumeration, without using any of the closed-form order formulas.  It exists
 so the formula module can be validated against an implementation that shares
-nothing with it.  Only fields GF(p) and GF(p^2) for p^e <= 9 and dimensions
-n <= 3 are supported; that is enough to pin down every formula family.
+nothing with it: it imports only `arith` (to parse q), `errors` and the
+standard library.  The fields are GF(p) for any prime p and GF(p^2) for the
+primes in _QUADRATICS (so up to GF(49)); GL/SL counts take n <= 3 and GU/SU
+counts n <= 2.  That is enough to pin down every formula family.
 """
 
+from collections import Counter
 from itertools import product
 
 from .arith import parse_prime_power
@@ -32,6 +35,7 @@ class SmallField:
         self.q = pp.q
         self.elements = list(range(self.q))
         self._add = [[self._add_raw(a, b) for b in self.elements] for a in self.elements]
+        self._sub = [[self._sub_raw(a, b) for b in self.elements] for a in self.elements]
         self._mul = [[self._mul_raw(a, b) for b in self.elements] for a in self.elements]
 
     def _split(self, a):
@@ -62,18 +66,18 @@ class SmallField:
     def add(self, a, b):
         return self._add[a][b]
 
-    def sub(self, a, b):
+    def _sub_raw(self, a, b):
         if self.e == 1:
             return (a - b) % self.p
         a0, a1 = self._split(a)
         b0, b1 = self._split(b)
         return self._join((a0 - b0) % self.p, (a1 - b1) % self.p)
 
+    def sub(self, a, b):
+        return self._sub[a][b]
+
     def mul(self, a, b):
         return self._mul[a][b]
-
-    def neg(self, a):
-        return self.sub(0, a)
 
     def frob(self, a):
         """The q0-power map on GF(q0^2), identity on a prime field."""
@@ -90,39 +94,43 @@ def _det2(F, m):
     return F.sub(F.mul(a, d), F.mul(b, c))
 
 
+def _cofactors(F, top):
+    """Cofactors along the last row of an n x n matrix whose first n - 1 rows
+    are `top` (n <= 3), so that det = sum over j of x_j * c_j for a last row x."""
+    m, s = F._mul, F._sub
+    if not top:
+        return (1,)
+    if len(top) == 1:
+        (a, b), = top
+        return (s[0][b], a)
+    (a, b, c), (d, e, f) = top
+    return (s[m[b][f]][m[c][e]], s[m[c][d]][m[a][f]], s[m[a][e]][m[b][d]])
+
+
 def count_gl(n, q, det_one=False):
     """Count invertible n x n matrices over GF(q), optionally with det 1.
 
-    Enumerates every matrix.  For n = 3 the determinant is expanded along
-    the third row so the cofactors of the first two rows are reused, but all
-    q^9 matrices are still visited.
+    The determinant is expanded along the last row.  The first n - 1 rows
+    are enumerated once and tallied by their cofactor vector c.  For each
+    distinct c, every last row x is enumerated once and its determinant
+    x_1 c_1 + ... + x_n c_n evaluated; each hit counts as many matrices as
+    c's multiplicity.  For n = 3 that is at most q^6 + q^3 (q + q^2 + q^3)
+    field steps in place of the q^9 matrices.
     """
+    if not 1 <= n <= 3:
+        raise UnsupportedGroup(f"count_gl supports n <= 3, not n = {n}")
     F = SmallField(q)
-    els = F.elements
+    els, add, mul = F.elements, F._add, F._mul
+    tally = Counter(_cofactors(F, top) for top in product(product(els, repeat=n), repeat=n - 1))
     count = 0
-    if n == 1:
-        for a in els:
-            if a != 0 and (not det_one or a == 1):
-                count += 1
-        return count
-    if n == 2:
-        for m in product(els, repeat=4):
-            d = _det2(F, m)
-            if d != 0 and (not det_one or d == 1):
-                count += 1
-        return count
-    if n == 3:
-        for a, b, c, d, e, f in product(els, repeat=6):
-            # cofactors along the bottom row
-            cg = F.sub(F.mul(b, f), F.mul(c, e))
-            ch = F.neg(F.sub(F.mul(a, f), F.mul(c, d)))
-            ci = F.sub(F.mul(a, e), F.mul(b, d))
-            for g, h, i in product(els, repeat=3):
-                det = F.add(F.add(F.mul(g, cg), F.mul(h, ch)), F.mul(i, ci))
-                if det != 0 and (not det_one or det == 1):
-                    count += 1
-        return count
-    raise UnsupportedGroup(f"count_gl supports n <= 3, not n = {n}")
+    for cof, mult in tally.items():
+        # the determinants of all q^n last rows, built column by column from
+        # the partial sums x_1 c_1 + ... + x_j c_j, in product(els, repeat=n) order
+        dets = [0]
+        for c in cof:
+            dets = [add[d][mul[x][c]] for d in dets for x in els]
+        count += mult * (dets.count(1) if det_one else len(dets) - dets.count(0))
+    return count
 
 
 def count_gu(n, q0, det_one=False):

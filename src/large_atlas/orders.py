@@ -7,9 +7,9 @@ the tables (Sz, G2, triality D4), and a small checked-in list of fixed group
 orders.  Everything is exact integer arithmetic.
 """
 
-import hashlib
 import re
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from math import gcd, prod
 
@@ -27,7 +27,15 @@ CLASSICAL = ("PSL", "PSU", "PSp", "POmega")
 _SPORADIC_SHA256 = "3c8d1b241ad9e43ca67360240bbb6deb9c8971ad56c1c54610217f33e55b7b39"
 
 
-def _load_sporadic_orders():
+@cache
+def _sporadic_orders():
+    """The fixed group orders of data/sporadic_orders.txt, by name.
+
+    Read and checked against _SPORADIC_SHA256 on first use, not at import:
+    hashlib loads OpenSSL, and most calls never look up a fixed order.
+    """
+    import hashlib
+
     raw = resources.files("large_atlas.data").joinpath("sporadic_orders.txt").read_bytes()
     if hashlib.sha256(raw).hexdigest() != _SPORADIC_SHA256:
         raise DataIntegrityError("sporadic_orders.txt failed its checksum")
@@ -40,8 +48,6 @@ def _load_sporadic_orders():
         table[name] = int(value)
     return table
 
-
-SPORADIC_ORDERS = _load_sporadic_orders()
 
 _FAMILIES = {
     "PSL", "PSU", "PSp", "POmega",
@@ -279,9 +285,10 @@ def order(g):
     if fam == "3D4":
         return tri_d4_order(q)
     if fam == "Sporadic":
-        if g.name not in SPORADIC_ORDERS:
+        table = _sporadic_orders()
+        if g.name not in table:
             raise UnsupportedGroup(f"unknown sporadic name {g.name!r}")
-        return SPORADIC_ORDERS[g.name]
+        return table[g.name]
     raise UnsupportedGroup(f"cannot compute order of {g}")
 
 
@@ -448,8 +455,8 @@ def subgroup_name_order(name):
         base, _, tail = name.rpartition(".")
         if tail.isdigit() and base:
             name, mult = base, int(tail)
-    if name in SPORADIC_ORDERS:
-        return mult * SPORADIC_ORDERS[name]
+    if name in _sporadic_orders():
+        return mult * _sporadic_orders()[name]
     m = _SHORT_RE.match(name)
     if m:
         d = int(m.group("d"))

@@ -284,17 +284,33 @@ def test_main_falls_back_to_the_full_parser(capsys, monkeypatch, argv):
     assert cli.main(["out", "PSL(2,7)"]) == 0 and built == [None, "out"]
 
 
-def test_small_verbs_import_neither_catalog_nor_sweep():
-    # a fresh interpreter, as every command-line call is
-    code = ("import sys\n"
-            "from large_atlas.cli import main\n"
-            "codes = [main(['out', 'PSL(2,7)']), main(['order', 'PSL(4,5)'])]\n"
-            "print(codes, sorted(m for m in ('large_atlas.catalog', 'large_atlas.sweep')\n"
-            "                    if m in sys.modules))\n")
+def _fresh_interpreter(code):
+    """stdout lines of `code` run in a fresh interpreter, as every
+    command-line call is."""
     src = os.path.dirname(os.path.dirname(large_atlas.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["2", "7254000000", "[0, 0] []"]
+    return done.stdout.splitlines()
+
+
+def test_small_verbs_import_neither_catalog_nor_sweep():
+    code = ("import sys\n"
+            "from large_atlas.cli import main\n"
+            "codes = [main(['out', 'PSL(2,7)']), main(['order', 'PSL(4,5)'])]\n"
+            "print(codes, sorted(m for m in ('large_atlas.catalog', 'large_atlas.sweep')\n"
+            "                    if m in sys.modules))\n")
+    assert _fresh_interpreter(code) == ["2", "7254000000", "[0, 0] []"]
+
+
+def test_only_a_sporadic_lookup_loads_hashlib():
+    # hashlib (OpenSSL) checks sporadic_orders.txt on the first lookup only
+    code = ("import sys\n"
+            "from large_atlas.cli import main\n"
+            "codes = [main(['out', 'PSL(2,7)']), main(['order', 'PSL(4,5)'])]\n"
+            "print(codes, 'hashlib' in sys.modules)\n"
+            "print(main(['order', 'Sporadic(J3)']), 'hashlib' in sys.modules)\n")
+    assert _fresh_interpreter(code) == ["2", "7254000000", "[0, 0] False",
+                                        "50232960", "0 True"]

@@ -4,21 +4,27 @@ These enumerations are tiny but completely independent of the formulas:
 they build the actual finite fields and count invertible matrices.
 """
 
+import ast
+import sys
+from itertools import product
+
 import pytest
 
 from large_atlas import oracle
 from large_atlas.orders import gl_order, gu_order, sl_order, sp_order
 
 SMALL_Q = (2, 3, 4, 5)
+# GF(7) takes about 0.1 s per n = 3 count; visiting all 7^9 matrices would take 16 s
+GL_Q = SMALL_Q + (7,)
 
 
-@pytest.mark.parametrize("q", SMALL_Q)
+@pytest.mark.parametrize("q", GL_Q)
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_gl_count_matches_formula(n, q):
     assert oracle.count_gl(n, q) == gl_order(n, q)
 
 
-@pytest.mark.parametrize("q", SMALL_Q)
+@pytest.mark.parametrize("q", GL_Q)
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_sl_count_matches_formula(n, q):
     assert oracle.count_gl(n, q, det_one=True) == sl_order(n, q)
@@ -43,3 +49,36 @@ def test_field_arithmetic_is_a_field():
     for a in nonzero:
         # every nonzero element has an inverse
         assert any(f4.mul(a, b) == 1 for b in nonzero)
+
+
+def _count_gl3_literally(q, det_one=False):
+    """Every one of the q^9 matrices, with the six-term determinant."""
+    F = oracle.SmallField(q)
+    add, mul = F.add, F.mul
+    count = 0
+    for a, b, c, d, e, f, g, h, i in product(F.elements, repeat=9):
+        det = F.sub(add(add(mul(a, mul(e, i)), mul(b, mul(f, g))), mul(c, mul(d, h))),
+                    add(add(mul(c, mul(e, g)), mul(b, mul(d, i))), mul(a, mul(f, h))))
+        count += det != 0 and (not det_one or det == 1)
+    return count
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_grouped_count_equals_literal_enumeration(q):
+    # the grouping by cofactor vector is checked against no formula at all
+    assert oracle.count_gl(3, q) == _count_gl3_literally(q)
+    assert oracle.count_gl(3, q, det_one=True) == _count_gl3_literally(q, det_one=True)
+
+
+def test_oracle_imports_no_formula():
+    # the counts stay independent only while oracle.py imports nothing that
+    # knows an order: its own package's arith and errors, and the stdlib
+    tree = ast.parse(open(oracle.__file__, encoding="utf-8").read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.level == 1 and node.module in ("arith", "errors"), ast.dump(node)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.split(".")[0] in sys.stdlib_module_names, node.module
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[0] in sys.stdlib_module_names, alias.name

@@ -2,7 +2,8 @@
 
 import pytest
 
-from large_atlas.errors import GroupParseError, UnsupportedGroup
+from large_atlas import orders
+from large_atlas.errors import DataIntegrityError, GroupParseError, UnsupportedGroup
 from large_atlas.orders import (
     CIRC,
     MINUS,
@@ -102,6 +103,15 @@ def test_suzuki_and_triality_formulas():
 def test_sporadic_orders():
     assert subgroup_name_order("M11") == 7920
     assert subgroup_name_order("J3") == 50232960
+
+
+def test_sporadic_table_fails_its_checksum_on_first_use(monkeypatch):
+    monkeypatch.setattr(orders, "_SPORADIC_SHA256", "0" * 64)
+    orders._sporadic_orders.cache_clear()
+    with pytest.raises(DataIntegrityError, match="checksum"):
+        order(parse_group("Sporadic(J3)"))
+    with pytest.raises(DataIntegrityError, match="checksum"):
+        subgroup_name_order("J3")
 
 
 def test_out_orders():
