@@ -8,6 +8,7 @@ comparisons by the callers.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd, isqrt, lcm, prod
 
 from .errors import NotAPrimePower
@@ -45,9 +46,10 @@ def is_prime(n):
     return True
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class PrimePower:
-    """A prime power q = p^e, kept normalized."""
+    """A prime power q = p^e, kept normalized.  Slotted, as the factor
+    cache behind parse_prime_power keeps up to 1024 of them."""
 
     p: int
     e: int
@@ -71,7 +73,13 @@ def parse_prime_power(q):
     """
     if isinstance(q, PrimePower):
         return q
-    q = int(q)
+    return _factor_prime_power(int(q))
+
+
+@lru_cache(maxsize=1024)
+def _factor_prime_power(q):
+    """PrimePower of the int q, factored once per q while it stays in the
+    cache.  A q that is not a prime power raises, and is not cached."""
     if q < 2:
         raise NotAPrimePower(f"{q} is not a prime power")
     # Smallest prime factor by trial division; q = p^e must then hold.

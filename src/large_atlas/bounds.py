@@ -179,6 +179,42 @@ def _gl_power_sandwich(x, k):
             ((1 - x) * (1 - x ** 2)) ** k / (1 - x - x ** 2))
 
 
+class _Ratio:
+    """num/den over plain integers, left unreduced.
+
+    The sandwich formulas are short polynomials and quotients in x = 1/q,
+    and a Fraction would take a gcd after every step; sandwich reduces
+    each bound once, at the end.  Both operands are _Ratio, except that an
+    int may stand left of + and - (as in 1 - x); powers take k >= 0.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        self.num, self.den = num, den
+
+    def __add__(self, y):
+        return _Ratio(self.num * y.den + y.num * self.den, self.den * y.den)
+
+    def __radd__(self, k):
+        return _Ratio(k * self.den + self.num, self.den)
+
+    def __sub__(self, y):
+        return _Ratio(self.num * y.den - y.num * self.den, self.den * y.den)
+
+    def __rsub__(self, k):
+        return _Ratio(k * self.den - self.num, self.den)
+
+    def __mul__(self, y):
+        return _Ratio(self.num * y.num, self.den * y.den)
+
+    def __truediv__(self, y):
+        return _Ratio(self.num * y.den, self.den * y.num)
+
+    def __pow__(self, k):
+        return _Ratio(self.num ** k, self.den ** k)
+
+
 SANDWICH_CASES = (
     "psl-c2-t3", "psl-c3-r3", "psl-c5-r3",
     "psu-c2-t3", "psu-c3-r3",
@@ -186,18 +222,13 @@ SANDWICH_CASES = (
 )
 
 
-def sandwich(case, q, n=None):
-    """Evaluate the named ratio sandwich at field size q.
+def _sandwich_bounds(case, x, q, e, n):
+    """(lower, upper, threshold) of the named sandwich at x = 1/q, q = p^e.
 
-    q is the smaller field parameter (q0) in the field-extension and
-    subfield cases.  The psl-c5-r3 case also needs the dimension n to form
-    its exact threshold.
+    lower and upper are built from x by + - * / and powers alone, so they
+    come out as a Fraction for a Fraction x and as a _Ratio for a _Ratio x.
+    The threshold is a Fraction.
     """
-    qq = parse_prime_power(q)
-    q = qq.q
-    e = qq.e
-    x = ExactRatio(1, q)
-
     if case == "psl-c2-t3":
         lower, upper = _gl_power_sandwich(x, 9)
         h = ExactRatio((q - 1) ** 2, 864 * e * e)
@@ -239,5 +270,17 @@ def sandwich(case, q, n=None):
         h = ExactRatio(1)
     else:
         raise UnknownCase(f"unknown sandwich case {case!r}")
+    return lower, upper, h
 
+
+def sandwich(case, q, n=None):
+    """Evaluate the named ratio sandwich at field size q.
+
+    q is the smaller field parameter (q0) in the field-extension and
+    subfield cases.  The psl-c5-r3 case also needs the dimension n to form
+    its exact threshold.
+    """
+    qq = parse_prime_power(q)
+    lower, upper, h = _sandwich_bounds(case, _Ratio(1, qq.q), qq.q, qq.e, n)
+    lower, upper = ExactRatio(lower.num, lower.den), ExactRatio(upper.num, upper.den)
     return BoundTriple(case, lower, upper, h, _verdict(lower, upper, h))

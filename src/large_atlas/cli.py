@@ -16,7 +16,7 @@ from .errors import (AmbiguousSelector, ConstraintViolation, GroupParseError,
                      LargeAtlasError, MissingGolden, NotAPrimePower,
                      UnknownCase, UnsupportedGroup)
 from .largeness import is_large, is_large_h1
-from .orders import order, out_order, parse_group
+from .orders import canonicalize, is_simple, order, out_order, parse_group
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -123,6 +123,17 @@ def _host(args):
     return g0, order(g0)
 
 
+def _require_simple_canonical(g0):
+    """Raise UnsupportedGroup unless g0 is simple and written in its
+    canonical form (orders.canonicalize).  The message names the canonical
+    host where that one is simple."""
+    canon = canonicalize(g0)
+    if not is_simple(canon):
+        raise UnsupportedGroup(f"{g0} is not simple")
+    if canon != g0:
+        raise UnsupportedGroup(f"{g0} is not in canonical form; use {canon}")
+
+
 @contextmanager
 def _digit_cap():
     """Exit 3 where printing meets an integer beyond MAX_DIGITS, the cases
@@ -153,7 +164,10 @@ def cmd_out(args):
 
 
 def cmd_subgroups(args):
+    # the catalog lists the subgroups of a simple host under its canonical
+    # name; any other name is refused, not rewritten
     g0, g0_order = _host(args)
+    _require_simple_canonical(g0)
     verdicts = [(e, is_large_h1(g0_order, e)) for e in _resolve_entries(g0, args)]
     with _digit_cap():
         if args.json:

@@ -6,7 +6,9 @@ so the formula module can be validated against an implementation that shares
 nothing with it: it imports only `arith` (to parse q), `errors` and the
 standard library.  The fields are GF(p) for any prime p and GF(p^2) for the
 primes in _QUADRATICS (so up to GF(49)); GL/SL counts take n <= 3 and GU/SU
-counts n <= 2.  That is enough to pin down every formula family.
+counts n <= 2.  That is enough to pin down every formula family.  The tests
+count GL/SL up to GF(7) and GU/SU up to GF(49), the unitary groups row by
+row: first rows of norm 1, then the second rows orthogonal to each.
 """
 
 from collections import Counter
@@ -89,39 +91,33 @@ class SmallField:
         return r
 
 
-def _det2(F, m):
-    a, b, c, d = m
-    return F.sub(F.mul(a, d), F.mul(b, c))
-
-
-def _cofactors(F, top):
-    """Cofactors along the last row of an n x n matrix whose first n - 1 rows
-    are `top` (n <= 3), so that det = sum over j of x_j * c_j for a last row x."""
-    m, s = F._mul, F._sub
-    if not top:
-        return (1,)
-    if len(top) == 1:
-        (a, b), = top
-        return (s[0][b], a)
-    (a, b, c), (d, e, f) = top
-    return (s[m[b][f]][m[c][e]], s[m[c][d]][m[a][f]], s[m[a][e]][m[b][d]])
-
-
 def count_gl(n, q, det_one=False):
     """Count invertible n x n matrices over GF(q), optionally with det 1.
 
     The determinant is expanded along the last row.  The first n - 1 rows
-    are enumerated once and tallied by their cofactor vector c.  For each
-    distinct c, every last row x is enumerated once and its determinant
-    x_1 c_1 + ... + x_n c_n evaluated; each hit counts as many matrices as
-    c's multiplicity.  For n = 3 that is at most q^6 + q^3 (q + q^2 + q^3)
-    field steps in place of the q^9 matrices.
+    are enumerated once and tallied by their cofactor vector c: (1) for
+    n = 1, (-b, a) for a first row (a, b), and for n = 3 the three 2 x 2
+    minors of the top two rows, written out over rows of the multiplication
+    table.  For each distinct c, every last row x is enumerated once and its
+    determinant x_1 c_1 + ... + x_n c_n evaluated; each hit counts as many
+    matrices as c's multiplicity.  For n = 3 that is at most q^6 + q^3 (q +
+    q^2 + q^3) field steps in place of the q^9 matrices.
     """
     if not 1 <= n <= 3:
         raise UnsupportedGroup(f"count_gl supports n <= 3, not n = {n}")
     F = SmallField(q)
-    els, add, mul = F.elements, F._add, F._mul
-    tally = Counter(_cofactors(F, top) for top in product(product(els, repeat=n), repeat=n - 1))
+    els, add, sub, mul = F.elements, F._add, F._sub, F._mul
+    if n == 1:
+        tally = {(1,): 1}
+    elif n == 2:
+        tally = Counter((sub[0][b], a) for a, b in product(els, repeat=2))
+    else:
+        tally = Counter()
+        rows = list(product(els, repeat=3))
+        for a, b, c in rows:
+            ma, mb, mc = mul[a], mul[b], mul[c]
+            tally.update((sub[mb[f]][mc[e]], sub[mc[d]][ma[f]], sub[ma[e]][mb[d]])
+                         for d, e, f in rows)
     count = 0
     for cof, mult in tally.items():
         # the determinants of all q^n last rows, built column by column from
@@ -134,32 +130,35 @@ def count_gl(n, q, det_one=False):
 
 
 def count_gu(n, q0, det_one=False):
-    """Count n x n unitary matrices over GF(q0^2) by enumeration (n <= 2)."""
+    """Count n x n unitary matrices over GF(q0^2) by enumeration (n <= 2).
+
+    A matrix is unitary when its rows have norm x x^q0 summed to 1 and are
+    orthogonal under the hermitian form.  The q0-power and norm tables are
+    built once per field.  For n = 1 the count reads the norm table.  For
+    n = 2 the rows of norm 1 are listed once; for each first row, every
+    second row is tested for orthogonality, and the determinant is checked
+    last.  Every matrix with two rows of norm 1 is visited; the ones left
+    out have a row of another norm, and no unitary matrix has one.
+    """
+    if not 1 <= n <= 2:
+        raise UnsupportedGroup(f"count_gu supports n <= 2, not n = {n}")
     F = SmallField(q0 * q0)
-    els = F.elements
-    count = 0
+    els, add, sub, mul = F.elements, F._add, F._sub, F._mul
+    frob = [F.frob(a) for a in els]
+    norm = [mul[a][frob[a]] for a in els]
     if n == 1:
-        for a in els:
-            if a and F.mul(a, F.frob(a)) == 1:
-                if not det_one or a == 1:
-                    count += 1
-        return count
-    if n == 2:
-        for m in product(els, repeat=4):
-            a, b, c, d = m
-            fa, fb, fc, fd = (F.frob(x) for x in m)
-            # M * conj(M)^T = I
-            if F.add(F.mul(a, fa), F.mul(b, fb)) != 1:
-                continue
-            if F.add(F.mul(c, fa), F.mul(d, fb)) != 0:
-                continue
-            if F.add(F.mul(c, fc), F.mul(d, fd)) != 1:
-                continue
-            det = _det2(F, m)
-            if det != 0 and (not det_one or det == 1):
-                count += 1
-        return count
-    raise UnsupportedGroup(f"count_gu supports n <= 2, not n = {n}")
+        return sum(1 for a in els if norm[a] == 1 and (not det_one or a == 1))
+    unit = [(a, b) for a, b in product(els, repeat=2) if add[norm[a]][norm[b]] == 1]
+    count = 0
+    for a, b in unit:
+        # (c, d) is orthogonal to (a, b) when c a^q0 + d b^q0 = 0
+        fa, fb = mul[frob[a]], mul[frob[b]]
+        ma, mb = mul[a], mul[b]
+        for c, d in unit:
+            if add[fa[c]][fb[d]] == 0:
+                det = sub[ma[d]][mb[c]]
+                count += det != 0 and (not det_one or det == 1)
+    return count
 
 
 def count_sp2(q):

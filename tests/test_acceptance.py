@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from large_atlas import catalog, cli, oracle, orders, sweep
+from large_atlas import arith, bounds, catalog, cli, oracle, orders, sweep
 from large_atlas.arith import parse_prime_power, prime_powers
 from large_atlas.bounds import (
     CERTAINLY_LARGE,
@@ -319,12 +319,17 @@ def test_criterion_8_named_witnesses():
 def test_names_the_benchmark_calls_stay_callable():
     # perfbench/workloads.py calls these by name; without one, every
     # operation of its workload fails and no other test notices
-    names = {
-        oracle: ("count_sp2", "count_gl", "count_gu"),
-        orders: ("gl_order", "sl_order", "gu_order", "su_order", "sp_order"),
-        sweep: ("order", "run_case"),
-        cli: ("main",),
-    }
-    missing = [f"{mod.__name__}.{attr}" for mod, attrs in names.items()
+    names = [
+        (oracle, ("count_sp2", "count_gl", "count_gu")),
+        (orders, ("gl_order", "sl_order", "gu_order", "su_order", "sp_order")),
+        (sweep, ("order", "run_case")),
+        (cli, ("main",)),
+    ]
+    # perfbench/spans.py wraps these where their callers look them up;
+    # without one, its layer reads 0 and nothing fails
+    names.append((sweep, ("sandwich",)))
+    names += [(mod, ("parse_prime_power",))
+              for mod in (arith, orders, catalog, bounds, oracle)]
+    missing = [f"{mod.__name__}.{attr}" for mod, attrs in names
                for attr in attrs if not callable(getattr(mod, attr, None))]
     assert missing == []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from large_atlas import arith
 from large_atlas.arith import (
     ExactRatio,
     PrimePower,
@@ -44,6 +45,19 @@ def test_parse_prime_power_idempotent():
 def test_parse_prime_power_rejects(bad):
     with pytest.raises(NotAPrimePower):
         parse_prime_power(bad)
+
+
+@pytest.mark.parametrize("bad", [12, 1])
+def test_parse_prime_power_rejects_on_every_call(bad):
+    # a failed factorization is never cached as an answer
+    for _ in range(3):
+        with pytest.raises(NotAPrimePower):
+            parse_prime_power(bad)
+
+
+def test_parse_prime_power_cache_is_bounded():
+    assert parse_prime_power(1021) == PrimePower(1021, 1)
+    assert arith._factor_prime_power.cache_info().maxsize is not None
 
 
 def test_prime_powers_range():

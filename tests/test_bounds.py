@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from large_atlas import catalog
+from large_atlas import bounds, catalog
 from large_atlas.arith import parse_prime_power, prime_powers
 from large_atlas.bounds import (
     CERTAINLY_LARGE,
@@ -198,6 +198,24 @@ def test_sandwich_cases_all_evaluate():
     for case in SANDWICH_CASES:
         tri = sandwich(case, 4, n=3)
         assert tri.lower < tri.upper
+
+
+def test_sandwich_bounds_agree_for_fraction_and_integer_pair_x():
+    # sandwich runs the formulas on an unreduced integer pair x = 1/q and
+    # reduces each bound once; over Fraction they must give the same triple
+    for qq in prime_powers(2, 1024):
+        q, e = qq.q, qq.e
+        for case in SANDWICH_CASES:
+            for n in ((2, 3, 4, 6, 9) if case == "psl-c5-r3" else (None,)):
+                lower, upper, h = bounds._sandwich_bounds(case, Fraction(1, q), q, e, n)
+                pair = bounds._sandwich_bounds(case, bounds._Ratio(1, q), q, e, n)
+                assert Fraction(pair[0].num, pair[0].den) == lower, (case, q, n)
+                assert Fraction(pair[1].num, pair[1].den) == upper, (case, q, n)
+                assert pair[2] == h, (case, q, n)
+                tri = sandwich(case, q, n=n)
+                assert type(tri.lower) is Fraction and type(tri.upper) is Fraction
+                assert (tri.lower, tri.upper, tri.threshold) == (lower, upper, h)
+                assert tri.verdict == bounds._verdict(lower, upper, h), (case, q, n)
 
 
 def test_sandwich_rejects_unknown_case():

@@ -11,6 +11,7 @@ import pytest
 
 import large_atlas
 from large_atlas import cli
+from large_atlas.orders import parse_group
 
 
 def run(capsys, *argv):
@@ -205,11 +206,25 @@ def test_reproduce_family(capsys, tmp_path):
 def test_table_rows_are_not_listed_twice(capsys, host, selector):
     code, out, _ = run(capsys, "check", host, "--type", selector)
     assert code == 0
-    code, out, _ = run(capsys, "subgroups", host, "--json")
-    assert code == 0
-    rows = [json.dumps(r, sort_keys=True) for r in json.loads(out)]
+    # the rows `subgroups` lists, taken from its resolver: subgroups itself
+    # refuses PSp(4,2) = S6, which is not simple
+    pool = cli._resolve_entries(parse_group(host), argparse.Namespace())
+    rows = [json.dumps(cli._entry_dict(e), sort_keys=True) for e in pool]
     assert any(selector in r for r in rows)
     assert len(rows) == len(set(rows))
+
+
+@pytest.mark.parametrize("host, canon", [
+    ("PSp(2,7)", "PSL(2,7)"), ("PSU(2,5)", "PSL(2,5)"),
+    ("POmega+(4,5)", None), ("PSp(4,2)", None),
+])
+def test_subgroups_refuses_a_host_not_simple_or_not_canonical(capsys, host, canon):
+    code, out, err = run(capsys, "subgroups", host, "--json")
+    assert code == 3 and out == ""
+    assert f"use {canon}" in err if canon else "not simple" in err
+    # the group itself is still a group: its order prints
+    code, out, _ = run(capsys, "order", host)
+    assert code == 0 and out.strip().isdigit()
 
 
 @pytest.mark.parametrize("host", ["Alt(7)", "Sym(6)", "Sporadic(J3)"])

@@ -1,5 +1,6 @@
 """Sweep machinery and golden-file regression state."""
 
+import json
 import os
 from collections import Counter
 
@@ -65,10 +66,22 @@ def test_clean_cases_match_goldens_exactly(sweep_reports, known_diffs):
 
 
 def test_report_json_shape(sweep_reports):
-    import json
     d = json.loads(sweep_reports["psl-c3-r5"].to_json())
     assert d["members"] == ["5,2"]
     assert d["missing"] == [] and d["extra"] == [] and d["alarms"] == []
+
+
+def test_run_all_twice_gives_equal_reports(sweep_reports):
+    # what a pass leaves cached (arith's factored field sizes) must not
+    # change the next pass's reports
+    def strip(report):
+        d = json.loads(report.to_json())
+        del d["elapsed_ms"]
+        return d
+
+    again = sweep.run_all()
+    assert [r.case_id for r in again] == list(sweep_reports)
+    assert [strip(r) for r in again] == [strip(r) for r in sweep_reports.values()]
 
 
 def test_bracket_agrees_with_exact_membership(monkeypatch):
