@@ -11,7 +11,9 @@ irreducible candidates, and the candidate lists for the two graph-
 automorphism hosts.
 """
 
+import re
 from dataclasses import dataclass, replace
+from functools import cache
 from importlib import resources
 from math import factorial, gcd, lcm
 
@@ -561,8 +563,7 @@ def pso_c3_extra(n, eps, q, m, s):
     _require(eps != CIRC or m % 2 == 1, "sign must match the block dimension")
     z = _pomega_center(n, eps, q)
     h0 = omega_order(m, eps if m % 2 == 0 else CIRC, q ** s) * s
-    if h0 % z:
-        z = 1
+    _require(h0 % z == 0, "central quotient must divide the stabilizer order")
     return _entry(g, "C3", f"GO{eps_tag(eps)}({m},{q}^{s})", {"m": m, "s": s},
                   h0 // z, _pso_o1(g), formula="pso-c3-extra")
 
@@ -661,9 +662,21 @@ def pso_c7(n, eps, q, m, t, kind, eps1=None):
 # ---------------------------------------------------------------------------
 
 
+# the item labels of the two pools: sp4 rows take them in list order,
+# o8 rows by their fixed place in the triality list
+ROMAN = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x",
+         "xi", "xii", "xiii", "xiv", "xv")
+
+
+def _with_item(entry, label):
+    """Attach the stable list position label to a candidate entry."""
+    return replace(entry, params=entry.params + (("item", label),))
+
+
 def sp4_graph_candidates(q):
     """Candidates in Sp4(q), q even >= 4, when the overgroup realizes the
-    graph automorphism."""
+    graph automorphism.  Every row carries an "item" parameter, its label
+    in list order (roman i, ii, ...)."""
     qq = parse_prime_power(q)
     q = qq.q
     if qq.p != 2 or q < 4:
@@ -688,12 +701,7 @@ def sp4_graph_candidates(q):
     if qq.e % 2 == 1 and qq.e >= 3:
         rows.append(_entry(g, "X", f"Sz({q})", {}, sz_order(q), o1,
                            name=f"Sz({q})", formula="sp4-graph"))
-    return rows
-
-
-def _with_item(entry, label):
-    """Attach the stable list position label to a candidate entry."""
-    return replace(entry, params=entry.params + (("item", label),))
+    return [_with_item(e, label) for label, e in zip(ROMAN, rows)]
 
 
 def o8_triality_candidates(q):
@@ -782,7 +790,7 @@ def _is_square_mod(a, p):
     return any((x * x) % p == a for x in range(p))
 
 
-def collection_a_host(d, p, epsilon_hint=None):
+def collection_a_host(d, p):
     """Host classical group for Alt(d) acting on its fully deleted
     permutation module over GF(p)."""
     if d < 5:
@@ -803,10 +811,7 @@ def collection_a_host(d, p, epsilon_hint=None):
         return pomega(n, p, CIRC)
     disc = d % p if d % p else p - 1
     sq = _is_square_mod(((-1) ** (n // 2) * disc) % p, p)
-    eps = PLUS if sq else MINUS
-    if epsilon_hint in (PLUS, MINUS):
-        eps = epsilon_hint
-    return pomega(n, p, eps)
+    return pomega(n, p, PLUS if sq else MINUS)
 
 
 @dataclass(frozen=True)
@@ -883,15 +888,12 @@ class TableRow:
         raise DataIntegrityError(f"bad condition {cond!r}")
 
 
-import re as _re
-
-
 def _subst_q(text, q):
-    return _re.sub(r"\bq\b", str(q), text)
+    return re.sub(r"\bq\b", str(q), text)
 
 
 def _subst_q0(text, q0):
-    return _re.sub(r"\bq0\b", str(q0), text)
+    return re.sub(r"\bq0\b", str(q0), text)
 
 
 def _load_table(fname, table):
@@ -919,31 +921,26 @@ def _load_table(fname, table):
     return tuple(rows)
 
 
-_TABLE_CACHE = {}
-
-
+@cache
 def table_rows(which):
     """Rows of table 'A' (alternating socle on the deleted permutation
     module) or 'B' (the other irreducible almost simple candidates)."""
     if which not in ("A", "B"):
         raise UnknownCase(f"no table {which!r}")
-    if which not in _TABLE_CACHE:
-        fname = "table_a.txt" if which == "A" else "table_b.txt"
-        _TABLE_CACHE[which] = _load_table(fname, which)
-    return _TABLE_CACHE[which]
+    return _load_table(f"table_{which.lower()}.txt", which)
 
 
 def table_entries(g0):
+    """The table A and B rows stated for the host g0.  A row is built at
+    g0's field size only when its host has g0's family, n and sign."""
+    shape = (g0.family, g0.n, g0.eps)
     out = []
     for which in ("A", "B"):
         for row in table_rows(which):
-            if row.condition == "-":
-                got = row.sample
-            else:
-                try:
-                    got = row.instantiate(g0.q)
-                except (UnsupportedGroup, ConstraintViolation):
-                    continue
+            host = row.sample[0]
+            if (host.family, host.n, host.eps) != shape:
+                continue
+            got = row.instantiate(g0.q)
             if got is None or got[0] != g0:
                 continue
             _, h0_name, h0_order = got

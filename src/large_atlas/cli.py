@@ -29,9 +29,6 @@ MAX_DIGITS = 2_000_000
 
 _EXCEPTIONAL = {"sp4": "sp4_graph", "o8": "o8_triality"}
 
-_ROMAN = ["i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x",
-          "xi", "xii", "xiii", "xiv", "xv"]
-
 
 def _verdict_dict(v):
     return {
@@ -59,12 +56,15 @@ def _entry_dict(entry, verdict=None):
     return d
 
 
-def _parse_item(text):
+def _parse_item(text, labels):
+    """The item label an --item value names: the label itself, or the label
+    at a 1-based position; a position outside the labels names none."""
     text = text.strip().lower()
-    if text.isdigit():
-        return int(text)
-    if text in _ROMAN:
-        return _ROMAN.index(text) + 1
+    if text.isdecimal():
+        k = int(text)
+        return labels[k - 1] if 1 <= k <= len(labels) else text
+    if text in labels:
+        return text
     raise GroupParseError(f"cannot parse item selector {text!r}")
 
 
@@ -75,19 +75,11 @@ def _resolve_entries(g0, args):
     if getattr(args, "exceptional", None):
         pool = catalog.exceptional_candidates(g0, _EXCEPTIONAL[args.exceptional])
         if args.item:
-            idx = _parse_item(args.item)
-            label = _ROMAN[idx - 1] if idx <= len(_ROMAN) else str(idx)
-            labeled = [e for e in pool if dict(e.params).get("item") == label]
-            if labeled:
-                pool = labeled
-            elif any("item" in dict(e.params) for e in pool):
+            label = _parse_item(args.item, catalog.ROMAN)
+            pool = [e for e in pool if dict(e.params)["item"] == label]
+            if not pool:
                 raise UnsupportedGroup(
                     f"item {args.item} has no candidate at this field size")
-            elif 1 <= idx <= len(pool):
-                pool = [pool[idx - 1]]
-            else:
-                raise UnsupportedGroup(
-                    f"item {args.item} out of range 1..{len(pool)}")
     else:
         pool = catalog.candidates(g0)
     if getattr(args, "klass", None):

@@ -82,8 +82,7 @@ def is_large_h1(g0_order, entry):
     verdict keeps its literal truth value but is flagged bound_only so
     callers know it settles nothing.
     """
-    return _verdict(int(g0_order), entry.h0_order, entry.o1_order,
-                    getattr(entry, "bound", EXACT))
+    return _verdict(int(g0_order), entry.h0_order, entry.o1_order, entry.bound)
 
 
 def decisive(verdict):

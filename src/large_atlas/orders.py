@@ -303,7 +303,9 @@ def _check_dim(fam, n, lo):
 
 
 def is_simple(g):
-    """Whether the projective group is simple (the usual small exceptions)."""
+    """Whether the group is simple: decided for PSL, PSU, PSp, POmega and
+    Alt with the usual small exceptions, True for the sporadic groups.  Any
+    other family raises UnsupportedGroup (GL(3,2) is simple, GL(3,3) not)."""
     fam, n, q = g.family, g.n, int(g.q) if g.q else 0
     if fam == "PSL":
         return not (n == 2 and q in (2, 3))
@@ -319,7 +321,9 @@ def is_simple(g):
         return n >= 4
     if fam == "Alt":
         return n >= 5
-    return True
+    if fam == "Sporadic":
+        return True
+    raise UnsupportedGroup(f"simplicity of {g} is not decided")
 
 
 def canonicalize(g):

@@ -8,6 +8,8 @@ remark contradicts the exact cube test.  The golden files and the table
 data record the reference values verbatim.
 """
 
+import importlib.util
+import pathlib
 import time
 from fractions import Fraction
 
@@ -316,9 +318,19 @@ def test_criterion_8_named_witnesses():
 # ---------------------------------------------------------------------------
 
 
+def _perfbench_spans():
+    """perfbench/spans.py, loaded from its file (perfbench is no package)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_names_the_benchmark_calls_stay_callable():
     # perfbench/workloads.py calls these by name; without one, every
     # operation of its workload fails and no other test notices
+    spans = _perfbench_spans()
     names = [
         (oracle, ("count_sp2", "count_gl", "count_gu")),
         (orders, ("gl_order", "sl_order", "gu_order", "su_order", "sp_order")),
@@ -330,6 +342,11 @@ def test_names_the_benchmark_calls_stay_callable():
     names.append((sweep, ("sandwich",)))
     names += [(mod, ("parse_prime_power",))
               for mod in (arith, orders, catalog, bounds, oracle)]
+    names.append((catalog, ("candidates", "table_entries") + spans.CTOR_POOLS))
     missing = [f"{mod.__name__}.{attr}" for mod, attrs in names
                for attr in attrs if not callable(getattr(mod, attr, None))]
     assert missing == []
+    # every catalog constructor prefix it traces still names a constructor
+    for prefix in spans.CTOR_PREFIXES:
+        assert any(attr.startswith(prefix) and callable(getattr(catalog, attr))
+                   for attr in vars(catalog)), prefix

@@ -4,10 +4,10 @@ import pytest
 
 from large_atlas import catalog
 from large_atlas.arith import gcd, prime_powers
-from large_atlas.errors import ConstraintViolation, UnsupportedGroup
+from large_atlas.errors import ConstraintViolation, UnknownCase, UnsupportedGroup
 from large_atlas.largeness import is_large_h1
-from large_atlas.orders import (CIRC, MINUS, PLUS, is_simple, order, out_order,
-                                parse_group, pomega, psl, psp, psu)
+from large_atlas.orders import (CIRC, MINUS, PLUS, GroupId, is_simple, order,
+                                out_order, parse_group, pomega, psl, psp, psu)
 
 
 def test_psl_c2_wreath_entry():
@@ -87,6 +87,29 @@ def test_o8_triality_q2_has_no_odd_characteristic_rows():
     assert "xii" not in labels  # needs odd q
 
 
+@pytest.mark.parametrize("q, want", [
+    (4, {"ix": ["GO+(8,2)", "GO-(8,2)"], "x": ["PSL3(4).3"], "xi": []}),
+    (7, {"ix": [], "x": ["PSL3(7).3"], "xi": []}),
+    (8, {"ix": ["GO+(8,2)"], "x": ["PSU3(8).3"], "xi": ["3D4(2)"]}),
+    (9, {"ix": ["GO+(8,3)", "GO-(8,3)"], "x": [], "xi": []}),
+    (27, {"ix": ["GO+(8,3)"], "x": [], "xi": ["3D4(3)"]}),
+])
+def test_o8_triality_subfield_and_twisted_items(q, want):
+    rows = catalog.o8_triality_candidates(q)
+    got = {label: [e.type_descriptor for e in rows if dict(e.params)["item"] == label]
+           for label in want}
+    assert got == want
+    g_order = order(pomega(8, q, PLUS))
+    assert all(g_order % e.h0_order == 0 for e in rows if dict(e.params)["item"] in want)
+
+
+@pytest.mark.parametrize("q, sz", [(4, False), (8, True), (16, False), (32, True)])
+def test_sp4_graph_rows_are_labeled_in_list_order(q, sz):
+    rows = catalog.sp4_graph_candidates(q)
+    assert [dict(e.params)["item"] for e in rows] == list(catalog.ROMAN[:len(rows)])
+    assert (f"Sz({q})" in [e.name for e in rows]) == sz
+
+
 def test_sp4_graph_candidates_need_even_q_at_least_4():
     with pytest.raises(UnsupportedGroup):
         catalog.sp4_graph_candidates(3)
@@ -98,6 +121,53 @@ def test_sp4_graph_candidates_need_even_q_at_least_4():
 def test_table_entries_match_host():
     rows = catalog.table_entries(parse_group("PSL(5,3)"))
     assert [(r.name, r.h0_order) for r in rows] == [("M11", 7920)]
+
+
+def _every_row_built_at(q):
+    """Every table row built at field size q: (table, (host, name, |H0|))."""
+    built = []
+    for which in ("A", "B"):
+        for row in catalog.table_rows(which):
+            try:
+                got = row.instantiate(q)
+            except (UnsupportedGroup, ConstraintViolation):
+                continue
+            if got is not None:
+                built.append((which, got))
+    return built
+
+
+def test_table_entries_equal_building_every_row():
+    # the plain route: build every row at the host's field size, then keep
+    # the rows whose host is g0; over every shape a table row names and
+    # every classical shape with n <= 12, non-canonical names included
+    shapes = {(r.sample[0].family, r.sample[0].n, r.sample[0].eps)
+              for which in ("A", "B") for r in catalog.table_rows(which)}
+    for n in range(2, 13):
+        shapes |= {("PSL", n, ""), ("PSU", n, "")}
+        shapes |= {("PSp", n, "")} if n % 2 == 0 else set()
+        shapes |= {("POmega", n, eps) for eps in ((CIRC,) if n % 2 else (PLUS, MINUS))}
+    listed = 0
+    for q in prime_powers(2, 64):
+        built = _every_row_built_at(q)
+        for fam, n, eps in sorted(shapes):
+            g0 = GroupId(fam, n, q, eps)
+            want = [(str(g0), "A" if which == "A" else "S", name, name, h0_order,
+                     out_order(g0), f"table-{which.lower()}-row")
+                    for which, (host, name, h0_order) in built if host == g0]
+            got = [(str(e.host), e.aschbacher_class, e.type_descriptor, e.name,
+                    e.h0_order, e.o1_order, e.formula) for e in catalog.table_entries(g0)]
+            assert got == want, str(g0)
+            listed += len(got)
+    assert listed > 50
+    for name, sub in (("POmega(9,2)", "A10"), ("POmega-(4,3)", "A5"), ("PSp(4,2)", "A5")):
+        assert [e.name for e in catalog.table_entries(parse_group(name))] == [sub]
+
+
+def test_table_rows_load_once():
+    assert catalog.table_rows("A") is catalog.table_rows("A")
+    with pytest.raises(UnknownCase):
+        catalog.table_rows("C")
 
 
 def test_candidates_cover_expected_classes():

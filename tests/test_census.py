@@ -1,0 +1,63 @@
+"""Census golden: every `subgroups --json` row of the small simple hosts.
+
+tests/census.golden holds one line per row that `subgroups HOST --json`
+prints, for every simple host in canonical form with n <= 12 and q <= 16.
+A change to the catalog, the order formulas or the cube test that moves a
+row shows up here as a line diff.  To rewrite the file after a deliberate
+change:
+
+    PYTHONPATH=src python tests/test_census.py
+"""
+
+import hashlib
+import io
+import json
+import pathlib
+from contextlib import redirect_stdout
+
+from large_atlas import cli
+from large_atlas.arith import prime_powers
+from large_atlas.orders import (CIRC, MINUS, PLUS, canonicalize, is_simple,
+                                pomega, psl, psp, psu)
+
+GOLDEN = pathlib.Path(__file__).with_name("census.golden")
+
+
+def census_hosts(nmax=12, qmax=16):
+    """The simple canonical hosts with n <= nmax and q <= qmax: the hosts
+    `subgroups` accepts."""
+    out = []
+    for q in prime_powers(2, qmax):
+        for n in range(2, nmax + 1):
+            hosts = [psl(n, q), psu(n, q)]
+            if n % 2 == 0:
+                hosts.append(psp(n, q))
+            hosts += [pomega(n, q, eps) for eps in ((CIRC,) if n % 2 else (PLUS, MINUS))]
+            out += [g for g in hosts if canonicalize(g) == g and is_simple(g)]
+    return out
+
+
+def render_census():
+    """One tab-separated line per row: host, class, type, name, bound, o1,
+    mode, is_large, and the first 12 hex digits of sha256 of |H0|."""
+    lines = []
+    for g in census_hosts():
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = cli.main(["subgroups", str(g), "--json"])
+        assert code == 0, str(g)
+        for row in json.loads(buf.getvalue()):
+            digest = hashlib.sha256(str(row["h0_order"]).encode()).hexdigest()[:12]
+            v = row["verdict"]
+            lines.append("\t".join([row["host"], row["class"], row["type"], row["name"],
+                                    row["bound"], str(row["o1_order"]), v["mode"],
+                                    str(v["is_large"]), digest]))
+    return "".join(line + "\n" for line in lines)
+
+
+def test_census_matches_golden():
+    assert render_census() == GOLDEN.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(render_census(), encoding="utf-8")

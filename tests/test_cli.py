@@ -10,7 +10,7 @@ import time
 import pytest
 
 import large_atlas
-from large_atlas import cli
+from large_atlas import catalog, cli
 from large_atlas.orders import parse_group
 
 
@@ -225,6 +225,55 @@ def test_subgroups_refuses_a_host_not_simple_or_not_canonical(capsys, host, cano
     # the group itself is still a group: its order prints
     code, out, _ = run(capsys, "order", host)
     assert code == 0 and out.strip().isdigit()
+
+
+@pytest.mark.parametrize("host", ["PSp(4,8)", "PSp(4,32)"])
+def test_sp4_item_number_and_label_select_the_same_row(capsys, host):
+    argv = ("explain", host, "--exceptional", "sp4", "--json", "--item")
+    by_number, by_label = run(capsys, *argv, "5"), run(capsys, *argv, "v")
+    assert by_number == by_label and by_number[0] == 0
+    assert json.loads(by_number[1])["params"]["item"] == "v"
+    code, out, err = run(capsys, "explain", host, "--exceptional", "sp4", "--item", "16")
+    assert code == 3 and out == "" and "item 16" in err
+
+
+@pytest.mark.parametrize("host, pool", [("PSp(4,4)", "sp4"), ("POmega+(8,5)", "o8")])
+def test_item_selector_exit_codes(capsys, host, pool):
+    argv = ("subgroups", host, "--exceptional", pool, "--item")
+    labels = {dict(e.params)["item"]
+              for e in catalog.exceptional_candidates(parse_group(host), cli._EXCEPTIONAL[pool])}
+    for k, label in enumerate(catalog.ROMAN, 1):
+        want = 0 if label in labels else 3
+        assert run(capsys, *argv, str(k))[0] == want, k
+        assert run(capsys, *argv, label.upper())[0] == want, label
+    for item in ("0", "16", "99"):
+        assert run(capsys, *argv, item)[0] == 3, item
+    # not a position and not a label; a superscript digit is no number
+    for item in ("xvi", "abc", "-1", "\u00b2"):
+        assert run(capsys, *argv, item)[0] == 2, item
+
+
+def test_subgroups_text_output(capsys):
+    code, out, err = run(capsys, "subgroups", "PSL(5,3)")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "C1  parabolic P1                       |H0|=59049 o1=1 [lower] -> large (forced_large)",
+        "C3  GL(1,3^5)                          |H0|=605 o1=2 [exact] -> not large (exact)",
+        "C8  GO(5,3)                            |H0|=51840 o1=1 [lower] -> large (forced_large)",
+        " S  M11                                |H0|=7920 o1=2 [exact] -> large (exact)",
+    ]
+
+
+def test_explain_json_output(capsys):
+    code, out, _ = run(capsys, "explain", "PSL(5,3)", "--type", "M11", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "host": "PSL(5,3)", "class": "S", "type": "M11", "name": "M11",
+        "h0_order": 7920, "o1_order": 2, "bound": "exact", "formula": "table-b-row",
+        "verdict": {"is_large": True, "lhs": 237783237120, "rhs": 1987172352000,
+                    "margin": "8800/1053", "mode": "exact"},
+        "params": {}, "g0_order": 237783237120,
+    }
 
 
 @pytest.mark.parametrize("host", ["Alt(7)", "Sym(6)", "Sporadic(J3)"])

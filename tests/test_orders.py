@@ -149,6 +149,19 @@ def test_is_simple():
     assert not is_simple(parse_group("PSU(3,2)"))
 
 
+def test_is_simple_decides_alternating_and_sporadic_groups():
+    assert is_simple(parse_group("Alt(5)"))
+    assert not is_simple(parse_group("Alt(4)"))
+    assert is_simple(parse_group("Sporadic(J3)"))
+
+
+@pytest.mark.parametrize("name", ["Sym(6)", "SL(2,5)", "GL(3,2)"])
+def test_is_simple_refuses_a_family_it_does_not_decide(name):
+    # neither answer is safe for these: GL(3,2) is simple, SL(2,5) is not
+    with pytest.raises(UnsupportedGroup):
+        is_simple(parse_group(name))
+
+
 @pytest.mark.parametrize("name", ["PSp(5,3)", "PSp(3,4)", "PSp(7,2)", "PSp(9,5)"])
 def test_odd_dimensional_symplectic_hosts_are_rejected(name):
     g = parse_group(name)
