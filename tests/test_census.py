@@ -2,8 +2,10 @@
 
 tests/census.golden holds one line per row that `subgroups HOST --json`
 prints, for every simple host in canonical form with n <= 12 and q <= 16.
-A change to the catalog, the order formulas or the cube test that moves a
-row shows up here as a line diff.  To rewrite the file after a deliberate
+Each line also carries the row's formula id and its sorted parameters, read
+from the catalog entry the JSON row was printed from, as `explain --json`
+prints them.  A change to the catalog, the order formulas or the cube test
+that moves a row shows up here as a line diff.  To rewrite the file after a deliberate
 change:
 
     PYTHONPATH=src python tests/test_census.py
@@ -15,7 +17,7 @@ import json
 import pathlib
 from contextlib import redirect_stdout
 
-from large_atlas import cli
+from large_atlas import catalog, cli
 from large_atlas.arith import prime_powers
 from large_atlas.orders import (CIRC, MINUS, PLUS, canonicalize, is_simple,
                                 pomega, psl, psp, psu)
@@ -38,20 +40,27 @@ def census_hosts(nmax=12, qmax=16):
 
 
 def render_census():
-    """One tab-separated line per row: host, class, type, name, bound, o1,
-    mode, is_large, and the first 12 hex digits of sha256 of |H0|."""
+    """One tab-separated line per row: host, class, type, name, formula,
+    params (k=v, sorted, comma-separated; "-" for none), bound, o1, mode,
+    is_large, and the first 12 hex digits of sha256 of |H0|."""
     lines = []
     for g in census_hosts():
         buf = io.StringIO()
         with redirect_stdout(buf):
             code = cli.main(["subgroups", str(g), "--json"])
         assert code == 0, str(g)
-        for row in json.loads(buf.getvalue()):
+        rows = json.loads(buf.getvalue())
+        entries = catalog.candidates(g)
+        assert len(rows) == len(entries), str(g)
+        for row, entry in zip(rows, entries):
+            assert (row["type"], row["h0_order"]) == (entry.type_descriptor, entry.h0_order)
+            params = ",".join(f"{k}={val}" for k, val in sorted(entry.params)) or "-"
             digest = hashlib.sha256(str(row["h0_order"]).encode()).hexdigest()[:12]
             v = row["verdict"]
             lines.append("\t".join([row["host"], row["class"], row["type"], row["name"],
-                                    row["bound"], str(row["o1_order"]), v["mode"],
-                                    str(v["is_large"]), digest]))
+                                    row["formula"], params, row["bound"],
+                                    str(row["o1_order"]), v["mode"], str(v["is_large"]),
+                                    digest]))
     return "".join(line + "\n" for line in lines)
 
 
