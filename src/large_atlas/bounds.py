@@ -14,6 +14,7 @@ from math import gcd, lcm
 
 from .arith import ExactRatio, parse_prime_power
 from .errors import ConstraintViolation, UnknownCase
+from .orders import sylow_exponent
 
 CERTAINLY_LARGE = "certainly_large"
 CERTAINLY_NOT_LARGE = "certainly_not_large"
@@ -129,15 +130,8 @@ def order_bits_floor(g):
         return n * max((n // 3).bit_length() - 1, 0)
     if fam in ("GL", "SL", "PGL", "GU", "SU", "PGU"):
         exp = n * (n - 1)
-    elif fam in ("PSL", "PSU"):
-        exp = n * (n - 1) // 2
-    elif fam in ("PSp", "Sp"):
-        exp = (n // 2) ** 2
-    elif fam in ("POmega", "SO", "GO", "Omega"):
-        m = n // 2
-        exp = m * m if n % 2 else m * (m - 1)
     else:
-        exp = {"Sz": 2, "G2": 6, "3D4": 12}[fam]
+        exp = sylow_exponent(g)
     return exp * (int(g.q).bit_length() - 1)
 
 

@@ -5,10 +5,15 @@ geometric class C1..C8 the catalog can instantiate the candidate subgroups
 with their exact orders |H0| and the order |O1| of the outer classes that
 stabilize the H0-class.  Rows where only a one-sided bound on |H0| is
 available carry bound="upper" or bound="lower" so the largeness engine can
-tell decisive verdicts from inconclusive ones.  The module also provides
-the permutation-module host map, the two literal tables of almost simple
-irreducible candidates, and the candidate lists for the two graph-
-automorphism hosts.
+tell decisive verdicts from inconclusive ones.
+
+Every constructor takes the host GroupId it builds rows for as its first
+argument: the family constructors psl_*, psu_*, psp_* and pso_*, the one C1
+constructor c1_stabilizer, and the candidate lists of the two graph-
+automorphism hosts.  A family constructor returns its row (or list of
+rows) or raises ConstraintViolation where its type does not occur in the
+host.  The module also provides the permutation-module host map and the
+two literal tables of almost simple irreducible candidates.
 """
 
 import re
@@ -23,10 +28,10 @@ from .errors import (ConstraintViolation, DataIntegrityError, GroupParseError,
 from .largeness import EXACT, LOWER, UPPER
 from .orders import (CIRC, CLASSICAL, MINUS, PLUS, GroupId, alt_order,
                      g2_order, gl_order, go_order, gu_order, omega_order, order,
-                     out_order, parse_group, pomega, psl, psl_order, psp,
-                     psp_order, psu, psu_order, sl_order, so_order, sp_order,
-                     su_order, subgroup_name_order, sym_order, sz_order,
-                     tri_d4_order)
+                     out_order, parse_group, pomega, pomega_center, psl_order,
+                     psp, psp_order, psu_order, sl_order, so_order, sp_order,
+                     su_order, subgroup_name_order, sylow_exponent, sym_order,
+                     sz_order, tri_d4_order)
 
 
 @dataclass(frozen=True)
@@ -58,23 +63,22 @@ def _entry(host, klass, desc, params, h0, o1, bound=EXACT, name="", formula=""):
                          int(h0), int(o1), bound, name, formula)
 
 
+def c1_stabilizer(g):
+    """The C1 row of a host of any classical family: the parabolic P1 of a
+    linear host, a subspace stabilizer otherwise.  It contains a full Sylow
+    p-subgroup, so the stored lower bound already certifies largeness."""
+    desc = "parabolic P1" if g.family == "PSL" else "subspace stabilizer"
+    return _entry(g, "C1", desc, {}, int(g.q) ** sylow_exponent(g), 1,
+                  bound=LOWER, formula="sylow-p-lower")
+
+
 # ---------------------------------------------------------------------------
 # linear hosts
 # ---------------------------------------------------------------------------
 
 
-def psl_c1(n, q):
-    """Point stabilizer; contains a full Sylow p-subgroup, so the stored
-    lower bound already certifies largeness."""
-    g = psl(n, q)
-    q = int(g.q)
-    return _entry(g, "C1", "parabolic P1", {}, q ** (n * (n - 1) // 2), 1,
-                  bound=LOWER, formula="sylow-p-lower")
-
-
-def psl_c2(n, q, m, t):
-    g = psl(n, q)
-    q = int(g.q)
+def psl_c2(g, m, t):
+    n, q = g.n, int(g.q)
     _require(n == m * t and t >= 2 and m >= 1, "imprimitive type needs n = m*t")
     _require(q >= 5 or m >= 2, "blocks of size 1 need q >= 5")
     _require(q >= 3 or m >= 3, "blocks of size 2 need q >= 3")
@@ -84,9 +88,8 @@ def psl_c2(n, q, m, t):
                   h0, out_order(g), formula="psl-c2")
 
 
-def psl_c3(n, q, m, r):
-    g = psl(n, q)
-    q = int(g.q)
+def psl_c3(g, m, r):
+    n, q = g.n, int(g.q)
     _require(n == m * r and r >= 2 and is_prime(r), "field-extension degree must be prime")
     d = gcd(n, q - 1)
     h0 = gl_order(m, q ** r) * r // (d * (q - 1))
@@ -94,9 +97,8 @@ def psl_c3(n, q, m, r):
                   h0, out_order(g), formula="psl-c3")
 
 
-def psl_c4(n, q, n1, n2):
-    g = psl(n, q)
-    q = int(g.q)
+def psl_c4(g, n1, n2):
+    n, q = g.n, int(g.q)
     _require(n == n1 * n2 and 2 <= n1 < n2, "tensor type needs n = n1*n2, n1 < n2")
     d = gcd(n, q - 1)
     cc = gcd(gcd(q - 1, n1), n2)
@@ -105,9 +107,8 @@ def psl_c4(n, q, n1, n2):
                   h0, out_order(g) // cc, formula="psl-c4")
 
 
-def psl_c5(n, q, r):
-    g = psl(n, q)
-    qq = g.q
+def psl_c5(g, r):
+    n, qq = g.n, g.q
     _require(qq.e % r == 0 and is_prime(r), "subfield index must be a prime dividing e")
     q = qq.q
     q0 = qq.p ** (qq.e // r)
@@ -119,10 +120,9 @@ def psl_c5(n, q, r):
                   h0, out_order(g) // c, formula="psl-c5")
 
 
-def psl_c6(n, q):
+def psl_c6(g):
     """Extraspecial normalizer rows, one tuple of candidates per dimension."""
-    g = psl(n, q)
-    qq = g.q
+    n, qq = g.n, g.q
     q = qq.q
     _require(qq.e == 1, "extraspecial normalizers need prime fields")
     out = []
@@ -154,18 +154,16 @@ def psl_c6(n, q):
     return out
 
 
-def psl_c7(n, q, m, t):
-    g = psl(n, q)
-    q = int(g.q)
+def psl_c7(g, m, t):
+    n, q = g.n, int(g.q)
     _require(n == m ** t and m >= 3 and t >= 2, "tensor-power type needs n = m^t, m >= 3")
     h0 = sl_order(m, q) ** t * factorial(t)
     return _entry(g, "C7", f"GL({m},{q}) wr S{t} (tensor)", {"m": m, "t": t},
                   h0, out_order(g), bound=UPPER, formula="psl-c7")
 
 
-def psl_c8(n, q):
-    g = psl(n, q)
-    qq = g.q
+def psl_c8(g):
+    n, qq = g.n, g.q
     q = qq.q
     out = []
     if n % 2 == 0 and n >= 4:
@@ -173,8 +171,7 @@ def psl_c8(n, q):
                           bound=LOWER, formula="c8-classical-lower"))
     if q % 2 == 1 and n >= 3:
         eps = CIRC if n % 2 else PLUS
-        out.append(_entry(g, "C8", f"GO({n},{q})", {},
-                          so_order(n, eps, q) if n % 2 else 2 * omega_order(n, eps, q),
+        out.append(_entry(g, "C8", f"GO({n},{q})", {}, so_order(n, eps, q),
                           1, bound=LOWER, formula="c8-classical-lower"))
     if qq.e % 2 == 0 and n >= 3:
         q0 = qq.p ** (qq.e // 2)
@@ -188,16 +185,8 @@ def psl_c8(n, q):
 # ---------------------------------------------------------------------------
 
 
-def psu_c1(n, q):
-    g = psu(n, q)
-    q = int(g.q)
-    return _entry(g, "C1", "subspace stabilizer", {}, q ** (n * (n - 1) // 2), 1,
-                  bound=LOWER, formula="sylow-p-lower")
-
-
-def psu_c2_wr(n, q, m, t):
-    g = psu(n, q)
-    q = int(g.q)
+def psu_c2_wr(g, m, t):
+    n, q = g.n, int(g.q)
     _require(n == m * t and t >= 2 and m >= 1, "imprimitive type needs n = m*t")
     d = gcd(n, q + 1)
     h0 = gu_order(m, q) ** t * factorial(t) // (d * (q + 1))
@@ -205,9 +194,8 @@ def psu_c2_wr(n, q, m, t):
                   h0, out_order(g), formula="psu-c2")
 
 
-def psu_c2_gl(n, q):
-    g = psu(n, q)
-    q = int(g.q)
+def psu_c2_gl(g):
+    n, q = g.n, int(g.q)
     _require(n % 2 == 0, "the GL-type imprimitive subgroup needs even n")
     d = gcd(n, q + 1)
     h0 = gl_order(n // 2, q * q) * 2 // (d * (q + 1))
@@ -215,9 +203,8 @@ def psu_c2_gl(n, q):
                   formula="psu-c2-gl")
 
 
-def psu_c3(n, q, m, r):
-    g = psu(n, q)
-    q = int(g.q)
+def psu_c3(g, m, r):
+    n, q = g.n, int(g.q)
     _require(n == m * r and r >= 3 and r % 2 == 1 and is_prime(r),
              "unitary field extension needs an odd prime degree")
     d = gcd(n, q + 1)
@@ -226,9 +213,8 @@ def psu_c3(n, q, m, r):
                   h0, out_order(g), formula="psu-c3")
 
 
-def psu_c4(n, q, n1, n2):
-    g = psu(n, q)
-    q = int(g.q)
+def psu_c4(g, n1, n2):
+    n, q = g.n, int(g.q)
     _require(n == n1 * n2 and 2 <= n1 < n2, "tensor type needs n = n1*n2, n1 < n2")
     d = gcd(n, q + 1)
     cc = gcd(gcd(q + 1, n1), n2)
@@ -238,9 +224,8 @@ def psu_c4(n, q, n1, n2):
                   bound=UPPER, formula="psu-c4")
 
 
-def psu_c5_subfield(n, q, r):
-    g = psu(n, q)
-    qq = g.q
+def psu_c5_subfield(g, r):
+    n, qq = g.n, g.q
     _require(qq.e % r == 0 and r % 2 == 1 and is_prime(r),
              "unitary subfield index must be an odd prime dividing e")
     q = qq.q
@@ -253,9 +238,8 @@ def psu_c5_subfield(n, q, r):
                   h0, out_order(g) // c, formula="psu-c5")
 
 
-def psu_c5_form(n, q, kind):
-    g = psu(n, q)
-    q = int(g.q)
+def psu_c5_form(g, kind):
+    n, q = g.n, int(g.q)
     if kind == "Sp":
         _require(n % 2 == 0, "symplectic form subgroup needs even n")
         return _entry(g, "C5", f"Sp({n},{q})", {}, psp_order(n, q), 1,
@@ -266,9 +250,8 @@ def psu_c5_form(n, q, kind):
                   so_order(n, kind, q), 1, bound=LOWER, formula="c8-classical-lower")
 
 
-def psu_c6(n, q):
-    g = psu(n, q)
-    qq = g.q
+def psu_c6(g):
+    n, qq = g.n, g.q
     q = qq.q
     _require(qq.e == 1, "extraspecial normalizers need prime fields")
     out = []
@@ -295,9 +278,8 @@ def psu_c6(n, q):
     return out
 
 
-def psu_c7(n, q, m, t):
-    g = psu(n, q)
-    q = int(g.q)
+def psu_c7(g, m, t):
+    n, q = g.n, int(g.q)
     _require(n == m ** t and m >= 3 and t >= 2, "tensor-power type needs n = m^t, m >= 3")
     _require((m, q) != (3, 2), "the (3,2) tensor-power case does not occur")
     h0 = su_order(m, q) ** t * factorial(t)
@@ -310,25 +292,16 @@ def psu_c7(n, q, m, t):
 # ---------------------------------------------------------------------------
 
 
-def psp_c1(n, q):
-    g = psp(n, q)
-    q = int(g.q)
-    return _entry(g, "C1", "subspace stabilizer", {}, q ** ((n // 2) ** 2), 1,
-                  bound=LOWER, formula="sylow-p-lower")
-
-
-def psp_c2_gl(n, q):
-    g = psp(n, q)
-    q = int(g.q)
+def psp_c2_gl(g):
+    n, q = g.n, int(g.q)
     d = gcd(2, q - 1)
     return _entry(g, "C2", f"GL({n // 2},{q}).2", {},
                   2 * gl_order(n // 2, q) // d, 1, bound=LOWER,
                   formula="psp-c2-gl-lower")
 
 
-def psp_c2_wr(n, q, m, t):
-    g = psp(n, q)
-    qq = g.q
+def psp_c2_wr(g, m, t):
+    n, qq = g.n, g.q
     q = qq.q
     _require(n == m * t and t >= 2 and m >= 2 and m % 2 == 0,
              "imprimitive type needs n = m*t with even m")
@@ -339,9 +312,8 @@ def psp_c2_wr(n, q, m, t):
                   h0, d * qq.e, formula="psp-c2")
 
 
-def psp_c3(n, q, m, r):
-    g = psp(n, q)
-    qq = g.q
+def psp_c3(g, m, r):
+    n, qq = g.n, g.q
     q = qq.q
     _require(n == m * r and m % 2 == 0 and is_prime(r), "extension degree must be prime")
     d = gcd(2, q - 1)
@@ -350,31 +322,28 @@ def psp_c3(n, q, m, r):
                   h0, d * qq.e, formula="psp-c3")
 
 
-def psp_c3_gu(n, q):
-    g = psp(n, q)
-    q = int(g.q)
+def psp_c3_gu(g):
+    n, q = g.n, int(g.q)
     d = gcd(2, q - 1)
     return _entry(g, "C3", f"GU({n // 2},{q})", {}, gu_order(n // 2, q) // d,
                   1, bound=LOWER, formula="psp-c3-gu-lower")
 
 
-def psp_c4(n, q, n1, n2, eps):
-    g = psp(n, q)
-    qq = g.q
+def psp_c4(g, n1, n2, eps):
+    n, qq = g.n, g.q
     q = qq.q
     _require(q % 2 == 1, "symplectic-orthogonal tensor needs odd q")
     _require(n == n1 * n2 and n1 % 2 == 0 and n1 >= 2 and n2 >= 3,
              "tensor type needs n = n1*n2 with n1 even, n2 >= 3")
-    pgo = go_order_proj(n2, eps, q)
-    h0 = psp_order(n1, q) * pgo * gcd(2, n2)
+    # |PGO_n2^eps(q)|: GO modulo its center of order 2, q being odd
+    h0 = psp_order(n1, q) * (go_order(n2, eps, q) // 2) * gcd(2, n2)
     return _entry(g, "C4", f"Sp({n1},{q}) (x) GO{eps_tag(eps)}({n2},{q})",
                   {"n1": n1, "n2": n2, "eps": eps}, h0,
                   gcd(2, q - 1) * qq.e, formula="psp-c4")
 
 
-def psp_c5(n, q, r):
-    g = psp(n, q)
-    qq = g.q
+def psp_c5(g, r):
+    n, qq = g.n, g.q
     _require(qq.e % r == 0 and is_prime(r), "subfield index must be a prime dividing e")
     q0 = qq.p ** (qq.e // r)
     cc = gcd(gcd(2, qq.q - 1), r)
@@ -383,9 +352,8 @@ def psp_c5(n, q, r):
                   h0, out_order(g), formula="psp-c5")
 
 
-def psp_c6(n, q):
-    g = psp(n, q)
-    qq = g.q
+def psp_c6(g):
+    n, qq = g.n, g.q
     q = qq.q
     _require(qq.e == 1 and q % 2 == 1, "extraspecial normalizer needs odd prime q")
     _require(n >= 4 and n & (n - 1) == 0, "extraspecial normalizer needs n = 2^m")
@@ -402,9 +370,8 @@ def psp_c6(n, q):
                   name=name, formula="psp-c6")
 
 
-def psp_c7(n, q, m, t):
-    g = psp(n, q)
-    qq = g.q
+def psp_c7(g, m, t):
+    n, qq = g.n, g.q
     q = qq.q
     _require(n == m ** t and m >= 2 and m % 2 == 0 and t >= 2,
              "tensor-power type needs n = m^t with even m")
@@ -425,19 +392,10 @@ def eps_tag(eps):
     return "" if eps == CIRC else eps
 
 
-def go_order_proj(n, eps, q):
-    """|PGO_n^eps(q)| for odd q: the full orthogonal group modulo its
-    center of order 2."""
-    return go_order(n, eps, q) // gcd(2, int(q) - 1)
-
-
-def _pomega_center(n, eps, q):
-    """Order of the center of Omega_n^eps(q), i.e. |Omega| / |POmega|."""
-    if n % 2:
-        return 1
-    m = n // 2
-    s = 1 if eps == PLUS else -1
-    return gcd(4, q ** m - s) // gcd(2, q - 1)
+def _framed_sign(n, q):
+    """The sign of the n-dimensional form with an orthonormal basis over
+    GF(q), n even and q odd: the square class of its discriminant."""
+    return PLUS if ((q - 1) * n // 4) % 2 == 0 else MINUS
 
 
 def _pso_o1(g):
@@ -447,35 +405,23 @@ def _pso_o1(g):
     return out_order(g) // (3 if (g.n, g.eps) == (8, PLUS) else 1)
 
 
-def pso_c1(n, eps, q):
-    g = pomega(n, q, eps)
-    q = int(g.q)
-    m = n // 2
-    exp = m * (m - 1) if n % 2 == 0 else m * m
-    return _entry(g, "C1", "subspace stabilizer", {}, q ** exp, 1,
-                  bound=LOWER, formula="sylow-p-lower")
-
-
-def pso_c2_gl(n, eps, q):
-    g = pomega(n, q, eps)
-    q = int(g.q)
+def pso_c2_gl(g):
+    n, eps, q = g.n, g.eps, int(g.q)
     _require(n % 2 == 0 and eps == PLUS, "the GL-type stabilizer needs plus type")
     return _entry(g, "C2", f"GL({n // 2},{q}).2", {},
                   gl_order(n // 2, q) // ((q - 1) * 4), 1, bound=LOWER,
                   formula="pso-c2-gl-lower")
 
 
-def pso_c2_o1p(n, eps, q):
+def pso_c2_o1p(g):
     """Type GO1(p) wr Sn: the framed-basis stabilizer over a prime field."""
-    g = pomega(n, q, eps)
-    qq = g.q
+    n, eps, qq = g.n, g.eps, g.q
     q = qq.q
     _require(qq.e == 1 and q % 2 == 1, "framed-basis stabilizer needs odd prime q")
     if n % 2:
         _require(eps == CIRC, "odd dimension takes no sign")
     else:
-        want = PLUS if ((q - 1) * n // 4) % 2 == 0 else MINUS
-        _require(eps == want, "sign forced by the discriminant of the framed form")
+        _require(eps == _framed_sign(n, q), "sign forced by the discriminant of the framed form")
     bound = EXACT
     if q == 3 and 7 <= n <= 13:
         h0 = 2 ** (n - gcd(2, n) - 1) * factorial(n) // 2
@@ -507,10 +453,8 @@ def pso_c2_o1p(n, eps, q):
                   name=name, formula="pso-c2-o1p")
 
 
-def pso_c2_go_wr(n, eps, q, m, eps1, t):
-    g = pomega(n, q, eps)
-    qq = g.q
-    q = qq.q
+def pso_c2_go_wr(g, m, eps1, t):
+    n, eps, q = g.n, g.eps, int(g.q)
     _require(n == m * t and t >= 2 and m >= 2, "imprimitive type needs n = m*t")
     if m % 2 == 0:
         want = PLUS if (eps1 == PLUS or t % 2 == 0) else MINUS
@@ -519,13 +463,12 @@ def pso_c2_go_wr(n, eps, q, m, eps1, t):
     else:
         _require(eps1 == CIRC and q % 2 == 1, "odd blocks need odd q and no sign")
         if t % 2 == 0:
-            want = PLUS if ((q - 1) * n // 4) % 2 == 0 else MINUS
-            _require(eps == want, "sign forced by the discriminant")
+            _require(eps == _framed_sign(n, q), "sign forced by the discriminant")
         else:
             _require(eps == CIRC, "odd n has no sign")
     _require(not (m == 2 and t == 4 and eps1 == PLUS) or q >= 5,
              "plus-type blocks of dimension 2 with t = 4 need q >= 5")
-    z = _pomega_center(n, eps, q)
+    z = pomega_center(n, eps, q)
     h0 = (omega_order(m, eps1, q) ** t
           * 2 ** (gcd(2, q - 1) * (t - 1)) * factorial(t))
     _require(h0 % z == 0, "central quotient must divide the stabilizer order")
@@ -534,9 +477,8 @@ def pso_c2_go_wr(n, eps, q, m, eps1, t):
                   formula="pso-c2-go-wr")
 
 
-def pso_c3(n, eps, q, kind):
-    g = pomega(n, q, eps)
-    q = int(g.q)
+def pso_c3(g, kind):
+    n, eps, q = g.n, g.eps, int(g.q)
     m = n // 2
     if kind == "GU":
         _require(eps == (PLUS if m % 2 == 0 else MINUS),
@@ -555,45 +497,42 @@ def pso_c3(n, eps, q, kind):
                   bound=LOWER, formula="pso-c3-lower")
 
 
-def pso_c3_extra(n, eps, q, m, s):
-    g = pomega(n, q, eps)
-    q = int(g.q)
+def pso_c3_extra(g, m, s):
+    n, eps, q = g.n, g.eps, int(g.q)
     _require(n == m * s and m >= 3 and s % 2 == 1 and is_prime(s),
              "degree must be an odd prime with n = m*s")
     _require(eps != CIRC or m % 2 == 1, "sign must match the block dimension")
-    z = _pomega_center(n, eps, q)
+    z = pomega_center(n, eps, q)
     h0 = omega_order(m, eps if m % 2 == 0 else CIRC, q ** s) * s
     _require(h0 % z == 0, "central quotient must divide the stabilizer order")
     return _entry(g, "C3", f"GO{eps_tag(eps)}({m},{q}^{s})", {"m": m, "s": s},
                   h0 // z, _pso_o1(g), formula="pso-c3-extra")
 
 
-def pso_c4(n, eps, q):
+def pso_c4(g):
     """Lower bound |PSp_2(q) x PSp_{n/2}(q)|, the image of Sp_2 (x) Sp_{n/2}
     in POmega; pso_c4_odd gives the exact order for q odd."""
-    g = pomega(n, q, eps)
-    q = int(g.q)
-    _require(eps == PLUS and n % 4 == 0, "the symplectic tensor type needs plus type")
+    n, q = g.n, int(g.q)
+    _require(g.eps == PLUS and n % 4 == 0, "the symplectic tensor type needs plus type")
     h0 = sp_order(2, q) * sp_order(n // 2, q) // gcd(2, q - 1) ** 2
     return _entry(g, "C4", f"Sp(2,{q}) (x) Sp({n // 2},{q})", {}, h0, 1,
                   bound=LOWER, formula="pso-c4-lower")
 
 
-def pso_c4_odd(n, q):
+def pso_c4_odd(g):
     """The exact order of the type pso_c4 bounds, for q odd: |Sp_2 x
     Sp_{n/2}| / 2 times the extra diagonal part gcd(2, n/4), divided by the
     center, of order 2 since q is odd and n/2 is even."""
-    g = pomega(n, q, PLUS)
-    q = int(g.q)
+    n, q = g.n, int(g.q)
+    _require(g.eps == PLUS, "the symplectic tensor type needs plus type")
     _require(q % 2 == 1 and n % 4 == 0, "the exact symplectic tensor row needs odd q and 4 | n")
     h0 = sp_order(2, q) * sp_order(n // 2, q) // 2 * gcd(2, n // 4) // 2
     return _entry(g, "C4", f"Sp(2,{q}) (x) Sp({n // 2},{q})", {}, h0, _pso_o1(g),
                   formula="pso-c4-odd")
 
 
-def pso_c5(n, eps, q, r, eps_sub=None):
-    g = pomega(n, q, eps)
-    qq = g.q
+def pso_c5(g, r, eps_sub=None):
+    n, eps, qq = g.n, g.eps, g.q
     _require(qq.e % r == 0 and is_prime(r), "subfield index must be a prime dividing e")
     q0 = qq.p ** (qq.e // r)
     if eps_sub is None:
@@ -608,10 +547,10 @@ def pso_c5(n, eps, q, r, eps_sub=None):
                   {"q0": q0, "r": r}, h0, _pso_o1(g), formula="pso-c5")
 
 
-def pso_c6(n, q):
-    g = pomega(n, q, PLUS)
-    qq = g.q
+def pso_c6(g):
+    n, qq = g.n, g.q
     q = qq.q
+    _require(g.eps == PLUS, "extraspecial normalizer needs plus type")
     _require(qq.e == 1 and q % 2 == 1, "extraspecial normalizer needs odd prime q")
     _require(n >= 8 and n & (n - 1) == 0, "extraspecial normalizer needs n = 2^m >= 8")
     m = n.bit_length() - 1
@@ -625,10 +564,8 @@ def pso_c6(n, q):
 PSO_C7_KINDS = (("sp", None), ("circ", None), ("signed", PLUS), ("signed", MINUS))
 
 
-def pso_c7(n, eps, q, m, t, kind, eps1=None):
-    g = pomega(n, q, eps)
-    qq = g.q
-    q = qq.q
+def pso_c7(g, m, t, kind, eps1=None):
+    n, eps, q = g.n, g.eps, int(g.q)
     _require(n == m ** t and t >= 2, "tensor-power type needs n = m^t")
     d = gcd(2, q - 1)
     if kind == "sp":
@@ -673,15 +610,16 @@ def _with_item(entry, label):
     return replace(entry, params=entry.params + (("item", label),))
 
 
-def sp4_graph_candidates(q):
-    """Candidates in Sp4(q), q even >= 4, when the overgroup realizes the
-    graph automorphism.  Every row carries an "item" parameter, its label
-    in list order (roman i, ii, ...)."""
-    qq = parse_prime_power(q)
+def sp4_graph_candidates(g):
+    """Candidates in the host g = PSp(4,q), q even >= 4, when the overgroup
+    realizes the graph automorphism.  Every row carries an "item"
+    parameter, its label in list order (roman i, ii, ...)."""
+    if g.family != "PSp" or g.n != 4:
+        raise UnsupportedGroup(f"{g} is not a graph-automorphism symplectic host")
+    qq = g.q
     q = qq.q
     if qq.p != 2 or q < 4:
         raise UnsupportedGroup("the graph automorphism case needs Sp4(2^e), q >= 4")
-    g = psp(4, q)
     o1 = out_order(g)
     rows = [
         _entry(g, "X", "[q^4]:(q-1)^2", {}, q ** 4 * (q - 1) ** 2, o1,
@@ -704,16 +642,18 @@ def sp4_graph_candidates(q):
     return [_with_item(e, label) for label, e in zip(ROMAN, rows)]
 
 
-def o8_triality_candidates(q):
-    """Candidates in POmega8+(q) when the overgroup realizes a triality.
+def o8_triality_candidates(g):
+    """Candidates in the host g = POmega8+(q) when the overgroup realizes a
+    triality.
 
     Every row carries an "item" parameter giving its stable position label
     (roman i..xiii); rows whose side conditions reject the given q are
     simply absent, but the surviving labels never shift.
     """
-    qq = parse_prime_power(q)
+    if g.family != "POmega" or (g.n, g.eps) != (8, PLUS):
+        raise UnsupportedGroup(f"{g} is not a triality host")
+    qq = g.q
     q = qq.q
-    g = pomega(8, q, PLUS)
     d = gcd(2, q - 1)
     o1 = out_order(g)
     rows = [
@@ -730,22 +670,19 @@ def o8_triality_candidates(q):
     if qq.e == 1 and q % 2 == 1:
         rows.append(("iv", _entry(g, "X", "2^3.2^6.PSL3(2)", {}, 2 ** 9 * 168,
                                   o1, name="2^3.2^6.PSL3(2)", formula="o8-tri")))
-    try:
-        rows.append(("v", pso_c2_go_wr(8, PLUS, q, 2, MINUS, 4)))
-    except ConstraintViolation:
-        pass
+    rows.append(("v", pso_c2_go_wr(g, 2, MINUS, 4)))
     if q >= 5:
-        rows.append(("vi", pso_c2_go_wr(8, PLUS, q, 2, PLUS, 4)))
+        rows.append(("vi", pso_c2_go_wr(g, 2, PLUS, 4)))
     if q >= 3:
-        rows.append(("vii", pso_c2_go_wr(8, PLUS, q, 4, PLUS, 2)))
+        rows.append(("vii", pso_c2_go_wr(g, 4, PLUS, 2)))
     rows.append(("viii", _entry(g, "X", "(D_{2(q^2+1)/d})^2.[2d].S2", {},
                                 (2 * (q * q + 1) // d) ** 2 * 2 * d * 2, o1,
                                 name="torus normalizer", formula="o8-tri")))
     if qq.e % 2 == 0:
         for e2 in (PLUS, MINUS):
-            rows.append(("ix", pso_c5(8, PLUS, q, 2, e2)))
+            rows.append(("ix", pso_c5(g, 2, e2)))
     if qq.e % 3 == 0:
-        rows.append(("ix", pso_c5(8, PLUS, q, 3, PLUS)))
+        rows.append(("ix", pso_c5(g, 3, PLUS)))
     if q % 3 == 1:
         rows.append(("x", _entry(g, "X", f"PSL3({q}).3", {},
                                  3 * psl_order(3, q), 6 * qq.e,
@@ -770,13 +707,9 @@ def o8_triality_candidates(q):
 
 def exceptional_candidates(g0, which):
     if which == "sp4_graph":
-        if g0.family != "PSp" or g0.n != 4:
-            raise UnsupportedGroup(f"{g0} is not a graph-automorphism symplectic host")
-        return sp4_graph_candidates(g0.q)
+        return sp4_graph_candidates(g0)
     if which == "o8_triality":
-        if g0.family != "POmega" or (g0.n, g0.eps) != (8, PLUS):
-            raise UnsupportedGroup(f"{g0} is not a triality host")
-        return o8_triality_candidates(g0.q)
+        return o8_triality_candidates(g0)
     raise UnknownCase(f"unknown exceptional case {which!r}")
 
 
@@ -990,75 +923,71 @@ def _collect(out, fn, *args):
 
 def candidates(g0):
     """All catalog entries whose constraints accept the given simple host."""
-    fam, n, q, eps = g0.family, g0.n, g0.q, g0.eps
+    fam, n, q = g0.family, g0.n, g0.q
     if fam not in CLASSICAL:
         raise UnsupportedGroup(f"no catalog for family {fam}")
     out = []
+    _collect(out, c1_stabilizer, g0)
     if fam == "PSL":
-        _collect(out, psl_c1, n, q)
         for m, t in _divisor_splits(n):
-            _collect(out, psl_c2, n, q, m, t)
+            _collect(out, psl_c2, g0, m, t)
         for r in _prime_divisors(n):
-            _collect(out, psl_c3, n, q, n // r, r)
+            _collect(out, psl_c3, g0, n // r, r)
         for m, t in _divisor_splits(n):
-            _collect(out, psl_c4, n, q, t, m)
+            _collect(out, psl_c4, g0, t, m)
         for r in _prime_divisors(q.e):
-            _collect(out, psl_c5, n, q, r)
-        _collect(out, psl_c6, n, q)
+            _collect(out, psl_c5, g0, r)
+        _collect(out, psl_c6, g0)
         for m, t in _power_splits(n):
-            _collect(out, psl_c7, n, q, m, t)
-        _collect(out, psl_c8, n, q)
+            _collect(out, psl_c7, g0, m, t)
+        _collect(out, psl_c8, g0)
     elif fam == "PSU":
-        _collect(out, psu_c1, n, q)
-        _collect(out, psu_c2_gl, n, q)
+        _collect(out, psu_c2_gl, g0)
         for m, t in _divisor_splits(n):
-            _collect(out, psu_c2_wr, n, q, m, t)
+            _collect(out, psu_c2_wr, g0, m, t)
         for r in _prime_divisors(n):
-            _collect(out, psu_c3, n, q, n // r, r)
+            _collect(out, psu_c3, g0, n // r, r)
         for m, t in _divisor_splits(n):
-            _collect(out, psu_c4, n, q, t, m)
+            _collect(out, psu_c4, g0, t, m)
         for r in _prime_divisors(q.e):
-            _collect(out, psu_c5_subfield, n, q, r)
+            _collect(out, psu_c5_subfield, g0, r)
         for kind in ("Sp", PLUS, MINUS, CIRC):
-            _collect(out, psu_c5_form, n, q, kind)
-        _collect(out, psu_c6, n, q)
+            _collect(out, psu_c5_form, g0, kind)
+        _collect(out, psu_c6, g0)
         for m, t in _power_splits(n):
-            _collect(out, psu_c7, n, q, m, t)
+            _collect(out, psu_c7, g0, m, t)
     elif fam == "PSp":
-        _collect(out, psp_c1, n, q)
-        _collect(out, psp_c2_gl, n, q)
+        _collect(out, psp_c2_gl, g0)
         for m, t in _divisor_splits(n):
-            _collect(out, psp_c2_wr, n, q, m, t)
+            _collect(out, psp_c2_wr, g0, m, t)
         for r in _prime_divisors(n):
-            _collect(out, psp_c3, n, q, n // r, r)
-        _collect(out, psp_c3_gu, n, q)
+            _collect(out, psp_c3, g0, n // r, r)
+        _collect(out, psp_c3_gu, g0)
         for n1, n2 in _divisor_splits(n):
             for e2 in (PLUS, MINUS, CIRC):
-                _collect(out, psp_c4, n, q, n1, n2, e2)
+                _collect(out, psp_c4, g0, n1, n2, e2)
         for r in _prime_divisors(q.e):
-            _collect(out, psp_c5, n, q, r)
-        _collect(out, psp_c6, n, q)
+            _collect(out, psp_c5, g0, r)
+        _collect(out, psp_c6, g0)
         for m, t in _power_splits(n):
-            _collect(out, psp_c7, n, q, m, t)
+            _collect(out, psp_c7, g0, m, t)
     elif fam == "POmega":
-        _collect(out, pso_c1, n, eps, q)
-        _collect(out, pso_c2_gl, n, eps, q)
-        _collect(out, pso_c2_o1p, n, eps, q)
+        _collect(out, pso_c2_gl, g0)
+        _collect(out, pso_c2_o1p, g0)
         for m, t in _divisor_splits(n):
             for e1 in (PLUS, MINUS, CIRC):
-                _collect(out, pso_c2_go_wr, n, eps, q, m, e1, t)
+                _collect(out, pso_c2_go_wr, g0, m, e1, t)
         for kind in ("GU", "GO", "GOo"):
-            _collect(out, pso_c3, n, eps, q, kind)
+            _collect(out, pso_c3, g0, kind)
         for s in _prime_divisors(n):
-            _collect(out, pso_c3_extra, n, eps, q, n // s, s)
-        _collect(out, pso_c4, n, eps, q)
+            _collect(out, pso_c3_extra, g0, n // s, s)
+        _collect(out, pso_c4, g0)
         for r in _prime_divisors(q.e):
             for e2 in (PLUS, MINUS, CIRC):
-                _collect(out, pso_c5, n, eps, q, r, e2)
-        if eps == PLUS:
-            _collect(out, pso_c6, n, q)
+                _collect(out, pso_c5, g0, r, e2)
+        _collect(out, pso_c6, g0)
         for m, t in _power_splits(n):
             for kind, e1 in PSO_C7_KINDS:
-                _collect(out, pso_c7, n, eps, q, m, t, kind, e1)
+                _collect(out, pso_c7, g0, m, t, kind, e1)
     out.extend(table_entries(g0))
     return out

@@ -200,15 +200,38 @@ def psp_order(n, q):
     return sp_order(n, q) // gcd(2, q - 1)
 
 
-def pomega_order(n, eps, q):
-    qq = parse_prime_power(q)
-    q = qq.q
+def pomega_center(n, eps, q):
+    """|Omega_n^eps(q) : POmega_n^eps(q)|, the order of the center of Omega:
+    gcd(4, q^m - s) / gcd(2, q - 1) for n = 2m, where s = 1 for eps = +
+    and -1 for eps = -; 1 for odd n."""
     if n % 2:
-        return omega_order(n, eps, q)
-    m = n // 2
+        return 1
+    q = int(q)
     s = 1 if eps == PLUS else -1
-    d = gcd(4, q ** m - s)
-    return omega_order(n, eps, q) * gcd(2, q - 1) // d
+    return gcd(4, q ** (n // 2) - s) // gcd(2, q - 1)
+
+
+def pomega_order(n, eps, q):
+    return omega_order(n, eps, q) // pomega_center(n, eps, q)
+
+
+def sylow_exponent(g):
+    """The number N of positive roots of the group of Lie type g over GF(q):
+    q^N is the order of a Sylow p-subgroup of g, p the characteristic, and
+    the same for every isogeny type of one family.  (SO and GO in
+    characteristic 2 are the exception: their index-2 part over Omega adds
+    a factor 2, so there q^N only divides the order.)"""
+    fam, n = g.family, g.n
+    if fam in ("PSL", "SL", "GL", "PGL", "PSU", "SU", "GU", "PGU"):
+        return n * (n - 1) // 2
+    if fam in ("PSp", "Sp"):
+        return (n // 2) ** 2
+    if fam in ("POmega", "SO", "GO", "Omega"):
+        m = n // 2
+        return m * m if n % 2 else m * (m - 1)
+    if fam in ("Sz", "G2", "3D4"):
+        return {"Sz": 2, "G2": 6, "3D4": 12}[fam]
+    raise UnsupportedGroup(f"{g} is not a group of Lie type")
 
 
 def sz_order(q):

@@ -6,7 +6,9 @@ cutoff the source argument derives, then diffed against a committed golden
 file.
 
 A registered case is only its grid.  The grid of a catalog case yields
-(member key, catalog constructor, args), and one driver, `_catalog_members`,
+(member key, catalog constructor, args), where args start with the host
+GroupId the constructor builds its row for, as in
+`catalog.psl_c2, (psl(3 * m, q), m, 3)`.  One driver, `_catalog_members`,
 does the rest for every case: it builds the row, skips points the
 constructor rejects and rows whose host is not simple, and decides
 membership by the cube inequality.  A constructor that returns a list of
@@ -34,7 +36,7 @@ from .bounds import (CERTAINLY_LARGE, CERTAINLY_NOT_LARGE, SANDWICH_CASES,
                      sandwich, simple_order_bits)
 from .errors import ConstraintViolation, MissingGolden, UnknownCase, UnsupportedGroup
 from .largeness import UPPER, decisive, is_large_h1
-from .orders import CIRC, MINUS, PLUS, is_simple, order
+from .orders import CIRC, MINUS, PLUS, is_simple, order, pomega, psl, psp, psu
 
 
 @dataclass(frozen=True)
@@ -162,10 +164,10 @@ def _exact_member(g0_order, entry):
     return v.is_large and decisive(v)
 
 
-def _alarm_check(alarms, scase, q, got, n=None):
+def _alarm_check(alarms, scase, q, got):
     """Record a disagreement between a decisive sandwich and the exact
     verdict at field size q."""
-    tri = sandwich(scase, q, n=n)
+    tri = sandwich(scase, q)
     if tri.verdict == CERTAINLY_LARGE and not got:
         alarms.append(f"{scase}: sandwich says large at q={q}, exact says no")
     elif tri.verdict == CERTAINLY_NOT_LARGE and got:
@@ -215,13 +217,13 @@ def _signs(n):
 def _psl_c2_t3():
     for q in prime_powers(2, 512):
         m = 1 if q >= 5 else (2 if q >= 3 else 3)
-        yield (q,), catalog.psl_c2, (3 * m, q, m, 3)
+        yield (q,), catalog.psl_c2, (psl(3 * m, q), m, 3)
 
 
 @_case("psl-c3-r3")
 def _psl_c3_r3():
     for q in prime_powers(2, 512):
-        yield (q,), catalog.psl_c3, (3, q, 1, 3)
+        yield (q,), catalog.psl_c3, (psl(3, q), 1, 3)
 
 
 @_case("psl-c3-r5")
@@ -229,7 +231,7 @@ def _psl_c3_r5():
     for r in (5, 7, 11):
         for m in (1, 2, 3):
             for q in prime_powers(2, 64):
-                yield (m * r, q), catalog.psl_c3, (m * r, q, m, r)
+                yield (m * r, q), catalog.psl_c3, (psl(m * r, q), m, r)
 
 
 @_case("psl-c4")
@@ -237,14 +239,14 @@ def _psl_c4():
     for q in prime_powers(2, 32):
         for n1 in range(2, 5):
             for n2 in range(n1 + 1, 9):
-                yield (q, n1, n2), catalog.psl_c4, (n1 * n2, q, n1, n2)
+                yield (q, n1, n2), catalog.psl_c4, (psl(n1 * n2, q), n1, n2)
 
 
 @_case("psl-c6")
 def _psl_c6():
     for q in prime_powers(2, 97):
         for n in (2, 3, 4, 8):
-            yield (q, n), catalog.psl_c6, (n, q)
+            yield (q, n), catalog.psl_c6, (psl(n, q),)
 
 
 @_case("psl-c7")
@@ -252,14 +254,14 @@ def _psl_c7():
     for q in prime_powers(2, 32):
         for m in (3, 4, 5):
             for t in (2, 3):
-                yield (q, m, t), catalog.psl_c7, (m ** t, q, m, t)
+                yield (q, m, t), catalog.psl_c7, (psl(m ** t, q), m, t)
 
 
 @_case("psu-c2-t3")
 def _psu_c2_t3():
     for q in prime_powers(2, 400):
         m = 1 if q >= 3 else 2
-        yield (q,), catalog.psu_c2_wr, (3 * m, q, m, 3)
+        yield (q,), catalog.psu_c2_wr, (psu(3 * m, q), m, 3)
 
 
 @_case("psu-c2-t4plus")
@@ -267,14 +269,14 @@ def _psu_c2_t4plus():
     for q in prime_powers(2, 40):
         for m in range(1, 7):
             for t in range(4, 17):
-                yield (q, m, t), catalog.psu_c2_wr, (m * t, q, m, t)
+                yield (q, m, t), catalog.psu_c2_wr, (psu(m * t, q), m, t)
 
 
 @_case("psu-c3-r3")
 def _psu_c3_r3():
     for q in prime_powers(2, 512):
         m = 1 if q >= 3 else 2
-        yield (q,), catalog.psu_c3, (3 * m, q, m, 3)
+        yield (q,), catalog.psu_c3, (psu(3 * m, q), m, 3)
 
 
 @_case("psu-c4")
@@ -282,14 +284,14 @@ def _psu_c4():
     for q in prime_powers(2, 32):
         for n1 in range(2, 5):
             for n2 in range(n1 + 1, 9):
-                yield (q, n1, n2), catalog.psu_c4, (n1 * n2, q, n1, n2)
+                yield (q, n1, n2), catalog.psu_c4, (psu(n1 * n2, q), n1, n2)
 
 
 @_case("psu-c6")
 def _psu_c6():
     for q in prime_powers(2, 97):
         for n in (3, 4, 8):
-            yield (q, n), catalog.psu_c6, (n, q)
+            yield (q, n), catalog.psu_c6, (psu(n, q),)
 
 
 @_case("psu-c7")
@@ -297,7 +299,7 @@ def _psu_c7():
     for q in prime_powers(2, 32):
         for m in (3, 4, 5):
             for t in (2, 3):
-                yield (q, m, t), catalog.psu_c7, (m ** t, q, m, t)
+                yield (q, m, t), catalog.psu_c7, (psu(m ** t, q), m, t)
 
 
 @_case("psp-c2-t5")
@@ -306,7 +308,7 @@ def _psp_c2_t5():
         for m in (2, 4, 6):
             for t in range(4, 11):
                 if (m, t) != (2, 4):  # an always-large family, not part of this list
-                    yield (q, m, t), catalog.psp_c2_wr, (m * t, q, m, t)
+                    yield (q, m, t), catalog.psp_c2_wr, (psp(m * t, q), m, t)
 
 
 @_case("psp-c3-r5")
@@ -314,7 +316,7 @@ def _psp_c3_r5():
     for q in prime_powers(2, 32):
         for m in (2, 4, 6):
             for r in (5, 7, 11):
-                yield (q, m, r), catalog.psp_c3, (m * r, q, m, r)
+                yield (q, m, r), catalog.psp_c3, (psp(m * r, q), m, r)
 
 
 @_case("psp-c4")
@@ -323,14 +325,14 @@ def _psp_c4():
         for n1 in (2, 4, 6):
             for n2 in range(3, 9):
                 for eps in _signs(n2):
-                    yield (q, n1, n2, eps), catalog.psp_c4, (n1 * n2, q, n1, n2, eps)
+                    yield (q, n1, n2, eps), catalog.psp_c4, (psp(n1 * n2, q), n1, n2, eps)
 
 
 @_case("psp-c6")
 def _psp_c6():
     for q in prime_powers(2, 23):
         for n in (4, 8, 16, 32):
-            yield (q, n), catalog.psp_c6, (n, q)
+            yield (q, n), catalog.psp_c6, (psp(n, q),)
 
 
 @_case("psp-c7")
@@ -338,7 +340,7 @@ def _psp_c7():
     for q in prime_powers(2, 16):
         for m in (2, 4):
             for t in (3, 5):
-                yield (q, m, t), catalog.psp_c7, (m ** t, q, m, t)
+                yield (q, m, t), catalog.psp_c7, (psp(m ** t, q), m, t)
 
 
 @_case("pso-c2-o1p")
@@ -346,7 +348,7 @@ def _pso_c2_o1p():
     for q in prime_powers(3, 13):
         for n in range(7, 31):
             for eps in _signs(n):
-                yield (q, n), catalog.pso_c2_o1p, (n, eps, q)
+                yield (q, n), catalog.pso_c2_o1p, (pomega(n, q, eps),)
 
 
 @_case("pso-c2-go-wr")
@@ -360,7 +362,7 @@ def _pso_c2_go_wr():
                 for eps1 in ((PLUS, MINUS) if m % 2 == 0 else (CIRC,)):
                     for eps in _signs(m * t):
                         yield ((q, m, t, eps1, eps), catalog.pso_c2_go_wr,
-                               (m * t, eps, q, m, eps1, t))
+                               (pomega(m * t, q, eps), m, eps1, t))
 
 
 @_case("pso-c3-extra")
@@ -369,7 +371,7 @@ def _pso_c3_extra():
         for m in range(3, 10):
             for s in (3, 5, 7):
                 for eps in _signs(m * s):
-                    yield (q, m, s, eps), catalog.pso_c3_extra, (m * s, eps, q, m, s)
+                    yield (q, m, s, eps), catalog.pso_c3_extra, (pomega(m * s, q, eps), m, s)
 
 
 @_case("pso-c4-large-n")
@@ -377,14 +379,14 @@ def _pso_c4_large_n():
     # the dimensions beyond the two always-large ones, 8 and 12
     for q in prime_powers(3, 9):
         for n in range(16, 41, 4):
-            yield (q, n), catalog.pso_c4_odd, (n, q)
+            yield (q, n), catalog.pso_c4_odd, (pomega(n, q, PLUS),)
 
 
 @_case("pso-c6")
 def _pso_c6():
     for q in prime_powers(3, 23):
         for n in (8, 16, 32):
-            yield (q, n), catalog.pso_c6, (n, q)
+            yield (q, n), catalog.pso_c6, (pomega(n, q, PLUS),)
 
 
 @_case("pso-c7")
@@ -397,7 +399,7 @@ def _pso_c7():
                     continue
                 for kind, eps1 in catalog.PSO_C7_KINDS:
                     yield ((q, m, t, kind), catalog.pso_c7,
-                           (n, CIRC if n % 2 else PLUS, q, m, t, kind, eps1))
+                           (pomega(n, q), m, t, kind, eps1))
 
 
 # Plain predicates.  tableA-cutoff must not pass the simplicity skip of

@@ -275,20 +275,20 @@ def test_criterion_8_sandwich_agreement():
     qs = [int(q) for q in prime_powers(2, 256)]
     for q in qs:
         m = 1 if q >= 5 else (2 if q >= 3 else 3)
-        v = is_large_h1(order(psl(3 * m, q)), catalog.psl_c2(3 * m, q, m, 3))
+        v = is_large_h1(order(psl(3 * m, q)), catalog.psl_c2(psl(3 * m, q), m, 3))
         _assert_no_contradiction(sandwich("psl-c2-t3", q), v.is_large, q)
 
-        v = is_large_h1(order(psl(3, q)), catalog.psl_c3(3, q, 1, 3))
+        v = is_large_h1(order(psl(3, q)), catalog.psl_c3(psl(3, q), 1, 3))
         _assert_no_contradiction(sandwich("psl-c3-r3", q), v.is_large, q)
 
         m = 1 if q >= 3 else 2
-        v = is_large_h1(order(psu(3 * m, q)), catalog.psu_c2_wr(3 * m, q, m, 3))
+        v = is_large_h1(order(psu(3 * m, q)), catalog.psu_c2_wr(psu(3 * m, q), m, 3))
         _assert_no_contradiction(sandwich("psu-c2-t3", q), v.is_large, q)
-        v = is_large_h1(order(psu(3 * m, q)), catalog.psu_c3(3 * m, q, m, 3))
+        v = is_large_h1(order(psu(3 * m, q)), catalog.psu_c3(psu(3 * m, q), m, 3))
         _assert_no_contradiction(sandwich("psu-c3-r3", q), v.is_large, q)
 
         for n in (2, 3, 4, 5):
-            v = is_large_h1(order(psl(n, q ** 3)), catalog.psl_c5(n, q ** 3, 3))
+            v = is_large_h1(order(psl(n, q ** 3)), catalog.psl_c5(psl(n, q ** 3), 3))
             _assert_no_contradiction(sandwich("psl-c5-r3", q, n=n),
                                      v.is_large, (q, n))
 
@@ -303,7 +303,7 @@ def test_criterion_8_sandwich_agreement():
         # center count, so pair it with even-dimensional hosts
         for n, eps in ((8, PLUS), (8, MINUS), (10, PLUS), (10, MINUS)):
             v = is_large_h1(order(pomega(n, q ** 3, eps)),
-                            catalog.pso_c5(n, eps, q ** 3, 3))
+                            catalog.pso_c5(pomega(n, q ** 3, eps), 3))
             _assert_no_contradiction(sandwich("po-c5-r3", q),
                                      v.is_large, (q, n, eps))
 

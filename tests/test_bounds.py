@@ -179,7 +179,7 @@ def test_sandwich_subfield_threshold_matches_catalog():
     # a decisive subfield verdict must agree with the exact cube test
     for q0 in [int(q) for q in prime_powers(2, 64)]:
         for n in (2, 3, 4, 5):
-            entry = catalog.psl_c5(n, q0 ** 3, 3)
+            entry = catalog.psl_c5(psl(n, q0 ** 3), 3)
             v = is_large_h1(order(psl(n, q0 ** 3)), entry)
             tri = sandwich("psl-c5-r3", q0, n=n)
             if tri.verdict == CERTAINLY_LARGE:

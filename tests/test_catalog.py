@@ -12,7 +12,7 @@ from large_atlas.orders import (CIRC, MINUS, PLUS, GroupId, is_simple, order,
 
 def test_psl_c2_wreath_entry():
     # GL(1,5) wr S4 inside PSL(4,5): (q-1)^3 t! / d = 64 * 24 / 4
-    e = catalog.psl_c2(4, 5, 1, 4)
+    e = catalog.psl_c2(psl(4, 5), 1, 4)
     assert e.type_descriptor == "GL(1,5) wr S4"
     assert e.h0_order == 384
     assert e.o1_order == 8
@@ -24,12 +24,12 @@ def test_psl_c2_wreath_entry():
 
 def test_psl_c2_rejects_bad_split():
     with pytest.raises(ConstraintViolation):
-        catalog.psl_c2(4, 5, 1, 3)  # 4 != 1 * 3
+        catalog.psl_c2(psl(4, 5), 1, 3)  # 4 != 1 * 3
 
 
 def test_psl_c3_field_extension_entry():
     # GL(1,q^3).3 inside PSL(3,q)
-    e = catalog.psl_c3(3, 4, 1, 3)
+    e = catalog.psl_c3(psl(3, 4), 1, 3)
     d = gcd(3, 4 - 1)
     assert e.h0_order == (4 ** 3 - 1) * 3 // (d * (4 - 1))
     assert e.aschbacher_class == "C3"
@@ -37,40 +37,40 @@ def test_psl_c3_field_extension_entry():
 
 def test_psl_c5_subfield_entry():
     # PSL(2,2) inside PSL(2,8) has order 6
-    e = catalog.psl_c5(2, 8, 3)
+    e = catalog.psl_c5(psl(2, 8), 3)
     assert e.h0_order == 6
     with pytest.raises(ConstraintViolation):
-        catalog.psl_c5(2, 8, 2)  # 2 does not divide the field degree 3
+        catalog.psl_c5(psl(2, 8), 2)  # 2 does not divide the field degree 3
 
 
 def test_psl_c6_rows():
-    rows = catalog.psl_c6(2, 5)
+    rows = catalog.psl_c6(psl(2, 5))
     assert [(r.name, r.h0_order) for r in rows] == [("A4", 12)]
-    rows = catalog.psl_c6(2, 7)
+    rows = catalog.psl_c6(psl(2, 7))
     assert any(r.name == "S4" and r.h0_order == 24 for r in rows)
 
 
 def test_psl_c6_needs_prime_field():
     with pytest.raises(ConstraintViolation):
-        catalog.psl_c6(2, 25)
+        catalog.psl_c6(psl(2, 25))
 
 
 def test_orthogonal_outer_contribution_never_counts_triality():
     # the eight-dimensional plus-type host has |Out| = 6 (or 24 for square q)
     # but the geometric families only ever see the degree-two part
-    e = catalog.pso_c5(8, PLUS, 27, 3)
+    e = catalog.pso_c5(pomega(8, 27, PLUS), 3)
     assert e.o1_order == 2 * gcd(4, 27 ** 4 - 1) * 3  # 2 d e with e = 3
-    e = catalog.pso_c2_go_wr(8, PLUS, 5, 2, MINUS, 4)
+    e = catalog.pso_c2_go_wr(pomega(8, 5, PLUS), 2, MINUS, 4)
     assert e.o1_order == 2 * gcd(4, 5 ** 4 - 1)
 
 
 def test_go_wreath_constraints():
     with pytest.raises((ConstraintViolation, UnsupportedGroup)):
-        catalog.pso_c2_go_wr(8, PLUS, 5, 3, MINUS, 4)  # 3 * 4 != 8
+        catalog.pso_c2_go_wr(pomega(8, 5, PLUS), 3, MINUS, 4)  # 3 * 4 != 8
 
 
 def test_o8_triality_candidates_are_labeled():
-    items = catalog.o8_triality_candidates(5)
+    items = catalog.o8_triality_candidates(pomega(8, 5, PLUS))
     labels = [dict(e.params)["item"] for e in items]
     assert labels == sorted(labels, key="i ii iii iv v vi vii viii ix x xi xii xiii".split().index)
     assert "ii" in labels and "viii" in labels and "xiii" in labels
@@ -81,7 +81,7 @@ def test_o8_triality_candidates_are_labeled():
 
 
 def test_o8_triality_q2_has_no_odd_characteristic_rows():
-    items = catalog.o8_triality_candidates(2)
+    items = catalog.o8_triality_candidates(pomega(8, 2, PLUS))
     labels = {dict(e.params)["item"] for e in items}
     assert "iv" not in labels   # needs odd prime q
     assert "xii" not in labels  # needs odd q
@@ -95,7 +95,7 @@ def test_o8_triality_q2_has_no_odd_characteristic_rows():
     (27, {"ix": ["GO+(8,3)"], "x": [], "xi": ["3D4(3)"]}),
 ])
 def test_o8_triality_subfield_and_twisted_items(q, want):
-    rows = catalog.o8_triality_candidates(q)
+    rows = catalog.o8_triality_candidates(pomega(8, q, PLUS))
     got = {label: [e.type_descriptor for e in rows if dict(e.params)["item"] == label]
            for label in want}
     assert got == want
@@ -105,17 +105,17 @@ def test_o8_triality_subfield_and_twisted_items(q, want):
 
 @pytest.mark.parametrize("q, sz", [(4, False), (8, True), (16, False), (32, True)])
 def test_sp4_graph_rows_are_labeled_in_list_order(q, sz):
-    rows = catalog.sp4_graph_candidates(q)
+    rows = catalog.sp4_graph_candidates(psp(4, q))
     assert [dict(e.params)["item"] for e in rows] == list(catalog.ROMAN[:len(rows)])
     assert (f"Sz({q})" in [e.name for e in rows]) == sz
 
 
 def test_sp4_graph_candidates_need_even_q_at_least_4():
     with pytest.raises(UnsupportedGroup):
-        catalog.sp4_graph_candidates(3)
+        catalog.sp4_graph_candidates(psp(4, 3))
     with pytest.raises(UnsupportedGroup):
-        catalog.sp4_graph_candidates(2)
-    assert catalog.sp4_graph_candidates(4)
+        catalog.sp4_graph_candidates(psp(4, 2))
+    assert catalog.sp4_graph_candidates(psp(4, 4))
 
 
 def test_table_entries_match_host():
@@ -173,6 +173,26 @@ def test_table_rows_load_once():
 def test_candidates_cover_expected_classes():
     got = {e.aschbacher_class for e in catalog.candidates(parse_group("PSL(2,7)"))}
     assert got == {"C1", "C2", "C3", "C6"}
+
+
+def test_constructors_row_the_host_they_are_given():
+    # candidates passes g0 as it is, and no constructor builds its own host
+    for name in ("PSL(6,4)", "PSU(6,5)", "PSp(8,9)", "POmega+(8,3)", "POmega-(10,4)",
+                 "POmega(9,3)"):
+        g = parse_group(name)
+        rows = catalog.candidates(g)
+        assert rows and all(e.host is g for e in rows), name
+    for g, which in ((pomega(8, 9, PLUS), "o8_triality"), (psp(4, 8), "sp4_graph")):
+        assert all(e.host is g for e in catalog.exceptional_candidates(g, which))
+
+
+def test_plus_type_constructors_reject_other_hosts():
+    for g in (pomega(8, 3, MINUS), pomega(16, 3, MINUS), pomega(9, 3)):
+        with pytest.raises(ConstraintViolation):
+            catalog.pso_c6(g)
+        with pytest.raises(ConstraintViolation):
+            catalog.pso_c4_odd(g)
+    assert catalog.pso_c6(pomega(8, 3, PLUS)).host == pomega(8, 3, PLUS)
 
 
 def test_exceptional_candidates_dispatch():
@@ -242,9 +262,9 @@ def test_pso_c6_only_on_plus_type_hosts():
 def test_pso_c4_odd_rows_divide_and_need_odd_q():
     for q in (3, 5, 7, 9):
         for n in range(8, 41, 4):
-            e = catalog.pso_c4_odd(n, q)
+            e = catalog.pso_c4_odd(pomega(n, q, PLUS))
             assert order(e.host) % e.h0_order == 0, (q, n)
             # the lower-bound row of the same type divides the exact order
-            assert e.h0_order % catalog.pso_c4(n, PLUS, q).h0_order == 0, (q, n)
+            assert e.h0_order % catalog.pso_c4(pomega(n, q, PLUS)).h0_order == 0, (q, n)
     with pytest.raises(ConstraintViolation):
-        catalog.pso_c4_odd(16, 4)
+        catalog.pso_c4_odd(pomega(16, 4, PLUS))

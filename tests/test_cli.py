@@ -200,6 +200,36 @@ def test_reproduce_family(capsys, tmp_path):
     assert report["members"] == ["5,2"]
 
 
+def test_tables_a0_json_prints_the_seven_host_rules(capsys):
+    code, out, _ = run(capsys, "tables", "A0", "--json")
+    assert code == 0
+    rules = json.loads(out)
+    assert len(rules) == 7 and all(set(r) == {"d", "p", "host"} for r in rules)
+    assert rules[0] == {"d": "d = 2 mod 4", "p": "2", "host": "Sp(d-2, 2)"}
+    assert [r["p"] for r in rules] == ["2"] * 5 + ["odd"] * 2
+
+
+def test_reproduce_one_case_writes_one_report(capsys, tmp_path):
+    code, out, _ = run(capsys, "reproduce", "psl-c3-r5", "--out-dir", str(tmp_path))
+    assert code == 0
+    assert [f.name for f in tmp_path.iterdir()] == ["psl-c3-r5.json"]
+    assert json.loads((tmp_path / "psl-c3-r5.json").read_text())["members"] == ["5,2"]
+    assert out.startswith("ok    psl-c3-r5 (") and len(out.splitlines()) == 1
+
+
+def test_reproduce_without_a_selector_exits_parse_error(capsys, tmp_path):
+    code, out, err = run(capsys, "reproduce", "--out-dir", str(tmp_path / "reports"))
+    assert code == 2 and out == ""
+    assert err == "reproduce: give a case id, --family PREFIX, or --all\n"
+    assert not (tmp_path / "reports").exists()
+
+
+def test_sweep_without_a_case_exits_parse_error(capsys):
+    code, out, err = run(capsys, "sweep")
+    assert code == 2 and out == ""
+    assert err == "sweep: a case id is required (or --list)\n"
+
+
 @pytest.mark.parametrize("host, selector", [
     ("PSL(4,2)", "A7"), ("PSp(4,2)", "A5"),
 ])

@@ -17,6 +17,8 @@ from large_atlas.orders import (
     order,
     out_order,
     parse_group,
+    pomega,
+    pomega_center,
     pomega_order,
     psl_order,
     psp_order,
@@ -24,6 +26,7 @@ from large_atlas.orders import (
     sl_order,
     sp_order,
     subgroup_name_order,
+    sylow_exponent,
     sym_order,
     sz_order,
     tri_d4_order,
@@ -92,6 +95,68 @@ def test_exceptional_coincidences():
     assert pomega_order(6, PLUS, 3) == psl_order(4, 3)
     assert pomega_order(6, MINUS, 3) == psu_order(4, 3)
     assert sym_order(6) == 720
+
+
+@pytest.mark.parametrize("n, eps, q, z", [
+    (8, PLUS, 3, 2), (8, PLUS, 2, 1), (8, MINUS, 3, 1), (8, MINUS, 5, 1),
+    (6, PLUS, 3, 1), (6, MINUS, 3, 2), (6, PLUS, 5, 2), (10, MINUS, 3, 2),
+    (7, CIRC, 3, 1), (7, CIRC, 4, 1),
+])
+def test_pomega_center(n, eps, q, z):
+    # |Z(Omega_2m^eps(q))| = gcd(4, q^m - eps) / gcd(2, q - 1); 1 for odd n
+    assert pomega_center(n, eps, q) == z
+    assert pomega_order(n, eps, q) * z == omega_order(n, eps, q)
+
+
+def test_pomega_order_agrees_with_each_exceptional_isomorphism():
+    # POmega(3), POmega-(4), POmega(5), POmega+-(6) and POmega(odd, even q)
+    # against the linear, unitary and symplectic order formulas
+    checked = 0
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        for n, eps in ((3, CIRC), (4, MINUS), (5, CIRC), (6, PLUS), (6, MINUS), (7, CIRC)):
+            g = pomega(n, q, eps)
+            canon = canonicalize(g)
+            if canon != g:
+                assert order(g) == order(canon), str(g)
+                checked += 1
+    assert checked >= 50
+
+
+def _p_adic(x, p):
+    k = 0
+    while x % p == 0:
+        x //= p
+        k += 1
+    return k
+
+
+def test_sylow_exponent_is_the_p_part_of_the_order():
+    hosts = [parse_group(f"{fam}({q})") for fam in ("G2", "3D4") for q in (2, 3, 4, 5)]
+    hosts += [parse_group(f"Sz({q})") for q in (8, 32)]
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for n in range(1, 11):
+            for fam in ("PSL", "SL", "GL", "PGL", "PSU", "SU", "GU", "PGU", "PSp", "Sp"):
+                hosts.append(parse_group(f"{fam}({n},{q})"))
+            for fam in ("POmega", "Omega", "SO", "GO"):
+                for sign in (("",) if n % 2 else ("+", "-")):
+                    hosts.append(parse_group(f"{fam}{sign}({n},{q})"))
+    checked = 0
+    for g in hosts:
+        try:
+            g_order = order(g)
+        except UnsupportedGroup:
+            continue  # Sp in odd dimension, SO(odd, even q), dimension too small
+        want = g.q.e * sylow_exponent(g)
+        got = _p_adic(g_order, g.q.p)
+        if g.family in ("SO", "GO") and g.q.p == 2:
+            assert got >= want, str(g)  # SO = 2 Omega adds a factor 2 here
+        else:
+            assert got == want, str(g)
+        checked += 1
+    assert checked > 800
+    for name in ("Alt(7)", "Sym(5)", "Sporadic(M11)"):
+        with pytest.raises(UnsupportedGroup):
+            sylow_exponent(parse_group(name))
 
 
 def test_suzuki_and_triality_formulas():
