@@ -10,6 +10,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from functools import cache
 
 from .bounds import order_bits_floor
 from .errors import (AmbiguousSelector, ConstraintViolation, GroupParseError,
@@ -175,7 +176,7 @@ def cmd_subgroups(args):
 def cmd_check(args):
     g0, g0_order = _host(args)
     if args.h0_order is not None:
-        v = is_large(g0_order, args.h0_order, args.o or 1)
+        v = is_large(g0_order, args.h0_order, 1 if args.o is None else args.o)
     else:
         entry = _resolve_entry(g0, args)
         if args.o is not None:
@@ -386,12 +387,15 @@ _VERBS = {
 }
 
 
+@cache
 def _build_parser(verb=None):
     """The command-line parser: with every verb's subparser, or with only
     the subparser of `verb`.  A one-verb parser parses that verb's command
     lines as the full one does; its usage line still names every verb
     (through the metavar), so the top-level errors it can still raise,
-    such as unrecognized arguments, print the same text."""
+    such as unrecognized arguments, print the same text.  Each parser is
+    built once per process: parse_args keeps no state in the parser, and
+    every call gets a fresh namespace."""
     top = argparse.ArgumentParser(
         prog="large-atlas",
         description="Exact arithmetic for large maximal subgroups of "

@@ -27,17 +27,31 @@ CLASSICAL = ("PSL", "PSU", "PSp", "POmega")
 _SPORADIC_SHA256 = "3c8d1b241ad9e43ca67360240bbb6deb9c8971ad56c1c54610217f33e55b7b39"
 
 
+def _sha256_hex(data):
+    """The SHA-256 hex digest of `data`, from CPython's built-in hash
+    module (`_sha2` from 3.12, `_sha256` before) where it exists: the
+    digest is the same, and unlike hashlib it does not load OpenSSL."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
 @cache
 def _sporadic_orders():
     """The fixed group orders of data/sporadic_orders.txt, by name.
 
-    Read and checked against _SPORADIC_SHA256 on first use, not at import:
-    hashlib loads OpenSSL, and most calls never look up a fixed order.
+    Read and checked against _SPORADIC_SHA256 on first use, not at import,
+    since most calls never look up a fixed order.  The digest comes from
+    the built-in SHA-256 (`_sha256_hex`), not hashlib, so that no verb loads
+    OpenSSL.
     """
-    import hashlib
-
     raw = resources.files("large_atlas.data").joinpath("sporadic_orders.txt").read_bytes()
-    if hashlib.sha256(raw).hexdigest() != _SPORADIC_SHA256:
+    if _sha256_hex(raw) != _SPORADIC_SHA256:
         raise DataIntegrityError("sporadic_orders.txt failed its checksum")
     table = {}
     for line in raw.decode().splitlines():

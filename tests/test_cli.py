@@ -114,6 +114,12 @@ def test_check_with_explicit_orders(capsys):
     assert code == 0 and json.loads(out)["is_large"] is True
 
 
+@pytest.mark.parametrize("selector", [["--h0-order", "21"], ["--class", "C1"]])
+def test_check_refuses_a_zero_outer_order(capsys, selector):
+    code, out, err = run(capsys, "check", "PSL(2,7)", *selector, "--o", "0")
+    assert code == 3 and out == "" and "orders must be positive" in err
+
+
 def test_check_exceptional_item(capsys):
     code, out, _ = run(capsys, "check", "POmega+(8,2)",
                        "--exceptional", "o8", "--item", "viii", "--o", "3")
@@ -378,6 +384,34 @@ def test_main_falls_back_to_the_full_parser(capsys, monkeypatch, argv):
     assert cli.main(["out", "PSL(2,7)"]) == 0 and built == [None, "out"]
 
 
+def test_a_reused_parser_carries_no_state_between_calls(capsys, monkeypatch):
+    for verb in (None, *cli._VERBS):
+        assert cli._build_parser(verb) is cli._build_parser(verb), verb
+    for argv, want in ((["subgroups", "PSL(2,7)", "--no-such-flag"], 2),
+                       (["check", "PSL(2,7)"], 4)):  # no selector: ambiguous
+        seen = []
+        for _ in range(2):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            seen.append((code, capsys.readouterr().err))
+        assert seen[0] == seen[1] and seen[0][0] == want and seen[0][1], argv
+    parsed = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsed.append(parse_args(self, *args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    assert cli.main(["check", "PSL(2,7)", "--h0-order", "21"]) == 0
+    assert cli.main(["check", "PSL(2,7)", "--class", "C1"]) == 0
+    capsys.readouterr()
+    assert (parsed[0].h0_order, parsed[0].klass) == (21, None)
+    assert (parsed[1].h0_order, parsed[1].klass) == (None, "C1")
+
+
 def _fresh_interpreter(code):
     """stdout lines of `code` run in a fresh interpreter, as every
     command-line call is."""
@@ -399,12 +433,16 @@ def test_small_verbs_import_neither_catalog_nor_sweep():
     assert _fresh_interpreter(code) == ["2", "7254000000", "[0, 0] []"]
 
 
-def test_only_a_sporadic_lookup_loads_hashlib():
-    # hashlib (OpenSSL) checks sporadic_orders.txt on the first lookup only
+def test_no_verb_loads_openssl():
+    # sporadic_orders.txt is checked with the built-in SHA-256, not hashlib;
+    # PSL(5,3) has the Table A row M11, so subgroups reads the sporadic table
     code = ("import sys\n"
             "from large_atlas.cli import main\n"
-            "codes = [main(['out', 'PSL(2,7)']), main(['order', 'PSL(4,5)'])]\n"
-            "print(codes, 'hashlib' in sys.modules)\n"
-            "print(main(['order', 'Sporadic(J3)']), 'hashlib' in sys.modules)\n")
-    assert _fresh_interpreter(code) == ["2", "7254000000", "[0, 0] False",
-                                        "50232960", "0 True"]
+            "for argv in (['out', 'PSL(2,7)'], ['order', 'PSL(4,5)'],\n"
+            "             ['order', 'Sporadic(J3)'], ['subgroups', 'PSL(5,3)']):\n"
+            "    code = main(argv)\n"
+            "    print('#', argv[0], code, '_hashlib' in sys.modules, flush=True)\n")
+    lines = _fresh_interpreter(code)
+    assert [line for line in lines if line.startswith("# ")] == [
+        "# out 0 False", "# order 0 False", "# order 0 False", "# subgroups 0 False"]
+    assert any(" M11 " in line for line in lines)

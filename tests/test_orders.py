@@ -1,5 +1,9 @@
 """Order formulas and group name handling."""
 
+import hashlib
+from importlib import resources
+from types import SimpleNamespace
+
 import pytest
 
 from large_atlas import orders
@@ -177,6 +181,37 @@ def test_sporadic_table_fails_its_checksum_on_first_use(monkeypatch):
         order(parse_group("Sporadic(J3)"))
     with pytest.raises(DataIntegrityError, match="checksum"):
         subgroup_name_order("J3")
+
+
+def _shipped_sporadic_table():
+    return resources.files("large_atlas.data").joinpath("sporadic_orders.txt").read_bytes()
+
+
+def test_sporadic_table_fails_its_checksum_on_changed_bytes(monkeypatch):
+    # one order changed by one digit: the file parses, only its digest differs
+    changed = _shipped_sporadic_table().replace(b"50232960", b"50232961")
+    assert changed != _shipped_sporadic_table()
+
+    class Data:
+        def joinpath(self, name):
+            assert name == "sporadic_orders.txt"
+            return self
+
+        def read_bytes(self):
+            return changed
+
+    monkeypatch.setattr(orders, "resources", SimpleNamespace(files=lambda package: Data()))
+    orders._sporadic_orders.cache_clear()
+    try:
+        with pytest.raises(DataIntegrityError, match="checksum"):
+            order(parse_group("Sporadic(J3)"))
+    finally:
+        orders._sporadic_orders.cache_clear()
+
+
+def test_builtin_sha256_of_the_shipped_table_equals_hashlib():
+    raw = _shipped_sporadic_table()
+    assert orders._sha256_hex(raw) == hashlib.sha256(raw).hexdigest() == orders._SPORADIC_SHA256
 
 
 def test_out_orders():
