@@ -12,22 +12,26 @@ argument: the family constructors psl_*, psu_*, psp_* and pso_*, the one C1
 constructor c1_stabilizer, and the candidate lists of the two graph-
 automorphism hosts.  A family constructor returns its row (or list of
 rows) or raises ConstraintViolation where its type does not occur in the
-host.  The module also provides the permutation-module host map and the
-two literal tables of almost simple irreducible candidates.
+host.  candidates is one loop over CONSTRUCTORS, which lists per family
+the constructors it tries, C1 first, each with the arguments that follow
+the host.  EXCEPTIONAL holds the two pools by --exceptional name.  pso_c4
+(type Sp2 (x) Sp_{n/2}) is exact at odd q, a lower bound at even q.  The
+module also provides the permutation-module host map and the two literal
+tables of almost simple irreducible candidates.
 """
 
 import re
 from dataclasses import dataclass, replace
 from functools import cache
 from importlib import resources
-from math import factorial, gcd, lcm
+from math import factorial, gcd, isqrt, lcm
 
 from .arith import is_prime, parse_prime_power
 from .errors import (ConstraintViolation, DataIntegrityError, GroupParseError,
                      UnknownCase, UnsupportedGroup)
 from .largeness import EXACT, LOWER, UPPER
-from .orders import (CIRC, CLASSICAL, MINUS, PLUS, GroupId, alt_order,
-                     g2_order, gl_order, go_order, gu_order, omega_order, order,
+from .orders import (CIRC, MINUS, PLUS, GroupId, alt_order, g2_order,
+                     gl_order, go_order, gu_order, omega_order, order,
                      out_order, parse_group, pomega, pomega_center, psl_order,
                      psp, psp_order, psu_order, sl_order, so_order, sp_order,
                      su_order, subgroup_name_order, sylow_exponent, sym_order,
@@ -510,25 +514,17 @@ def pso_c3_extra(g, m, s):
 
 
 def pso_c4(g):
-    """Lower bound |PSp_2(q) x PSp_{n/2}(q)|, the image of Sp_2 (x) Sp_{n/2}
-    in POmega; pso_c4_odd gives the exact order for q odd."""
+    """Type Sp_2(q) (x) Sp_{n/2}(q) in a plus-type host, 4 | n.  Exact for q
+    odd: |Sp_2 x Sp_{n/2}| / 2 times the diagonal part gcd(2, n/4), over the
+    center of order 2; for q even the lower bound |PSp_2(q) x PSp_{n/2}(q)|."""
     n, q = g.n, int(g.q)
     _require(g.eps == PLUS and n % 4 == 0, "the symplectic tensor type needs plus type")
-    h0 = sp_order(2, q) * sp_order(n // 2, q) // gcd(2, q - 1) ** 2
-    return _entry(g, "C4", f"Sp(2,{q}) (x) Sp({n // 2},{q})", {}, h0, 1,
+    desc = f"Sp(2,{q}) (x) Sp({n // 2},{q})"
+    if q % 2:
+        h0 = sp_order(2, q) * sp_order(n // 2, q) // 2 * gcd(2, n // 4) // 2
+        return _entry(g, "C4", desc, {}, h0, _pso_o1(g), formula="pso-c4-odd")
+    return _entry(g, "C4", desc, {}, sp_order(2, q) * sp_order(n // 2, q), 1,
                   bound=LOWER, formula="pso-c4-lower")
-
-
-def pso_c4_odd(g):
-    """The exact order of the type pso_c4 bounds, for q odd: |Sp_2 x
-    Sp_{n/2}| / 2 times the extra diagonal part gcd(2, n/4), divided by the
-    center, of order 2 since q is odd and n/2 is even."""
-    n, q = g.n, int(g.q)
-    _require(g.eps == PLUS, "the symplectic tensor type needs plus type")
-    _require(q % 2 == 1 and n % 4 == 0, "the exact symplectic tensor row needs odd q and 4 | n")
-    h0 = sp_order(2, q) * sp_order(n // 2, q) // 2 * gcd(2, n // 4) // 2
-    return _entry(g, "C4", f"Sp(2,{q}) (x) Sp({n // 2},{q})", {}, h0, _pso_o1(g),
-                  formula="pso-c4-odd")
 
 
 def pso_c5(g, r, eps_sub=None):
@@ -705,12 +701,8 @@ def o8_triality_candidates(g):
     return [_with_item(e, label) for label, e in rows]
 
 
-def exceptional_candidates(g0, which):
-    if which == "sp4_graph":
-        return sp4_graph_candidates(g0)
-    if which == "o8_triality":
-        return o8_triality_candidates(g0)
-    raise UnknownCase(f"unknown exceptional case {which!r}")
+# the two pools by the name the --exceptional flag gives them
+EXCEPTIONAL = {"sp4": sp4_graph_candidates, "o8": o8_triality_candidates}
 
 
 # ---------------------------------------------------------------------------
@@ -893,101 +885,108 @@ def _prime_divisors(k):
     return [r for r in range(2, k + 1) if k % r == 0 and is_prime(r)]
 
 
-def _divisor_splits(n):
-    return [(n // t, t) for t in range(2, n + 1) if n % t == 0]
+def _host_only(g):
+    return ((),)
 
 
-def _power_splits(n):
+def _splits(g):
+    """(m, t) with n = m*t and t >= 2: the block splits of C2."""
+    return [(g.n // t, t) for t in range(2, g.n + 1) if g.n % t == 0]
+
+
+def _swapped_splits(g):
+    """(t, m) for each block split (m, t): the tensor factors of C4."""
+    return [(t, m) for m, t in _splits(g)]
+
+
+def _extension_degrees(g):
+    """(n/r, r) for each prime r dividing n: the field extensions of C3."""
+    return [(g.n // r, r) for r in _prime_divisors(g.n)]
+
+
+def _subfield_indices(g):
+    """(r,) for each prime r dividing e, q = p^e: the subfields of C5."""
+    return [(r,) for r in _prime_divisors(g.q.e)]
+
+
+def _power_splits(g):
+    """(m, t) with n = m^t and t >= 2: the tensor powers of C7."""
     out = []
-    for m in range(2, n):
-        t = 0
-        k = 1
-        while k < n:
-            k *= m
-            t += 1
-        if k == n and t >= 2:
+    for m in range(2, isqrt(g.n) + 1):
+        k, t = m * m, 2
+        while k < g.n:
+            k, t = k * m, t + 1
+        if k == g.n:
             out.append((m, t))
     return out
 
 
-def _collect(out, fn, *args):
-    try:
-        r = fn(*args)
-    except (ConstraintViolation, UnsupportedGroup):
-        return
-    if isinstance(r, list):
-        out.extend(r)
-    else:
-        out.append(r)
+_SIGNS = (PLUS, MINUS, CIRC)
+
+# family -> the constructors candidates tries on a host of that family, in
+# row order, each with arguments(g): the argument tuples that follow the host
+CONSTRUCTORS = {
+    "PSL": (
+        (c1_stabilizer, _host_only),
+        (psl_c2, _splits),
+        (psl_c3, _extension_degrees),
+        (psl_c4, _swapped_splits),
+        (psl_c5, _subfield_indices),
+        (psl_c6, _host_only),
+        (psl_c7, _power_splits),
+        (psl_c8, _host_only),
+    ),
+    "PSU": (
+        (c1_stabilizer, _host_only),
+        (psu_c2_gl, _host_only),
+        (psu_c2_wr, _splits),
+        (psu_c3, _extension_degrees),
+        (psu_c4, _swapped_splits),
+        (psu_c5_subfield, _subfield_indices),
+        (psu_c5_form, lambda g: [("Sp",), (PLUS,), (MINUS,), (CIRC,)]),
+        (psu_c6, _host_only),
+        (psu_c7, _power_splits),
+    ),
+    "PSp": (
+        (c1_stabilizer, _host_only),
+        (psp_c2_gl, _host_only),
+        (psp_c2_wr, _splits),
+        (psp_c3, _extension_degrees),
+        (psp_c3_gu, _host_only),
+        (psp_c4, lambda g: [(n1, n2, e) for n1, n2 in _splits(g) for e in _SIGNS]),
+        (psp_c5, _subfield_indices),
+        (psp_c6, _host_only),
+        (psp_c7, _power_splits),
+    ),
+    "POmega": (
+        (c1_stabilizer, _host_only),
+        (pso_c2_gl, _host_only),
+        (pso_c2_o1p, _host_only),
+        (pso_c2_go_wr, lambda g: [(m, e, t) for m, t in _splits(g) for e in _SIGNS]),
+        (pso_c3, lambda g: [("GU",), ("GO",), ("GOo",)]),
+        (pso_c3_extra, _extension_degrees),
+        (pso_c4, _host_only),
+        (pso_c5, lambda g: [(r, e) for (r,) in _subfield_indices(g) for e in _SIGNS]),
+        (pso_c6, _host_only),
+        (pso_c7, lambda g: [(m, t) + kind for m, t in _power_splits(g)
+                            for kind in PSO_C7_KINDS]),
+    ),
+}
 
 
 def candidates(g0):
-    """All catalog entries whose constraints accept the given simple host."""
-    fam, n, q = g0.family, g0.n, g0.q
-    if fam not in CLASSICAL:
-        raise UnsupportedGroup(f"no catalog for family {fam}")
+    """All catalog entries whose constraints accept the given simple host:
+    every row of CONSTRUCTORS[g0.family] that no constraint rejects, then
+    the Table A/B rows of g0."""
+    if g0.family not in CONSTRUCTORS:
+        raise UnsupportedGroup(f"no catalog for family {g0.family}")
     out = []
-    _collect(out, c1_stabilizer, g0)
-    if fam == "PSL":
-        for m, t in _divisor_splits(n):
-            _collect(out, psl_c2, g0, m, t)
-        for r in _prime_divisors(n):
-            _collect(out, psl_c3, g0, n // r, r)
-        for m, t in _divisor_splits(n):
-            _collect(out, psl_c4, g0, t, m)
-        for r in _prime_divisors(q.e):
-            _collect(out, psl_c5, g0, r)
-        _collect(out, psl_c6, g0)
-        for m, t in _power_splits(n):
-            _collect(out, psl_c7, g0, m, t)
-        _collect(out, psl_c8, g0)
-    elif fam == "PSU":
-        _collect(out, psu_c2_gl, g0)
-        for m, t in _divisor_splits(n):
-            _collect(out, psu_c2_wr, g0, m, t)
-        for r in _prime_divisors(n):
-            _collect(out, psu_c3, g0, n // r, r)
-        for m, t in _divisor_splits(n):
-            _collect(out, psu_c4, g0, t, m)
-        for r in _prime_divisors(q.e):
-            _collect(out, psu_c5_subfield, g0, r)
-        for kind in ("Sp", PLUS, MINUS, CIRC):
-            _collect(out, psu_c5_form, g0, kind)
-        _collect(out, psu_c6, g0)
-        for m, t in _power_splits(n):
-            _collect(out, psu_c7, g0, m, t)
-    elif fam == "PSp":
-        _collect(out, psp_c2_gl, g0)
-        for m, t in _divisor_splits(n):
-            _collect(out, psp_c2_wr, g0, m, t)
-        for r in _prime_divisors(n):
-            _collect(out, psp_c3, g0, n // r, r)
-        _collect(out, psp_c3_gu, g0)
-        for n1, n2 in _divisor_splits(n):
-            for e2 in (PLUS, MINUS, CIRC):
-                _collect(out, psp_c4, g0, n1, n2, e2)
-        for r in _prime_divisors(q.e):
-            _collect(out, psp_c5, g0, r)
-        _collect(out, psp_c6, g0)
-        for m, t in _power_splits(n):
-            _collect(out, psp_c7, g0, m, t)
-    elif fam == "POmega":
-        _collect(out, pso_c2_gl, g0)
-        _collect(out, pso_c2_o1p, g0)
-        for m, t in _divisor_splits(n):
-            for e1 in (PLUS, MINUS, CIRC):
-                _collect(out, pso_c2_go_wr, g0, m, e1, t)
-        for kind in ("GU", "GO", "GOo"):
-            _collect(out, pso_c3, g0, kind)
-        for s in _prime_divisors(n):
-            _collect(out, pso_c3_extra, g0, n // s, s)
-        _collect(out, pso_c4, g0)
-        for r in _prime_divisors(q.e):
-            for e2 in (PLUS, MINUS, CIRC):
-                _collect(out, pso_c5, g0, r, e2)
-        _collect(out, pso_c6, g0)
-        for m, t in _power_splits(n):
-            for kind, e1 in PSO_C7_KINDS:
-                _collect(out, pso_c7, g0, m, t, kind, e1)
+    for fn, arguments in CONSTRUCTORS[g0.family]:
+        for args in arguments(g0):
+            try:
+                r = fn(g0, *args)
+            except (ConstraintViolation, UnsupportedGroup):
+                continue
+            out.extend(r if isinstance(r, list) else [r])
     out.extend(table_entries(g0))
     return out

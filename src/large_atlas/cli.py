@@ -28,8 +28,6 @@ EXIT_MISSING_GOLDEN = 5
 # the most decimal digits an integer in the output may have
 MAX_DIGITS = 2_000_000
 
-_EXCEPTIONAL = {"sp4": "sp4_graph", "o8": "o8_triality"}
-
 
 def _verdict_dict(v):
     return {
@@ -73,8 +71,8 @@ def _resolve_entries(g0, args):
     """All catalog entries matched by the selector flags."""
     from . import catalog
 
-    if getattr(args, "exceptional", None):
-        pool = catalog.exceptional_candidates(g0, _EXCEPTIONAL[args.exceptional])
+    if args.exceptional:
+        pool = catalog.EXCEPTIONAL[args.exceptional](g0)
         if args.item:
             label = _parse_item(args.item, catalog.ROMAN)
             pool = [e for e in pool if dict(e.params)["item"] == label]
@@ -83,9 +81,9 @@ def _resolve_entries(g0, args):
                     f"item {args.item} has no candidate at this field size")
     else:
         pool = catalog.candidates(g0)
-    if getattr(args, "klass", None):
+    if args.klass:
         pool = [e for e in pool if e.aschbacher_class.lower() == args.klass.lower()]
-    if getattr(args, "type", None):
+    if args.type:
         want = args.type.strip().lower()
         exact = [e for e in pool
                  if want in (e.type_descriptor.lower(), e.name.lower())]

@@ -394,10 +394,12 @@ def canonicalize(g):
 
 
 def out_order(g):
-    """|Out(G0)| for the four simple classical families."""
+    """|Out(G0)| for the four simple classical families.  It refuses n < 2,
+    as order does, and POmega with n < 3, which is trivial or cyclic."""
     fam, n, q, eps = g.family, g.n, g.q, g.eps
     if fam not in CLASSICAL:
         raise UnsupportedGroup(f"out_order not defined for {g}")
+    _check_dim(fam, n, 3 if fam == "POmega" else 2)
     e = q.e
     qi = q.q
     if fam == "PSL":

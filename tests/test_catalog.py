@@ -1,13 +1,16 @@
 """Subgroup catalog entries: orders, outer contributions, constraints."""
 
+import argparse
+
 import pytest
 
-from large_atlas import catalog
+from large_atlas import catalog, cli
 from large_atlas.arith import gcd, prime_powers
 from large_atlas.errors import ConstraintViolation, UnknownCase, UnsupportedGroup
 from large_atlas.largeness import is_large_h1
 from large_atlas.orders import (CIRC, MINUS, PLUS, GroupId, is_simple, order,
-                                out_order, parse_group, pomega, psl, psp, psu)
+                                out_order, parse_group, pomega, psl, psp,
+                                psp_order, psu)
 
 
 def test_psl_c2_wreath_entry():
@@ -182,8 +185,8 @@ def test_constructors_row_the_host_they_are_given():
         g = parse_group(name)
         rows = catalog.candidates(g)
         assert rows and all(e.host is g for e in rows), name
-    for g, which in ((pomega(8, 9, PLUS), "o8_triality"), (psp(4, 8), "sp4_graph")):
-        assert all(e.host is g for e in catalog.exceptional_candidates(g, which))
+    for g, pool in ((pomega(8, 9, PLUS), "o8"), (psp(4, 8), "sp4")):
+        assert all(e.host is g for e in catalog.EXCEPTIONAL[pool](g))
 
 
 def test_plus_type_constructors_reject_other_hosts():
@@ -191,14 +194,33 @@ def test_plus_type_constructors_reject_other_hosts():
         with pytest.raises(ConstraintViolation):
             catalog.pso_c6(g)
         with pytest.raises(ConstraintViolation):
-            catalog.pso_c4_odd(g)
+            catalog.pso_c4(g)
     assert catalog.pso_c6(pomega(8, 3, PLUS)).host == pomega(8, 3, PLUS)
 
 
-def test_exceptional_candidates_dispatch():
-    assert catalog.exceptional_candidates(parse_group("POmega+(8,3)"), "o8_triality")
+def test_exceptional_pools_by_name():
+    assert catalog.EXCEPTIONAL["o8"](parse_group("POmega+(8,3)"))
     with pytest.raises(UnsupportedGroup):
-        catalog.exceptional_candidates(parse_group("PSL(3,3)"), "o8_triality")
+        catalog.EXCEPTIONAL["o8"](parse_group("PSL(3,3)"))
+
+
+def test_the_constructor_table_is_the_whole_catalog():
+    # a constructor that no host tries would never reach candidates
+    defined = {attr for attr, fn in vars(catalog).items()
+               if attr.startswith(("psl_", "psu_", "psp_", "pso_"))
+               and getattr(fn, "__module__", None) == catalog.__name__}
+    listed = {fn.__name__ for rows in catalog.CONSTRUCTORS.values() for fn, _ in rows}
+    assert listed == defined | {"c1_stabilizer"}
+    assert set(catalog.CONSTRUCTORS) == {"PSL", "PSU", "PSp", "POmega"}
+    assert all(rows[0][0] is catalog.c1_stabilizer
+               for rows in catalog.CONSTRUCTORS.values())
+    # one pool per choice of the --exceptional flag
+    verbs = next(a.choices for a in cli._build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    flag, = (a for a in verbs["subgroups"]._actions if a.dest == "exceptional")
+    assert set(catalog.EXCEPTIONAL) == set(flag.choices)
+    with pytest.raises(UnsupportedGroup, match="no catalog for family Alt"):
+        catalog.candidates(parse_group("Alt(7)"))
 
 
 def test_collection_a_host_map():
@@ -262,9 +284,11 @@ def test_pso_c6_only_on_plus_type_hosts():
 def test_pso_c4_odd_rows_divide_and_need_odd_q():
     for q in (3, 5, 7, 9):
         for n in range(8, 41, 4):
-            e = catalog.pso_c4_odd(pomega(n, q, PLUS))
+            e = catalog.pso_c4(pomega(n, q, PLUS))
+            assert (e.formula, e.bound) == ("pso-c4-odd", catalog.EXACT), (q, n)
             assert order(e.host) % e.h0_order == 0, (q, n)
-            # the lower-bound row of the same type divides the exact order
-            assert e.h0_order % catalog.pso_c4(pomega(n, q, PLUS)).h0_order == 0, (q, n)
-    with pytest.raises(ConstraintViolation):
-        catalog.pso_c4_odd(pomega(16, 4, PLUS))
+            # the lower bound |PSp_2(q) x PSp_{n/2}(q)| divides the exact order
+            assert e.h0_order % (psp_order(2, q) * psp_order(n // 2, q)) == 0, (q, n)
+    # at even q the row is only the lower bound
+    e = catalog.pso_c4(pomega(16, 4, PLUS))
+    assert (e.formula, e.bound) == ("pso-c4-lower", catalog.LOWER)

@@ -100,6 +100,15 @@ def test_odd_dimensional_symplectic_host_exits_unsupported(capsys, verb):
     assert code == 3 and out == "" and "even dimension" in err
 
 
+@pytest.mark.parametrize("host", ["PSL(1,4)", "PSU(1,4)", "PSp(0,3)", "POmega(1,9)",
+                                  "POmega+(2,7)", "POmega-(2,7)"])
+def test_out_refuses_a_degenerate_host(capsys, host):
+    # PSL, PSU and PSp below dimension 2 have no order; POmega below
+    # dimension 3 is trivial or cyclic
+    code, out, err = run(capsys, "out", host)
+    assert code == 3 and out == "" and "needs dimension" in err
+
+
 def test_check_with_selector(capsys):
     code, out, _ = run(capsys, "check", "PSL(4,5)",
                        "--class", "C2", "--type", "GL(1,5) wr S4")
@@ -244,7 +253,8 @@ def test_table_rows_are_not_listed_twice(capsys, host, selector):
     assert code == 0
     # the rows `subgroups` lists, taken from its resolver: subgroups itself
     # refuses PSp(4,2) = S6, which is not simple
-    pool = cli._resolve_entries(parse_group(host), argparse.Namespace())
+    args = cli._build_parser("subgroups").parse_args(["subgroups", host])
+    pool = cli._resolve_entries(parse_group(host), args)
     rows = [json.dumps(cli._entry_dict(e), sort_keys=True) for e in pool]
     assert any(selector in r for r in rows)
     assert len(rows) == len(set(rows))
@@ -277,7 +287,7 @@ def test_sp4_item_number_and_label_select_the_same_row(capsys, host):
 def test_item_selector_exit_codes(capsys, host, pool):
     argv = ("subgroups", host, "--exceptional", pool, "--item")
     labels = {dict(e.params)["item"]
-              for e in catalog.exceptional_candidates(parse_group(host), cli._EXCEPTIONAL[pool])}
+              for e in catalog.EXCEPTIONAL[pool](parse_group(host))}
     for k, label in enumerate(catalog.ROMAN, 1):
         want = 0 if label in labels else 3
         assert run(capsys, *argv, str(k))[0] == want, k
