@@ -13,11 +13,14 @@ constructor c1_stabilizer, and the candidate lists of the two graph-
 automorphism hosts.  A family constructor returns its row (or list of
 rows) or raises ConstraintViolation where its type does not occur in the
 host.  candidates is one loop over CONSTRUCTORS, which lists per family
-the constructors it tries, C1 first, each with the arguments that follow
-the host.  EXCEPTIONAL holds the two pools by --exceptional name.  pso_c4
-(type Sp2 (x) Sp_{n/2}) is exact at odd q, a lower bound at even q.  The
-module also provides the permutation-module host map and the two literal
-tables of almost simple irreducible candidates.
+the constructors it tries, C1 first, each with the Aschbacher class of
+every row it returns and the arguments that follow the host.  Given a
+class, candidates calls only the constructors of that class, and builds
+the Table A/B rows only for class A or S.  EXCEPTIONAL holds the two
+pools by --exceptional name.  pso_c4 (type Sp2 (x) Sp_{n/2}) is exact at
+odd q, a lower bound at even q.  The module also provides the
+permutation-module host map and the two literal tables of almost simple
+irreducible candidates.
 """
 
 import re
@@ -924,69 +927,82 @@ def _power_splits(g):
 _SIGNS = (PLUS, MINUS, CIRC)
 
 # family -> the constructors candidates tries on a host of that family, in
-# row order, each with arguments(g): the argument tuples that follow the host
+# row order, each as (class, constructor, arguments): every row the
+# constructor returns has that Aschbacher class, and arguments(g) gives the
+# argument tuples that follow the host
 CONSTRUCTORS = {
     "PSL": (
-        (c1_stabilizer, _host_only),
-        (psl_c2, _splits),
-        (psl_c3, _extension_degrees),
-        (psl_c4, _swapped_splits),
-        (psl_c5, _subfield_indices),
-        (psl_c6, _host_only),
-        (psl_c7, _power_splits),
-        (psl_c8, _host_only),
+        ("C1", c1_stabilizer, _host_only),
+        ("C2", psl_c2, _splits),
+        ("C3", psl_c3, _extension_degrees),
+        ("C4", psl_c4, _swapped_splits),
+        ("C5", psl_c5, _subfield_indices),
+        ("C6", psl_c6, _host_only),
+        ("C7", psl_c7, _power_splits),
+        ("C8", psl_c8, _host_only),
     ),
     "PSU": (
-        (c1_stabilizer, _host_only),
-        (psu_c2_gl, _host_only),
-        (psu_c2_wr, _splits),
-        (psu_c3, _extension_degrees),
-        (psu_c4, _swapped_splits),
-        (psu_c5_subfield, _subfield_indices),
-        (psu_c5_form, lambda g: [("Sp",), (PLUS,), (MINUS,), (CIRC,)]),
-        (psu_c6, _host_only),
-        (psu_c7, _power_splits),
+        ("C1", c1_stabilizer, _host_only),
+        ("C2", psu_c2_gl, _host_only),
+        ("C2", psu_c2_wr, _splits),
+        ("C3", psu_c3, _extension_degrees),
+        ("C4", psu_c4, _swapped_splits),
+        ("C5", psu_c5_subfield, _subfield_indices),
+        ("C5", psu_c5_form, lambda g: [("Sp",), (PLUS,), (MINUS,), (CIRC,)]),
+        ("C6", psu_c6, _host_only),
+        ("C7", psu_c7, _power_splits),
     ),
     "PSp": (
-        (c1_stabilizer, _host_only),
-        (psp_c2_gl, _host_only),
-        (psp_c2_wr, _splits),
-        (psp_c3, _extension_degrees),
-        (psp_c3_gu, _host_only),
-        (psp_c4, lambda g: [(n1, n2, e) for n1, n2 in _splits(g) for e in _SIGNS]),
-        (psp_c5, _subfield_indices),
-        (psp_c6, _host_only),
-        (psp_c7, _power_splits),
+        ("C1", c1_stabilizer, _host_only),
+        ("C2", psp_c2_gl, _host_only),
+        ("C2", psp_c2_wr, _splits),
+        ("C3", psp_c3, _extension_degrees),
+        ("C3", psp_c3_gu, _host_only),
+        ("C4", psp_c4, lambda g: [(n1, n2, e) for n1, n2 in _splits(g) for e in _SIGNS]),
+        ("C5", psp_c5, _subfield_indices),
+        ("C6", psp_c6, _host_only),
+        ("C7", psp_c7, _power_splits),
     ),
     "POmega": (
-        (c1_stabilizer, _host_only),
-        (pso_c2_gl, _host_only),
-        (pso_c2_o1p, _host_only),
-        (pso_c2_go_wr, lambda g: [(m, e, t) for m, t in _splits(g) for e in _SIGNS]),
-        (pso_c3, lambda g: [("GU",), ("GO",), ("GOo",)]),
-        (pso_c3_extra, _extension_degrees),
-        (pso_c4, _host_only),
-        (pso_c5, lambda g: [(r, e) for (r,) in _subfield_indices(g) for e in _SIGNS]),
-        (pso_c6, _host_only),
-        (pso_c7, lambda g: [(m, t) + kind for m, t in _power_splits(g)
-                            for kind in PSO_C7_KINDS]),
+        ("C1", c1_stabilizer, _host_only),
+        ("C2", pso_c2_gl, _host_only),
+        ("C2", pso_c2_o1p, _host_only),
+        ("C2", pso_c2_go_wr, lambda g: [(m, e, t) for m, t in _splits(g) for e in _SIGNS]),
+        ("C3", pso_c3, lambda g: [("GU",), ("GO",), ("GOo",)]),
+        ("C3", pso_c3_extra, _extension_degrees),
+        ("C4", pso_c4, _host_only),
+        ("C5", pso_c5, lambda g: [(r, e) for (r,) in _subfield_indices(g) for e in _SIGNS]),
+        ("C6", pso_c6, _host_only),
+        ("C7", pso_c7, lambda g: [(m, t) + kind for m, t in _power_splits(g)
+                                  for kind in PSO_C7_KINDS]),
     ),
 }
 
 
-def candidates(g0):
+def candidates(g0, klass=None):
     """All catalog entries whose constraints accept the given simple host:
     every row of CONSTRUCTORS[g0.family] that no constraint rejects, then
-    the Table A/B rows of g0."""
+    the Table A/B rows of g0.  Given an Aschbacher class `klass` (compared
+    case-insensitively), only the rows of that class, in the same order:
+    the constructors of other classes are not called, and the Table A/B
+    rows are built only for klass A or S."""
     if g0.family not in CONSTRUCTORS:
         raise UnsupportedGroup(f"no catalog for family {g0.family}")
+    want = None if klass is None else klass.lower()
+
+    def keep(c):
+        return want is None or c.lower() == want
+
     out = []
-    for fn, arguments in CONSTRUCTORS[g0.family]:
+    for c, fn, arguments in CONSTRUCTORS[g0.family]:
+        if not keep(c):
+            continue
         for args in arguments(g0):
             try:
                 r = fn(g0, *args)
             except (ConstraintViolation, UnsupportedGroup):
                 continue
             out.extend(r if isinstance(r, list) else [r])
-    out.extend(table_entries(g0))
+    if keep("A") or keep("S"):
+        out.extend(e for e in table_entries(g0) if keep(e.aschbacher_class))
     return out

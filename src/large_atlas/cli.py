@@ -30,11 +30,12 @@ MAX_DIGITS = 2_000_000
 
 
 def _verdict_dict(v):
+    margin = v.margin
     return {
         "is_large": v.is_large,
         "lhs": v.lhs,
         "rhs": v.rhs,
-        "margin": f"{v.margin.numerator}/{v.margin.denominator}",
+        "margin": f"{margin.numerator}/{margin.denominator}",
         "mode": v.mode,
     }
 
@@ -80,7 +81,9 @@ def _resolve_entries(g0, args):
                 raise UnsupportedGroup(
                     f"item {args.item} has no candidate at this field size")
     else:
-        pool = catalog.candidates(g0)
+        # the class filter below is a no-op on this pool; passing the class
+        # only spares building the rows of the other classes
+        pool = catalog.candidates(g0, args.klass or None)
     if args.klass:
         pool = [e for e in pool if e.aschbacher_class.lower() == args.klass.lower()]
     if args.type:

@@ -47,7 +47,8 @@ class LargenessVerdict:
     @property
     def margin(self):
         """rhs / lhs in lowest terms; built on demand, since the gcd of two
-        huge orders costs more than the test itself."""
+        huge orders costs more than the test itself.  Each read builds it
+        again, so a caller that needs it twice should read it once."""
         return ExactRatio(self.rhs, self.lhs)
 
     def __str__(self):

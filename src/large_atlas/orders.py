@@ -282,7 +282,8 @@ def sym_order(d):
 
 
 def order(g):
-    """Exact order of the group identified by the GroupId g."""
+    """Exact order of the group identified by the GroupId g.  PSL, PSU and
+    PSp below dimension 2 and POmega below dimension 3 are refused."""
     fam, n, q, eps = g.family, g.n, g.q, g.eps
     if fam == "PSL":
         _check_dim(fam, n, 2)
@@ -294,6 +295,7 @@ def order(g):
         _check_dim(fam, n, 2)
         return psp_order(n, q)
     if fam == "POmega":
+        _check_dim(fam, n, 3)
         return pomega_order(n, eps, q)
     if fam == "GL":
         return gl_order(n, q)
@@ -394,8 +396,8 @@ def canonicalize(g):
 
 
 def out_order(g):
-    """|Out(G0)| for the four simple classical families.  It refuses n < 2,
-    as order does, and POmega with n < 3, which is trivial or cyclic."""
+    """|Out(G0)| for the four simple classical families.  Like order, it
+    refuses n < 2, and POmega with n < 3, which is trivial or cyclic."""
     fam, n, q, eps = g.family, g.n, g.q, g.eps
     if fam not in CLASSICAL:
         raise UnsupportedGroup(f"out_order not defined for {g}")

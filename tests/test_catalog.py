@@ -209,10 +209,10 @@ def test_the_constructor_table_is_the_whole_catalog():
     defined = {attr for attr, fn in vars(catalog).items()
                if attr.startswith(("psl_", "psu_", "psp_", "pso_"))
                and getattr(fn, "__module__", None) == catalog.__name__}
-    listed = {fn.__name__ for rows in catalog.CONSTRUCTORS.values() for fn, _ in rows}
+    listed = {fn.__name__ for rows in catalog.CONSTRUCTORS.values() for _, fn, _ in rows}
     assert listed == defined | {"c1_stabilizer"}
     assert set(catalog.CONSTRUCTORS) == {"PSL", "PSU", "PSp", "POmega"}
-    assert all(rows[0][0] is catalog.c1_stabilizer
+    assert all(rows[0][:2] == ("C1", catalog.c1_stabilizer)
                for rows in catalog.CONSTRUCTORS.values())
     # one pool per choice of the --exceptional flag
     verbs = next(a.choices for a in cli._build_parser()._actions

@@ -5,7 +5,9 @@ prints, for every simple host in canonical form with n <= 12 and q <= 16.
 Each line also carries the row's formula id and its sorted parameters, read
 from the catalog entry the JSON row was printed from, as `explain --json`
 prints them.  A change to the catalog, the order formulas or the cube test
-that moves a row shows up here as a line diff.  To rewrite the file after a deliberate
+that moves a row shows up here as a line diff.  Over the same hosts, two
+more tests check the class column of catalog.CONSTRUCTORS and that a class
+selector gives exactly the filtered rows.  To rewrite the file after a deliberate
 change:
 
     PYTHONPATH=src python tests/test_census.py
@@ -17,8 +19,11 @@ import json
 import pathlib
 from contextlib import redirect_stdout
 
+import pytest
+
 from large_atlas import catalog, cli
 from large_atlas.arith import prime_powers
+from large_atlas.errors import ConstraintViolation, UnsupportedGroup
 from large_atlas.orders import (CIRC, MINUS, PLUS, canonicalize, is_simple,
                                 pomega, psl, psp, psu)
 
@@ -66,6 +71,43 @@ def render_census():
 
 def test_census_matches_golden():
     assert render_census() == GOLDEN.read_text(encoding="utf-8")
+
+
+# every class a row can carry, a lowercase spelling, and a class no row has
+CLASSES = [f"C{i}" for i in range(1, 9)] + ["A", "S", "c2", "C9"]
+
+
+@pytest.fixture(scope="module")
+def hosts():
+    return census_hosts()
+
+
+def test_a_class_selects_the_rows_of_that_class_in_order(hosts):
+    # candidates(g, k) builds only class k's rows; the list must be the
+    # one a filter of the whole catalog gives
+    bad = []
+    for g in hosts:
+        rows = catalog.candidates(g)
+        for k in CLASSES:
+            want = [e for e in rows if e.aschbacher_class.lower() == k.lower()]
+            if catalog.candidates(g, k) != want:
+                bad.append((str(g), k))
+    assert bad == []
+
+
+def test_every_constructor_rows_its_listed_class(hosts):
+    bad = set()
+    for g in hosts:
+        for klass, fn, arguments in catalog.CONSTRUCTORS[g.family]:
+            for args in arguments(g):
+                try:
+                    r = fn(g, *args)
+                except (ConstraintViolation, UnsupportedGroup):
+                    continue
+                for e in r if isinstance(r, list) else [r]:
+                    if e.aschbacher_class != klass:
+                        bad.add((fn.__name__, klass, e.aschbacher_class))
+    assert bad == set()
 
 
 if __name__ == "__main__":

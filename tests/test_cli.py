@@ -100,12 +100,23 @@ def test_odd_dimensional_symplectic_host_exits_unsupported(capsys, verb):
     assert code == 3 and out == "" and "even dimension" in err
 
 
-@pytest.mark.parametrize("host", ["PSL(1,4)", "PSU(1,4)", "PSp(0,3)", "POmega(1,9)",
-                                  "POmega+(2,7)", "POmega-(2,7)"])
+# PSL, PSU and PSp below dimension 2 have no order; POmega below dimension
+# 3 is trivial or cyclic
+DEGENERATE_HOSTS = ["PSL(1,4)", "PSU(1,4)", "PSp(0,3)", "POmega(1,9)",
+                    "POmega+(2,7)", "POmega-(2,7)"]
+
+
+@pytest.mark.parametrize("host", DEGENERATE_HOSTS)
 def test_out_refuses_a_degenerate_host(capsys, host):
-    # PSL, PSU and PSp below dimension 2 have no order; POmega below
-    # dimension 3 is trivial or cyclic
     code, out, err = run(capsys, "out", host)
+    assert code == 3 and out == "" and "needs dimension" in err
+
+
+@pytest.mark.parametrize("verb", [["order"], ["check", "--class", "C1"],
+                                  ["explain", "--class", "C1"]])
+@pytest.mark.parametrize("host", DEGENERATE_HOSTS)
+def test_order_check_and_explain_refuse_a_degenerate_host(capsys, verb, host):
+    code, out, err = run(capsys, verb[0], host, *verb[1:])
     assert code == 3 and out == "" and "needs dimension" in err
 
 
