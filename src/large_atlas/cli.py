@@ -1,8 +1,10 @@
 """Command-line surface for the atlas.
 
 Verbs: order, out, subgroups, check, sweep, reproduce, tables, explain.
-All numeric output is exact decimal.  Exit codes: 0 success, 2 parse
-error, 3 unsupported group, 4 ambiguous selector, 5 missing golden files.
+All numeric output is exact decimal.  Exit codes: 0 success, 1 a
+failed check or a reader that closed the output early, 2 parse error,
+3 unsupported group, 4 ambiguous selector, 5 missing golden files.  The
+selector's --class and --type ignore surrounding spaces.
 """
 
 import argparse
@@ -16,7 +18,7 @@ from .bounds import order_bits_floor
 from .errors import (AmbiguousSelector, ConstraintViolation, GroupParseError,
                      LargeAtlasError, MissingGolden, NotAPrimePower,
                      UnknownCase, UnsupportedGroup)
-from .largeness import is_large, is_large_h1
+from .largeness import EXACT, is_large, is_large_h1
 from .orders import canonicalize, is_simple, order, out_order, parse_group
 
 EXIT_OK = 0
@@ -72,6 +74,7 @@ def _resolve_entries(g0, args):
     """All catalog entries matched by the selector flags."""
     from . import catalog
 
+    klass = (args.klass or "").strip() or None
     if args.exceptional:
         pool = catalog.EXCEPTIONAL[args.exceptional](g0)
         if args.item:
@@ -80,12 +83,10 @@ def _resolve_entries(g0, args):
             if not pool:
                 raise UnsupportedGroup(
                     f"item {args.item} has no candidate at this field size")
+        if klass:
+            pool = [e for e in pool if e.aschbacher_class.lower() == klass.lower()]
     else:
-        # the class filter below is a no-op on this pool; passing the class
-        # only spares building the rows of the other classes
-        pool = catalog.candidates(g0, args.klass or None)
-    if args.klass:
-        pool = [e for e in pool if e.aschbacher_class.lower() == args.klass.lower()]
+        pool = catalog.candidates(g0, klass)
     if args.type:
         want = args.type.strip().lower()
         exact = [e for e in pool
@@ -177,13 +178,11 @@ def cmd_subgroups(args):
 def cmd_check(args):
     g0, g0_order = _host(args)
     if args.h0_order is not None:
-        v = is_large(g0_order, args.h0_order, 1 if args.o is None else args.o)
+        h0, o, bound = args.h0_order, 1, EXACT
     else:
         entry = _resolve_entry(g0, args)
-        if args.o is not None:
-            v = is_large(g0_order, entry.h0_order, args.o)
-        else:
-            v = is_large_h1(g0_order, entry)
+        h0, o, bound = entry.h0_order, entry.o1_order, entry.bound
+    v = is_large(g0_order, h0, o if args.o is None else args.o, bound)
     with _digit_cap():
         print(json.dumps(_verdict_dict(v), indent=2))
     return EXIT_OK
@@ -423,7 +422,17 @@ def main(argv=None):
     verb = argv[0] if argv and argv[0] in _VERBS else None
     args = _build_parser(verb).parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # a reader that closed the output early shows here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: write that to
+        # devnull, so that it cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except AmbiguousSelector as exc:
         print(f"error: {exc}", file=sys.stderr)
         for cand in exc.candidates:

@@ -57,20 +57,19 @@ class LargenessVerdict:
                 f" ({'large' if self.is_large else 'not large'}, {self.mode})")
 
 
-def _verdict(g0_order, h0_order, o_order, kind):
+def is_large(g0_order, h0_order, o_order=1, bound=EXACT):
+    """Exact test of |G0| <= |H0|^3 |O|^2 from integer orders.  `bound`
+    says what |H0| is: EXACT, or the UPPER or LOWER bound a catalog row
+    stores, which sets the verdict's mode (see is_large_h1)."""
+    g0_order, h0_order, o_order = int(g0_order), int(h0_order), int(o_order)
     if g0_order <= 0 or h0_order <= 0 or o_order <= 0:
         raise ConstraintViolation("orders must be positive")
     rhs = h0_order ** 3 * o_order ** 2
     large = g0_order <= rhs
-    mode = _MODES.get((kind, large))
+    mode = _MODES.get((bound, large))
     if mode is None:
-        raise ConstraintViolation(f"unknown bound kind {kind!r}")
+        raise ConstraintViolation(f"unknown bound kind {bound!r}")
     return LargenessVerdict(h0_order, o_order, g0_order, rhs, large, mode)
-
-
-def is_large(g0_order, h0_order, o_order=1):
-    """Exact test of |G0| <= |H0|^3 |O|^2 from integer orders."""
-    return _verdict(int(g0_order), int(h0_order), int(o_order), EXACT)
 
 
 def is_large_h1(g0_order, entry):
@@ -83,7 +82,7 @@ def is_large_h1(g0_order, entry):
     verdict keeps its literal truth value but is flagged bound_only so
     callers know it settles nothing.
     """
-    return _verdict(int(g0_order), entry.h0_order, entry.o1_order, entry.bound)
+    return is_large(g0_order, entry.h0_order, entry.o1_order, entry.bound)
 
 
 def decisive(verdict):

@@ -5,6 +5,10 @@ orthogonal) in their quasisimple, adjoint and projective variants, the
 alternating/symmetric groups, the handful of exceptional families needed by
 the tables (Sz, G2, triality D4), and a small checked-in list of fixed group
 orders.  Everything is exact integer arithmetic.
+
+The table FAMILIES holds each family's name shape, least dimension and
+order formula: `order` looks a group up there, `GroupId.__str__` and
+`parse_group` read the shape, and `out_order` the least dimension.
 """
 
 import re
@@ -63,14 +67,6 @@ def _sporadic_orders():
     return table
 
 
-_FAMILIES = {
-    "PSL", "PSU", "PSp", "POmega",
-    "SL", "GL", "SU", "GU", "Sp", "PGL", "PGU",
-    "SO", "GO", "Omega",
-    "Alt", "Sym", "Sz", "G2", "3D4", "Sporadic",
-}
-
-
 @dataclass(frozen=True)
 class GroupId:
     """Identifier of a group in one of the supported families."""
@@ -82,17 +78,18 @@ class GroupId:
     name: str = ""
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise UnsupportedGroup(f"unknown family {self.family!r}")
 
     def __str__(self):
-        if self.family == "Sporadic":
-            return f"Sporadic({self.name})"
-        if self.family in ("Alt", "Sym"):
+        shape = FAMILIES[self.family][0]
+        if shape == "name":
+            return f"{self.family}({self.name})"
+        if shape == "degree":
             return f"{self.family}({self.n})"
-        if self.family in ("Sz", "G2", "3D4"):
+        if shape == "field":
             return f"{self.family}({self.q})"
-        if self.family in ("POmega", "SO", "GO", "Omega") and self.eps in (PLUS, MINUS):
+        if shape == "signed" and self.eps in (PLUS, MINUS):
             return f"{self.family}{self.eps}({self.n},{self.q})"
         return f"{self.family}({self.n},{self.q})"
 
@@ -281,54 +278,49 @@ def sym_order(d):
     return factorial(d)
 
 
+def _sporadic_order(name):
+    table = _sporadic_orders()
+    if name not in table:
+        raise UnsupportedGroup(f"unknown sporadic name {name!r}")
+    return table[name]
+
+
+# family -> (name shape, least dimension, order of a GroupId of the family).
+# Shapes: "nq" F(n,q), "signed" F(n,q) or F+(n,q) / F-(n,q) in even
+# dimension, "degree" F(d), "field" F(q), "name" F(X).  A least dimension
+# of 0 leaves the check to the formula (Alt and Sym need degree >= 1, Sz an
+# odd power of 2, a sporadic group a known name).
+FAMILIES = {
+    "PSL": ("nq", 2, lambda g: psl_order(g.n, g.q)),
+    "PSU": ("nq", 2, lambda g: psu_order(g.n, g.q)),
+    "PSp": ("nq", 2, lambda g: psp_order(g.n, g.q)),
+    "POmega": ("signed", 3, lambda g: pomega_order(g.n, g.eps, g.q)),
+    "GL": ("nq", 1, lambda g: gl_order(g.n, g.q)),
+    "SL": ("nq", 1, lambda g: sl_order(g.n, g.q)),
+    "PGL": ("nq", 1, lambda g: sl_order(g.n, g.q)),
+    "GU": ("nq", 1, lambda g: gu_order(g.n, g.q)),
+    "SU": ("nq", 1, lambda g: su_order(g.n, g.q)),
+    "PGU": ("nq", 1, lambda g: su_order(g.n, g.q)),
+    "Sp": ("nq", 2, lambda g: sp_order(g.n, g.q)),
+    "SO": ("signed", 2, lambda g: so_order(g.n, g.eps, g.q)),
+    "GO": ("signed", 2, lambda g: go_order(g.n, g.eps, g.q)),
+    "Omega": ("signed", 2, lambda g: omega_order(g.n, g.eps, g.q)),
+    "Alt": ("degree", 0, lambda g: alt_order(g.n)),
+    "Sym": ("degree", 0, lambda g: sym_order(g.n)),
+    "Sz": ("field", 0, lambda g: sz_order(g.q)),
+    "G2": ("field", 0, lambda g: g2_order(g.q)),
+    "3D4": ("field", 0, lambda g: tri_d4_order(g.q)),
+    "Sporadic": ("name", 0, lambda g: _sporadic_order(g.name)),
+}
+
+
 def order(g):
-    """Exact order of the group identified by the GroupId g.  PSL, PSU and
-    PSp below dimension 2 and POmega below dimension 3 are refused."""
-    fam, n, q, eps = g.family, g.n, g.q, g.eps
-    if fam == "PSL":
-        _check_dim(fam, n, 2)
-        return psl_order(n, q)
-    if fam == "PSU":
-        _check_dim(fam, n, 2)
-        return psu_order(n, q)
-    if fam == "PSp":
-        _check_dim(fam, n, 2)
-        return psp_order(n, q)
-    if fam == "POmega":
-        _check_dim(fam, n, 3)
-        return pomega_order(n, eps, q)
-    if fam == "GL":
-        return gl_order(n, q)
-    if fam in ("SL", "PGL"):
-        return sl_order(n, q)
-    if fam == "GU":
-        return gu_order(n, q)
-    if fam in ("SU", "PGU"):
-        return su_order(n, q)
-    if fam == "Sp":
-        return sp_order(n, q)
-    if fam == "SO":
-        return so_order(n, eps, q)
-    if fam == "GO":
-        return go_order(n, eps, q)
-    if fam == "Omega":
-        return omega_order(n, eps, q)
-    if fam == "Alt":
-        return alt_order(n)
-    if fam == "Sym":
-        return sym_order(n)
-    if fam == "Sz":
-        return sz_order(q)
-    if fam == "G2":
-        return g2_order(q)
-    if fam == "3D4":
-        return tri_d4_order(q)
-    if fam == "Sporadic":
-        table = _sporadic_orders()
-        if g.name not in table:
-            raise UnsupportedGroup(f"unknown sporadic name {g.name!r}")
-        return table[g.name]
-    raise UnsupportedGroup(f"cannot compute order of {g}")
+    """Exact order of the group identified by the GroupId g: its family's
+    formula in FAMILIES, after refusing n below the family's least
+    dimension."""
+    _shape, least, formula = FAMILIES[g.family]
+    _check_dim(g.family, g.n, least)
+    return formula(g)
 
 
 def _check_dim(fam, n, lo):
@@ -397,11 +389,11 @@ def canonicalize(g):
 
 def out_order(g):
     """|Out(G0)| for the four simple classical families.  Like order, it
-    refuses n < 2, and POmega with n < 3, which is trivial or cyclic."""
+    refuses n below the family's least dimension in FAMILIES."""
     fam, n, q, eps = g.family, g.n, g.q, g.eps
     if fam not in CLASSICAL:
         raise UnsupportedGroup(f"out_order not defined for {g}")
-    _check_dim(fam, n, 3 if fam == "POmega" else 2)
+    _check_dim(fam, n, FAMILIES[fam][1])
     e = q.e
     qi = q.q
     if fam == "PSL":
@@ -434,7 +426,7 @@ def out_order(g):
 # ---------------------------------------------------------------------------
 
 _GROUP_RE = re.compile(
-    rf"^(?P<fam>{'|'.join(sorted(_FAMILIES))})"
+    rf"^(?P<fam>{'|'.join(sorted(FAMILIES))})"
     r"(?P<sign>[+-]?)\((?P<args>[^)]*)\)$"
 )
 
@@ -447,15 +439,16 @@ def parse_group(text):
     fam = m.group("fam")
     sign = m.group("sign")
     args = [a.strip() for a in m.group("args").split(",") if a.strip()]
-    if fam == "Sporadic":
+    shape = FAMILIES[fam][0]
+    if shape == "name":
         if len(args) != 1 or sign:
             raise GroupParseError(f"bad sporadic selector {text!r}")
         return sporadic(args[0])
-    if fam in ("Alt", "Sym"):
+    if shape == "degree":
         if len(args) != 1 or sign or not args[0].isdigit():
             raise GroupParseError(f"bad degree in {text!r}")
         return GroupId(fam, int(args[0]))
-    if fam in ("Sz", "G2", "3D4"):
+    if shape == "field":
         if len(args) != 1 or sign or not args[0].isdigit():
             raise GroupParseError(f"bad field size in {text!r}")
         g = GroupId(fam, 0, parse_prime_power(int(args[0])))
@@ -464,7 +457,7 @@ def parse_group(text):
     if len(args) != 2 or not all(a.isdigit() for a in args):
         raise GroupParseError(f"expected two integer arguments in {text!r}")
     n, q = int(args[0]), int(args[1])
-    if fam in ("POmega", "SO", "GO", "Omega"):
+    if shape == "signed":
         if sign:
             eps = sign
             if n % 2:

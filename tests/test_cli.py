@@ -10,7 +10,7 @@ import time
 import pytest
 
 import large_atlas
-from large_atlas import catalog, cli
+from large_atlas import catalog, cli, orders
 from large_atlas.orders import parse_group
 
 
@@ -138,6 +138,58 @@ def test_check_with_explicit_orders(capsys):
 def test_check_refuses_a_zero_outer_order(capsys, selector):
     code, out, err = run(capsys, "check", "PSL(2,7)", *selector, "--o", "0")
     assert code == 3 and out == "" and "orders must be positive" in err
+
+
+def test_check_outer_order_keeps_the_rows_bound_kind(capsys):
+    # the C1 row stores a Sylow lower bound on |H0|: with or without --o,
+    # a verdict that passes is forced_large, not exact
+    for o in ([], ["--o", "1"], ["--o", "2"]):
+        code, out, _ = run(capsys, "check", "PSL(4,5)", "--class", "C1", *o)
+        assert code == 0 and json.loads(out)["mode"] == "forced_large"
+
+
+@pytest.mark.parametrize("host, selector", [
+    ("PSL(4,5)", []),
+    ("POmega+(8,3)", ["--exceptional", "o8"]),
+])
+def test_class_selector_ignores_surrounding_spaces(capsys, host, selector):
+    code, out, err = run(capsys, "subgroups", host, "--class", "C2", *selector)
+    assert code == 0 and "C2  " in out
+    assert run(capsys, "subgroups", host, "--class", " C2 ", *selector) == (code, out, err)
+    typed = ("check", host, "--type", "GO+(4,3) wr S2" if selector else "GL(1,5) wr S4")
+    expected = run(capsys, *typed, "--class", "C2", *selector)
+    assert expected[0] == 0
+    assert run(capsys, *typed, "--class", " C2", *selector) == expected
+
+
+# below the least dimension of their family (orders.FAMILIES): each of
+# these printed 0, a wrong order or the order 1 of a zero-dimensional group
+BELOW_LEAST_DIMENSION = ["SL(0,5)", "SU(0,5)", "PGL(0,5)", "PGU(0,5)", "SO+(0,3)",
+                         "GO+(0,3)", "Omega+(0,3)", "SO(1,3)", "GO(1,3)", "Sp(0,3)",
+                         "GL(0,2)", "Omega(1,3)", "GU(0,4)"]
+
+
+@pytest.mark.parametrize("group", BELOW_LEAST_DIMENSION)
+def test_order_refuses_a_group_below_its_least_dimension(capsys, group):
+    code, out, err = run(capsys, "order", group)
+    family = parse_group(group).family
+    assert code == 3 and out == "" and f"{family} needs dimension >= " in err
+
+
+def test_every_family_with_a_least_dimension_has_a_refused_group():
+    named = {parse_group(g).family for g in BELOW_LEAST_DIMENSION + DEGENERATE_HOSTS}
+    assert named == {fam for fam, (_, least, _) in orders.FAMILIES.items() if least}
+
+
+def test_a_reader_that_closes_early_gets_exit_1_and_no_traceback():
+    # about 135000 digits: more than the pipe holds, so the write fails
+    proc = subprocess.Popen([sys.executable, "-m", "large_atlas.cli", "order", "PSL(400,7)"],
+                            env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(1).isdigit()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1 and err == b""
 
 
 def test_check_exceptional_item(capsys):
@@ -433,13 +485,17 @@ def test_a_reused_parser_carries_no_state_between_calls(capsys, monkeypatch):
     assert (parsed[1].h0_order, parsed[1].klass) == (None, "C1")
 
 
+def _env():
+    """The environment of a fresh interpreter that imports this large_atlas."""
+    src = os.path.dirname(os.path.dirname(large_atlas.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def _fresh_interpreter(code):
     """stdout lines of `code` run in a fresh interpreter, as every
     command-line call is."""
-    src = os.path.dirname(os.path.dirname(large_atlas.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()

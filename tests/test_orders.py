@@ -242,6 +242,46 @@ def test_bad_dimensions_rejected():
         order(parse_group("PSp(3,3)"))
 
 
+def _group_in_dimension(family, n):
+    """A group of `family` in dimension or degree n, over GF(8) where it has
+    a field: the one odd power of 2 that Sz takes."""
+    shape = orders.FAMILIES[family][0]
+    if shape == "name":
+        return orders.sporadic("J3")
+    if shape == "degree":
+        return orders.GroupId(family, n)
+    q = orders.parse_prime_power(8)
+    eps = (PLUS if n % 2 == 0 else CIRC) if shape == "signed" else ""
+    return orders.GroupId(family, n if shape != "field" else 0, q, eps)
+
+
+@pytest.mark.parametrize("family", sorted(orders.FAMILIES))
+def test_every_family_has_a_least_dimension(family):
+    least = orders.FAMILIES[family][1]
+    if least:
+        below = _group_in_dimension(family, least - 1)
+        with pytest.raises(UnsupportedGroup, match=f"{family} needs dimension >= {least}"):
+            order(below)
+    # a degree of 0 is refused by Alt's and Sym's own check, d >= 1
+    g = _group_in_dimension(family, max(least, 1))
+    assert order(g) > 0
+
+
+# one name of each shape, the signed one with and without its sign
+SHAPE_NAMES = ["PSL(4,5)", "POmega+(8,3)", "SO(5,3)", "Alt(7)", "Sz(8)", "Sporadic(J3)"]
+
+
+@pytest.mark.parametrize("name", SHAPE_NAMES)
+def test_every_name_shape_round_trips(name):
+    g = parse_group(name)
+    assert str(g) == name and parse_group(str(g)) == g
+
+
+def test_the_round_trips_cover_every_name_shape():
+    shapes = {orders.FAMILIES[parse_group(name).family][0] for name in SHAPE_NAMES}
+    assert shapes == {shape for shape, _, _ in orders.FAMILIES.values()}
+
+
 def test_is_simple():
     assert is_simple(parse_group("PSL(2,5)"))
     assert not is_simple(parse_group("PSL(2,2)"))
