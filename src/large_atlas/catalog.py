@@ -10,11 +10,12 @@ tell decisive verdicts from inconclusive ones.
 Every constructor takes the host GroupId it builds rows for as its first
 argument: the family constructors psl_*, psu_*, psp_* and pso_*, the one C1
 constructor c1_stabilizer, and the candidate lists of the two graph-
-automorphism hosts.  A family constructor returns its row (or list of
-rows) or raises ConstraintViolation where its type does not occur in the
-host.  candidates is one loop over CONSTRUCTORS, which lists per family
-the constructors it tries, C1 first, each with the Aschbacher class of
-every row it returns and the arguments that follow the host.  Given a
+automorphism hosts.  A family constructor returns one row, or raises
+ConstraintViolation where its type does not occur in the host.
+candidates is one loop over CONSTRUCTORS, which lists per family the
+constructors it tries, C1 first, each with the Aschbacher class of its
+rows and the arguments that follow the host; it offers only arguments the
+host admits (signs gives the orthogonal signs of a dimension).  Given a
 class, candidates calls only the constructors of that class, and builds
 the Table A/B rows only for class A or S.  EXCEPTIONAL holds the two
 pools by --exceptional name.  pso_c4 (type Sp2 (x) Sp_{n/2}) is exact at
@@ -68,6 +69,11 @@ def _require(cond, msg):
 def _entry(host, klass, desc, params, h0, o1, bound=EXACT, name="", formula=""):
     return SubgroupEntry(host, klass, desc, tuple(sorted(params.items())),
                          int(h0), int(o1), bound, name, formula)
+
+
+def signs(n):
+    """The orthogonal signs a form of dimension n can carry."""
+    return (CIRC,) if n % 2 else (PLUS, MINUS)
 
 
 def c1_stabilizer(g):
@@ -128,37 +134,28 @@ def psl_c5(g, r):
 
 
 def psl_c6(g):
-    """Extraspecial normalizer rows, one tuple of candidates per dimension."""
+    """The extraspecial normalizer row of a host over a prime field, where
+    its dimension and q admit one (there is never more than one)."""
     n, qq = g.n, g.q
     q = qq.q
     _require(qq.e == 1, "extraspecial normalizers need prime fields")
-    out = []
-    if n == 2:
-        if q % 8 in (1, 7):
-            out.append(_entry(g, "C6", "2^(1+2).O2-(2)", {}, 24, 1,
-                              name="S4", formula="psl-c6-n2"))
-        elif q % 8 in (3, 5) and q > 3:
-            out.append(_entry(g, "C6", "2^(1+2).O2-(2)", {}, 12, 2,
-                              name="A4", formula="psl-c6-n2"))
-    elif n == 3 and q % 3 == 1:
+    if n == 2 and q % 8 in (1, 7):
+        return _entry(g, "C6", "2^(1+2).O2-(2)", {}, 24, 1, name="S4", formula="psl-c6-n2")
+    if n == 2 and q % 8 in (3, 5) and q > 3:
+        return _entry(g, "C6", "2^(1+2).O2-(2)", {}, 12, 2, name="A4", formula="psl-c6-n2")
+    if n == 3 and q % 3 == 1:
         h0 = 216 if q % 9 == 1 else 72
         name = "3^2:SL2(3)" if h0 == 216 else "3^2:Q8"
-        out.append(_entry(g, "C6", "3^(1+2):Sp2(3)", {}, h0, 2,
-                          name=name, formula="psl-c6-n3"))
-    elif n == 4:
-        if q % 8 == 5:
-            out.append(_entry(g, "C6", "(4 o 2^(1+4)).Sp4(2)", {},
-                              16 * alt_order(6), 4, name="2^4.A6",
-                              formula="psl-c6-n4"))
-        elif q % 8 == 1:
-            out.append(_entry(g, "C6", "(4 o 2^(1+4)).Sp4(2)", {},
-                              16 * sym_order(6), 2, name="2^4.S6",
-                              formula="psl-c6-n4"))
-    elif n == 8 and q % 4 == 1:
-        out.append(_entry(g, "C6", "(4 o 2^(1+6)).Sp6(2)", {},
-                          64 * sp_order(6, 2), 2,
-                          name="2^6.Sp6(2)", formula="psl-c6-n8"))
-    return out
+        return _entry(g, "C6", "3^(1+2):Sp2(3)", {}, h0, 2, name=name, formula="psl-c6-n3")
+    if n == 4 and q % 8 == 5:
+        return _entry(g, "C6", "(4 o 2^(1+4)).Sp4(2)", {}, 16 * alt_order(6), 4,
+                      name="2^4.A6", formula="psl-c6-n4")
+    if n == 4 and q % 8 == 1:
+        return _entry(g, "C6", "(4 o 2^(1+4)).Sp4(2)", {}, 16 * sym_order(6), 2,
+                      name="2^4.S6", formula="psl-c6-n4")
+    _require(n == 8 and q % 4 == 1, "no extraspecial normalizer for this n and q")
+    return _entry(g, "C6", "(4 o 2^(1+6)).Sp6(2)", {}, 64 * sp_order(6, 2), 2,
+                  name="2^6.Sp6(2)", formula="psl-c6-n8")
 
 
 def psl_c7(g, m, t):
@@ -169,22 +166,22 @@ def psl_c7(g, m, t):
                   h0, out_order(g), bound=UPPER, formula="psl-c7")
 
 
-def psl_c8(g):
+def psl_c8(g, kind):
+    """The form stabilizer of the given kind: "Sp", "GO" or "GU"."""
     n, qq = g.n, g.q
     q = qq.q
-    out = []
-    if n % 2 == 0 and n >= 4:
-        out.append(_entry(g, "C8", f"Sp({n},{q})", {}, psp_order(n, q), 1,
-                          bound=LOWER, formula="c8-classical-lower"))
-    if q % 2 == 1 and n >= 3:
-        eps = CIRC if n % 2 else PLUS
-        out.append(_entry(g, "C8", f"GO({n},{q})", {}, so_order(n, eps, q),
-                          1, bound=LOWER, formula="c8-classical-lower"))
-    if qq.e % 2 == 0 and n >= 3:
-        q0 = qq.p ** (qq.e // 2)
-        out.append(_entry(g, "C8", f"GU({n},{q0})", {}, psu_order(n, q0), 1,
-                          bound=LOWER, formula="c8-classical-lower"))
-    return out
+    if kind == "Sp":
+        _require(n % 2 == 0 and n >= 4, "the symplectic form subgroup needs even n >= 4")
+        h0 = psp_order(n, q)
+    elif kind == "GO":
+        _require(q % 2 == 1 and n >= 3, "the orthogonal form subgroup needs odd q, n >= 3")
+        h0 = so_order(n, CIRC if n % 2 else PLUS, q)
+    else:
+        _require(qq.e % 2 == 0 and n >= 3, "the unitary form subgroup needs square q, n >= 3")
+        q = qq.p ** (qq.e // 2)  # GU(n, q0) with q0^2 = q
+        h0 = psu_order(n, q)
+    return _entry(g, "C8", f"{kind}({n},{q})", {}, h0, 1, bound=LOWER,
+                  formula="c8-classical-lower")
 
 
 # ---------------------------------------------------------------------------
@@ -258,31 +255,27 @@ def psu_c5_form(g, kind):
 
 
 def psu_c6(g):
+    """The extraspecial normalizer row of a host over a prime field, where
+    its dimension and q admit one (there is never more than one)."""
     n, qq = g.n, g.q
     q = qq.q
     _require(qq.e == 1, "extraspecial normalizers need prime fields")
-    out = []
     if n == 3 and q % 3 == 2:
         cc = gcd(9, q + 1) // 3
-        out.append(_entry(g, "C6", "3^(1+2):Sp2(3)", {}, 72 * cc,
-                          2 * gcd(3, q + 1) // cc,
-                          name="3^2:Q8" if cc == 1 else "3^2:Q8.3",
-                          formula="psu-c6-n3"))
-    elif n == 4:
-        if q % 8 == 3:
-            out.append(_entry(g, "C6", "(4 o 2^(1+4)).Sp4(2)", {},
-                              16 * alt_order(6), 4, name="2^4.A6",
-                              formula="psu-c6-n4"))
-        elif q % 8 == 7:
-            out.append(_entry(g, "C6", "(4 o 2^(1+4)).Sp4(2)", {},
-                              16 * sym_order(6), 2, name="2^4.S6",
-                              formula="psu-c6-n4"))
-    elif n >= 8 and n & (n - 1) == 0 and q % 4 == 3:
-        m = n.bit_length() - 1
-        out.append(_entry(g, "C6", f"(4 o 2^(1+{2 * m})).Sp{2 * m}(2)", {},
-                          2 ** (2 * m) * sp_order(2 * m, 2), 2,
-                          name=f"2^{2 * m}.Sp{2 * m}(2)", formula="psu-c6-n8"))
-    return out
+        return _entry(g, "C6", "3^(1+2):Sp2(3)", {}, 72 * cc, 2 * gcd(3, q + 1) // cc,
+                      name="3^2:Q8" if cc == 1 else "3^2:Q8.3", formula="psu-c6-n3")
+    if n == 4 and q % 8 == 3:
+        return _entry(g, "C6", "(4 o 2^(1+4)).Sp4(2)", {}, 16 * alt_order(6), 4,
+                      name="2^4.A6", formula="psu-c6-n4")
+    if n == 4 and q % 8 == 7:
+        return _entry(g, "C6", "(4 o 2^(1+4)).Sp4(2)", {}, 16 * sym_order(6), 2,
+                      name="2^4.S6", formula="psu-c6-n4")
+    _require(n >= 8 and n & (n - 1) == 0 and q % 4 == 3,
+             "no extraspecial normalizer for this n and q")
+    m = n.bit_length() - 1
+    return _entry(g, "C6", f"(4 o 2^(1+{2 * m})).Sp{2 * m}(2)", {},
+                  2 ** (2 * m) * sp_order(2 * m, 2), 2,
+                  name=f"2^{2 * m}.Sp{2 * m}(2)", formula="psu-c6-n8")
 
 
 def psu_c7(g, m, t):
@@ -340,8 +333,8 @@ def psp_c4(g, n1, n2, eps):
     n, qq = g.n, g.q
     q = qq.q
     _require(q % 2 == 1, "symplectic-orthogonal tensor needs odd q")
-    _require(n == n1 * n2 and n1 % 2 == 0 and n1 >= 2 and n2 >= 3,
-             "tensor type needs n = n1*n2 with n1 even, n2 >= 3")
+    _require(n == n1 * n2 and n1 % 2 == 0 and n1 >= 2 and n2 >= 3 and eps in signs(n2),
+             "tensor type needs n = n1*n2 with n1 even, n2 >= 3, a sign for n2")
     # |PGO_n2^eps(q)|: GO modulo its center of order 2, q being odd
     h0 = psp_order(n1, q) * (go_order(n2, eps, q) // 2) * gcd(2, n2)
     return _entry(g, "C4", f"Sp({n1},{q}) (x) GO{eps_tag(eps)}({n2},{q})",
@@ -530,17 +523,15 @@ def pso_c4(g):
                   bound=LOWER, formula="pso-c4-lower")
 
 
-def pso_c5(g, r, eps_sub=None):
+def pso_c5(g, r, eps_sub):
     n, eps, qq = g.n, g.eps, g.q
     _require(qq.e % r == 0 and is_prime(r), "subfield index must be a prime dividing e")
     q0 = qq.p ** (qq.e // r)
-    if eps_sub is None:
-        eps_sub = eps
     if r % 2:
         _require(eps_sub == eps, "odd subfield index keeps the sign")
     else:
         _require(n % 2 == 1 or eps == PLUS, "even subfield index forces plus type")
-        _require(n % 2 == 0 or eps_sub == CIRC, "odd dimension takes no sign")
+        _require(eps_sub in signs(n), "the subfield form's sign must suit the dimension")
     h0 = omega_order(n, eps_sub, q0) // gcd(2, q0 - 1)
     return _entry(g, "C5", f"GO{eps_tag(eps_sub)}({n},{q0})",
                   {"q0": q0, "r": r}, h0, _pso_o1(g), formula="pso-c5")
@@ -563,7 +554,7 @@ def pso_c6(g):
 PSO_C7_KINDS = (("sp", None), ("circ", None), ("signed", PLUS), ("signed", MINUS))
 
 
-def pso_c7(g, m, t, kind, eps1=None):
+def pso_c7(g, m, t, kind, eps1):
     n, eps, q = g.n, g.eps, int(g.q)
     _require(n == m ** t and t >= 2, "tensor-power type needs n = m^t")
     d = gcd(2, q - 1)
@@ -924,12 +915,10 @@ def _power_splits(g):
     return out
 
 
-_SIGNS = (PLUS, MINUS, CIRC)
-
 # family -> the constructors candidates tries on a host of that family, in
-# row order, each as (class, constructor, arguments): every row the
-# constructor returns has that Aschbacher class, and arguments(g) gives the
-# argument tuples that follow the host
+# row order, each as (class, constructor, arguments): arguments(g) gives the
+# argument tuples that follow the host, and each call returns one row of
+# that Aschbacher class or raises ConstraintViolation
 CONSTRUCTORS = {
     "PSL": (
         ("C1", c1_stabilizer, _host_only),
@@ -939,7 +928,7 @@ CONSTRUCTORS = {
         ("C5", psl_c5, _subfield_indices),
         ("C6", psl_c6, _host_only),
         ("C7", psl_c7, _power_splits),
-        ("C8", psl_c8, _host_only),
+        ("C8", psl_c8, lambda g: [("Sp",), ("GO",), ("GU",)]),
     ),
     "PSU": (
         ("C1", c1_stabilizer, _host_only),
@@ -948,7 +937,7 @@ CONSTRUCTORS = {
         ("C3", psu_c3, _extension_degrees),
         ("C4", psu_c4, _swapped_splits),
         ("C5", psu_c5_subfield, _subfield_indices),
-        ("C5", psu_c5_form, lambda g: [("Sp",), (PLUS,), (MINUS,), (CIRC,)]),
+        ("C5", psu_c5_form, lambda g: [("Sp",)] + [(e,) for e in signs(g.n)]),
         ("C6", psu_c6, _host_only),
         ("C7", psu_c7, _power_splits),
     ),
@@ -958,7 +947,7 @@ CONSTRUCTORS = {
         ("C2", psp_c2_wr, _splits),
         ("C3", psp_c3, _extension_degrees),
         ("C3", psp_c3_gu, _host_only),
-        ("C4", psp_c4, lambda g: [(n1, n2, e) for n1, n2 in _splits(g) for e in _SIGNS]),
+        ("C4", psp_c4, lambda g: [(n1, n2, e) for n1, n2 in _splits(g) for e in signs(n2)]),
         ("C5", psp_c5, _subfield_indices),
         ("C6", psp_c6, _host_only),
         ("C7", psp_c7, _power_splits),
@@ -967,11 +956,11 @@ CONSTRUCTORS = {
         ("C1", c1_stabilizer, _host_only),
         ("C2", pso_c2_gl, _host_only),
         ("C2", pso_c2_o1p, _host_only),
-        ("C2", pso_c2_go_wr, lambda g: [(m, e, t) for m, t in _splits(g) for e in _SIGNS]),
+        ("C2", pso_c2_go_wr, lambda g: [(m, e, t) for m, t in _splits(g) for e in signs(m)]),
         ("C3", pso_c3, lambda g: [("GU",), ("GO",), ("GOo",)]),
         ("C3", pso_c3_extra, _extension_degrees),
         ("C4", pso_c4, _host_only),
-        ("C5", pso_c5, lambda g: [(r, e) for (r,) in _subfield_indices(g) for e in _SIGNS]),
+        ("C5", pso_c5, lambda g: [(r, e) for (r,) in _subfield_indices(g) for e in signs(g.n)]),
         ("C6", pso_c6, _host_only),
         ("C7", pso_c7, lambda g: [(m, t) + kind for m, t in _power_splits(g)
                                   for kind in PSO_C7_KINDS]),
@@ -980,14 +969,17 @@ CONSTRUCTORS = {
 
 
 def candidates(g0, klass=None):
-    """All catalog entries whose constraints accept the given simple host:
-    every row of CONSTRUCTORS[g0.family] that no constraint rejects, then
-    the Table A/B rows of g0.  Given an Aschbacher class `klass` (compared
+    """All catalog entries whose constraints accept the given host: every
+    row of CONSTRUCTORS[g0.family] that no constraint rejects, then the
+    Table A/B rows of g0.  Given an Aschbacher class `klass` (compared
     case-insensitively), only the rows of that class, in the same order:
     the constructors of other classes are not called, and the Table A/B
-    rows are built only for klass A or S."""
+    rows are built only for klass A or S.  A host that out_order refuses
+    (below its family's least dimension, or PSp of odd dimension) raises
+    UnsupportedGroup."""
     if g0.family not in CONSTRUCTORS:
         raise UnsupportedGroup(f"no catalog for family {g0.family}")
+    out_order(g0)  # refuses a degenerate host
     want = None if klass is None else klass.lower()
 
     def keep(c):
@@ -999,10 +991,9 @@ def candidates(g0, klass=None):
             continue
         for args in arguments(g0):
             try:
-                r = fn(g0, *args)
-            except (ConstraintViolation, UnsupportedGroup):
+                out.append(fn(g0, *args))
+            except ConstraintViolation:
                 continue
-            out.extend(r if isinstance(r, list) else [r])
     if keep("A") or keep("S"):
         out.extend(e for e in table_entries(g0) if keep(e.aschbacher_class))
     return out

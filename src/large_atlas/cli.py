@@ -75,6 +75,8 @@ def _resolve_entries(g0, args):
     from . import catalog
 
     klass = (args.klass or "").strip() or None
+    if args.item and not args.exceptional:
+        raise GroupParseError("--item needs --exceptional")
     if args.exceptional:
         pool = catalog.EXCEPTIONAL[args.exceptional](g0)
         if args.item:

@@ -128,28 +128,33 @@ def sporadic(name):
 
 def gl_order(n, q):
     """|GL_n(q)| = q^(n(n-1)/2) * prod_{i=1..n} (q^i - 1)."""
+    _check_dim("GL", n)
     q = int(q)
     return q ** (n * (n - 1) // 2) * prod(q ** i - 1 for i in range(1, n + 1))
 
 
 def sl_order(n, q):
+    _check_dim("SL", n)
     q = int(q)
     return gl_order(n, q) // (q - 1)
 
 
 def gu_order(n, q):
     """|GU_n(q)| = q^(n(n-1)/2) * prod_{i=1..n} (q^i - (-1)^i)."""
+    _check_dim("GU", n)
     q = int(q)
     return q ** (n * (n - 1) // 2) * prod(q ** i - (-1) ** i for i in range(1, n + 1))
 
 
 def su_order(n, q):
+    _check_dim("SU", n)
     q = int(q)
     return gu_order(n, q) // (q + 1)
 
 
 def sp_order(n, q):
     """|Sp_n(q)| for even n = 2m: q^(m^2) * prod_{i=1..m} (q^2i - 1)."""
+    _check_dim("Sp", n)
     if n % 2:
         raise UnsupportedGroup(f"Sp_{n} needs even dimension")
     q = int(q)
@@ -163,13 +168,12 @@ def omega_order(n, eps, q):
     Odd n over odd q uses the kernel-of-spinor-norm order; odd n over even q
     is the symplectic group of rank (n-1)/2.  n = 2 gives the cyclic torus.
     """
+    _check_dim("Omega", n)
     qq = parse_prime_power(q)
     q = qq.q
     if n % 2:
         if eps not in ("", CIRC):
             raise UnsupportedGroup("odd-dimensional orthogonal group takes no sign")
-        if n == 1:
-            return 1
         full = sp_order(n - 1, q)
         if qq.p == 2:
             return full  # Omega_{2m+1}(q) = Sp_{2m}(q) in characteristic 2
@@ -183,6 +187,7 @@ def omega_order(n, eps, q):
 
 
 def so_order(n, eps, q):
+    _check_dim("SO", n)
     qq = parse_prime_power(q)
     if n % 2 and qq.p == 2:
         raise UnsupportedGroup("SO in odd dimension needs odd q")
@@ -190,6 +195,7 @@ def so_order(n, eps, q):
 
 
 def go_order(n, eps, q):
+    _check_dim("GO", n)
     qq = parse_prime_power(q)
     if n % 2:
         return 2 * so_order(n, eps, q)
@@ -289,7 +295,8 @@ def _sporadic_order(name):
 # Shapes: "nq" F(n,q), "signed" F(n,q) or F+(n,q) / F-(n,q) in even
 # dimension, "degree" F(d), "field" F(q), "name" F(X).  A least dimension
 # of 0 leaves the check to the formula (Alt and Sym need degree >= 1, Sz an
-# odd power of 2, a sporadic group a known name).
+# odd power of 2, a sporadic group a known name).  The exported formulas
+# of GL, SL, GU, SU, Sp, SO, GO and Omega check their own least dimension.
 FAMILIES = {
     "PSL": ("nq", 2, lambda g: psl_order(g.n, g.q)),
     "PSU": ("nq", 2, lambda g: psu_order(g.n, g.q)),
@@ -318,12 +325,13 @@ def order(g):
     """Exact order of the group identified by the GroupId g: its family's
     formula in FAMILIES, after refusing n below the family's least
     dimension."""
-    _shape, least, formula = FAMILIES[g.family]
-    _check_dim(g.family, g.n, least)
-    return formula(g)
+    _check_dim(g.family, g.n)
+    return FAMILIES[g.family][2](g)
 
 
-def _check_dim(fam, n, lo):
+def _check_dim(fam, n):
+    """Refuse n below the least dimension of fam in FAMILIES."""
+    lo = FAMILIES[fam][1]
     if n < lo:
         raise UnsupportedGroup(f"{fam} needs dimension >= {lo}, got {n}")
 
@@ -393,7 +401,7 @@ def out_order(g):
     fam, n, q, eps = g.family, g.n, g.q, g.eps
     if fam not in CLASSICAL:
         raise UnsupportedGroup(f"out_order not defined for {g}")
-    _check_dim(fam, n, FAMILIES[fam][1])
+    _check_dim(fam, n)
     e = q.e
     qi = q.q
     if fam == "PSL":
@@ -445,16 +453,16 @@ def parse_group(text):
             raise GroupParseError(f"bad sporadic selector {text!r}")
         return sporadic(args[0])
     if shape == "degree":
-        if len(args) != 1 or sign or not args[0].isdigit():
+        if len(args) != 1 or sign or not args[0].isdecimal():
             raise GroupParseError(f"bad degree in {text!r}")
         return GroupId(fam, int(args[0]))
     if shape == "field":
-        if len(args) != 1 or sign or not args[0].isdigit():
+        if len(args) != 1 or sign or not args[0].isdecimal():
             raise GroupParseError(f"bad field size in {text!r}")
         g = GroupId(fam, 0, parse_prime_power(int(args[0])))
         order(g)  # validate the field constraint eagerly for Sz
         return g
-    if len(args) != 2 or not all(a.isdigit() for a in args):
+    if len(args) != 2 or not all(a.isdecimal() for a in args):
         raise GroupParseError(f"expected two integer arguments in {text!r}")
     n, q = int(args[0]), int(args[1])
     if shape == "signed":

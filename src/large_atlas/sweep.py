@@ -11,11 +11,11 @@ GroupId the constructor builds its row for, as in
 `catalog.psl_c2, (psl(3 * m, q), m, 3)`.  One driver, `_catalog_members`,
 does the rest for every case: it builds the row, skips points the
 constructor rejects and rows whose host is not simple, and decides
-membership by the cube inequality.  A constructor that returns a list of
-rows adds each row's name to the member key.  Membership is decided first
-from an integer bit-length bracket on |G0| (bounds.simple_order_bits) and
-from the exact |G0| only where the bracket cannot decide; both routes are
-exact, and no point's membership depends on which one settled it.  For a
+membership by the cube inequality.  A case registered with named=True adds
+the row's name to the member key.  Membership is decided first from an
+integer bit-length bracket on |G0| (bounds.simple_order_bits) and from the
+exact |G0| only where the bracket cannot decide; both routes are exact,
+and no point's membership depends on which one settled it.  For a
 case with a ratio sandwich of the same name in bounds.SANDWICH_CASES, a
 decisive sandwich verdict that contradicts the membership is reported as an
 alarm.  The two cases without a catalog row, tableA-cutoff and
@@ -34,9 +34,9 @@ from . import catalog
 from .arith import prime_powers as _prime_power_objects
 from .bounds import (CERTAINLY_LARGE, CERTAINLY_NOT_LARGE, SANDWICH_CASES,
                      sandwich, simple_order_bits)
-from .errors import ConstraintViolation, MissingGolden, UnknownCase, UnsupportedGroup
+from .errors import ConstraintViolation, MissingGolden, UnknownCase
 from .largeness import UPPER, decisive, is_large_h1
-from .orders import CIRC, MINUS, PLUS, is_simple, order, pomega, psl, psp, psu
+from .orders import PLUS, is_simple, order, pomega, psl, psp, psu
 
 
 @dataclass(frozen=True)
@@ -44,12 +44,14 @@ class SweepCase:
     """One registered sweep: its grid and the golden it is diffed against.
 
     A catalog case's grid yields (member key, constructor, args); a plain
-    case's grid yields the member keys themselves.
+    case's grid yields the member keys themselves.  A named case adds each
+    member row's name to its key.
     """
 
     case_id: str
     grid: Callable
     plain: bool = False
+    named: bool = False
 
     @property
     def golden(self):
@@ -179,18 +181,16 @@ def _catalog_members(case, alarms):
     sandwiched = case.case_id in SANDWICH_CASES
     for key, ctor, args in case.grid():
         try:
-            rows = ctor(*args)
-        except (ConstraintViolation, UnsupportedGroup):
+            entry = ctor(*args)
+        except ConstraintViolation:
             continue
-        named = isinstance(rows, list)
-        for entry in rows if named else (rows,):
-            if not is_simple(entry.host):
-                continue
-            got = _member(entry.host, entry)
-            if sandwiched:
-                _alarm_check(alarms, case.case_id, int(entry.host.q), got)
-            if got:
-                yield key + (entry.name,) if named else key
+        if not is_simple(entry.host):
+            continue
+        got = _member(entry.host, entry)
+        if sandwiched:
+            _alarm_check(alarms, case.case_id, int(entry.host.q), got)
+        if got:
+            yield key + (entry.name,) if case.named else key
 
 
 # ---------------------------------------------------------------------------
@@ -200,17 +200,12 @@ def _catalog_members(case, alarms):
 CASES = {}
 
 
-def _case(case_id, plain=False):
+def _case(case_id, plain=False, named=False):
     """Register the decorated grid as the sweep case_id."""
     def register(grid):
-        CASES[case_id] = SweepCase(case_id, grid, plain)
+        CASES[case_id] = SweepCase(case_id, grid, plain, named)
         return grid
     return register
-
-
-def _signs(n):
-    """The orthogonal signs a host of dimension n can carry."""
-    return (CIRC,) if n % 2 else (PLUS, MINUS)
 
 
 @_case("psl-c2-t3")
@@ -242,7 +237,7 @@ def _psl_c4():
                 yield (q, n1, n2), catalog.psl_c4, (psl(n1 * n2, q), n1, n2)
 
 
-@_case("psl-c6")
+@_case("psl-c6", named=True)
 def _psl_c6():
     for q in prime_powers(2, 97):
         for n in (2, 3, 4, 8):
@@ -287,7 +282,7 @@ def _psu_c4():
                 yield (q, n1, n2), catalog.psu_c4, (psu(n1 * n2, q), n1, n2)
 
 
-@_case("psu-c6")
+@_case("psu-c6", named=True)
 def _psu_c6():
     for q in prime_powers(2, 97):
         for n in (3, 4, 8):
@@ -324,7 +319,7 @@ def _psp_c4():
     for q in prime_powers(2, 13):
         for n1 in (2, 4, 6):
             for n2 in range(3, 9):
-                for eps in _signs(n2):
+                for eps in catalog.signs(n2):
                     yield (q, n1, n2, eps), catalog.psp_c4, (psp(n1 * n2, q), n1, n2, eps)
 
 
@@ -347,7 +342,7 @@ def _psp_c7():
 def _pso_c2_o1p():
     for q in prime_powers(3, 13):
         for n in range(7, 31):
-            for eps in _signs(n):
+            for eps in catalog.signs(n):
                 yield (q, n), catalog.pso_c2_o1p, (pomega(n, q, eps),)
 
 
@@ -359,8 +354,8 @@ def _pso_c2_go_wr():
             for t in range(3, 9):
                 if not 7 <= m * t <= 64:
                     continue
-                for eps1 in ((PLUS, MINUS) if m % 2 == 0 else (CIRC,)):
-                    for eps in _signs(m * t):
+                for eps1 in catalog.signs(m):
+                    for eps in catalog.signs(m * t):
                         yield ((q, m, t, eps1, eps), catalog.pso_c2_go_wr,
                                (pomega(m * t, q, eps), m, eps1, t))
 
@@ -370,7 +365,7 @@ def _pso_c3_extra():
     for q in prime_powers(2, 8):
         for m in range(3, 10):
             for s in (3, 5, 7):
-                for eps in _signs(m * s):
+                for eps in catalog.signs(m * s):
                     yield (q, m, s, eps), catalog.pso_c3_extra, (pomega(m * s, q, eps), m, s)
 
 

@@ -303,7 +303,7 @@ def test_criterion_8_sandwich_agreement():
         # center count, so pair it with even-dimensional hosts
         for n, eps in ((8, PLUS), (8, MINUS), (10, PLUS), (10, MINUS)):
             v = is_large_h1(order(pomega(n, q ** 3, eps)),
-                            catalog.pso_c5(pomega(n, q ** 3, eps), 3))
+                            catalog.pso_c5(pomega(n, q ** 3, eps), 3, eps))
             _assert_no_contradiction(sandwich("po-c5-r3", q),
                                      v.is_large, (q, n, eps))
 

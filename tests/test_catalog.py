@@ -8,8 +8,8 @@ from large_atlas import catalog, cli
 from large_atlas.arith import gcd, prime_powers
 from large_atlas.errors import ConstraintViolation, UnknownCase, UnsupportedGroup
 from large_atlas.largeness import is_large_h1
-from large_atlas.orders import (CIRC, MINUS, PLUS, GroupId, is_simple, order,
-                                out_order, parse_group, pomega, psl, psp,
+from large_atlas.orders import (CIRC, FAMILIES, MINUS, PLUS, GroupId, is_simple,
+                                order, out_order, parse_group, pomega, psl, psp,
                                 psp_order, psu)
 
 
@@ -47,10 +47,10 @@ def test_psl_c5_subfield_entry():
 
 
 def test_psl_c6_rows():
-    rows = catalog.psl_c6(psl(2, 5))
-    assert [(r.name, r.h0_order) for r in rows] == [("A4", 12)]
-    rows = catalog.psl_c6(psl(2, 7))
-    assert any(r.name == "S4" and r.h0_order == 24 for r in rows)
+    row = catalog.psl_c6(psl(2, 5))
+    assert (row.name, row.h0_order) == ("A4", 12)
+    row = catalog.psl_c6(psl(2, 7))
+    assert (row.name, row.h0_order) == ("S4", 24)
 
 
 def test_psl_c6_needs_prime_field():
@@ -61,7 +61,7 @@ def test_psl_c6_needs_prime_field():
 def test_orthogonal_outer_contribution_never_counts_triality():
     # the eight-dimensional plus-type host has |Out| = 6 (or 24 for square q)
     # but the geometric families only ever see the degree-two part
-    e = catalog.pso_c5(pomega(8, 27, PLUS), 3)
+    e = catalog.pso_c5(pomega(8, 27, PLUS), 3, PLUS)
     assert e.o1_order == 2 * gcd(4, 27 ** 4 - 1) * 3  # 2 d e with e = 3
     e = catalog.pso_c2_go_wr(pomega(8, 5, PLUS), 2, MINUS, 4)
     assert e.o1_order == 2 * gcd(4, 5 ** 4 - 1)
@@ -221,6 +221,47 @@ def test_the_constructor_table_is_the_whole_catalog():
     assert set(catalog.EXCEPTIONAL) == set(flag.choices)
     with pytest.raises(UnsupportedGroup, match="no catalog for family Alt"):
         catalog.candidates(parse_group("Alt(7)"))
+
+
+def _hosts_from_least_dimension(nmax=24, qmax=32):
+    """Every host of the four families with least dimension <= n <= nmax
+    and q <= qmax, simple or not, canonical or not; PSp in even n only."""
+    for q in prime_powers(2, qmax):
+        for fam in catalog.CONSTRUCTORS:
+            for n in range(FAMILIES[fam][1], nmax + 1):
+                if fam == "PSp" and n % 2:
+                    continue
+                for eps in catalog.signs(n) if fam == "POmega" else ("",):
+                    yield GroupId(fam, n, q, eps)
+
+
+def test_every_constructor_call_returns_one_row_or_raises_constraint_violation():
+    # any other exception propagates and fails the test
+    bad = set()
+    calls = 0
+    for g in _hosts_from_least_dimension():
+        for klass, fn, arguments in catalog.CONSTRUCTORS[g.family]:
+            for args in arguments(g):
+                calls += 1
+                try:
+                    e = fn(g, *args)
+                except ConstraintViolation:
+                    continue
+                if type(e) is not catalog.SubgroupEntry or e.aschbacher_class != klass:
+                    bad.add((fn.__name__, str(g), args))
+    assert bad == set()
+    assert calls > 20000
+
+
+@pytest.mark.parametrize("name", ["PSL(1,4)", "PSU(1,4)", "PSp(5,3)", "POmega(1,9)",
+                                  "POmega+(2,7)", "POmega-(2,7)"])
+@pytest.mark.parametrize("klass", [None, "C1", "A"])
+def test_candidates_refuse_a_host_that_out_order_refuses(name, klass):
+    g = parse_group(name)
+    with pytest.raises(UnsupportedGroup):
+        out_order(g)
+    with pytest.raises(UnsupportedGroup):
+        catalog.candidates(g, klass)
 
 
 def test_collection_a_host_map():

@@ -120,6 +120,18 @@ def test_order_check_and_explain_refuse_a_degenerate_host(capsys, verb, host):
     assert code == 3 and out == "" and "needs dimension" in err
 
 
+# str.isdigit accepts a superscript digit, which int() then refuses
+@pytest.mark.parametrize("group", ["PSL(\u00b2,7)", "PSL(2,\u00b2)", "Alt(\u00b2)",
+                                   "Sz(\u00b2)"])
+def test_a_superscript_digit_is_a_parse_error(capsys, group):
+    code, out, err = run(capsys, "order", group)
+    assert code == 2 and out == "" and "error" in err
+
+
+def test_a_decimal_digit_of_another_script_still_parses(capsys):
+    assert run(capsys, "order", "PSL(2,\u0663)") == (0, "12\n", "")
+
+
 def test_check_with_selector(capsys):
     code, out, _ = run(capsys, "check", "PSL(4,5)",
                        "--class", "C2", "--type", "GL(1,5) wr S4")
@@ -360,6 +372,17 @@ def test_item_selector_exit_codes(capsys, host, pool):
     # not a position and not a label; a superscript digit is no number
     for item in ("xvi", "abc", "-1", "\u00b2"):
         assert run(capsys, *argv, item)[0] == 2, item
+
+
+@pytest.mark.parametrize("argv", [
+    ("subgroups", "PSL(2,8)", "--item", "3"),
+    ("explain", "PSL(2,7)", "--class", "C1", "--item", "1"),
+    ("check", "PSL(2,7)", "--class", "C1", "--item", "1"),
+])
+def test_item_without_an_exceptional_pool_exits_parse_error(capsys, argv):
+    # the item labels index only the two pools; the catalog has none
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "--item needs --exceptional" in err
 
 
 def test_subgroups_text_output(capsys):

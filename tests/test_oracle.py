@@ -5,6 +5,7 @@ they build the actual finite fields and count invertible matrices.
 """
 
 import ast
+import pathlib
 import sys
 from itertools import product
 
@@ -104,7 +105,7 @@ def test_row_by_row_unitary_count_equals_literal_enumeration(q0):
 def test_oracle_imports_no_formula():
     # the counts stay independent only while oracle.py imports nothing that
     # knows an order: its own package's arith and errors, and the stdlib
-    tree = ast.parse(open(oracle.__file__, encoding="utf-8").read())
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
             assert node.level == 1 and node.module in ("arith", "errors"), ast.dump(node)

@@ -15,6 +15,7 @@ from large_atlas.orders import (
     alt_order,
     canonicalize,
     gl_order,
+    go_order,
     gu_order,
     is_simple,
     omega_order,
@@ -28,7 +29,9 @@ from large_atlas.orders import (
     psp_order,
     psu_order,
     sl_order,
+    so_order,
     sp_order,
+    su_order,
     subgroup_name_order,
     sylow_exponent,
     sym_order,
@@ -265,6 +268,27 @@ def test_every_family_has_a_least_dimension(family):
     # a degree of 0 is refused by Alt's and Sym's own check, d >= 1
     g = _group_in_dimension(family, max(least, 1))
     assert order(g) > 0
+
+
+@pytest.mark.parametrize("formula, family, below, at", [
+    (gl_order, "GL", (0, 2), (1, 2)),
+    (sl_order, "SL", (0, 5), (1, 5)),
+    (gu_order, "GU", (0, 5), (1, 5)),
+    (su_order, "SU", (0, 5), (1, 5)),
+    (sp_order, "Sp", (0, 3), (2, 3)),
+    (so_order, "SO", (1, CIRC, 3), (2, PLUS, 3)),
+    (go_order, "GO", (1, CIRC, 3), (2, PLUS, 3)),
+    (omega_order, "Omega", (0, PLUS, 3), (2, PLUS, 3)),
+])
+def test_exported_formulas_refuse_n_below_their_least_dimension(formula, family, below, at):
+    # called directly, each formula refuses what order refuses, with
+    # order's message and the least dimension of FAMILIES
+    least = orders.FAMILIES[family][1]
+    assert below[0] < least == at[0]
+    with pytest.raises(UnsupportedGroup) as exc:
+        formula(*below)
+    assert str(exc.value) == f"{family} needs dimension >= {least}, got {below[0]}"
+    assert formula(*at) > 0
 
 
 # one name of each shape, the signed one with and without its sign
