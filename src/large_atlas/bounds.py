@@ -1,7 +1,9 @@
 """Exact rational bounds on classical group orders and ratio sandwiches.
 
-Two layers live here.  order_bounds / simple_order_bounds give rational
-lower/upper envelopes for the raw and simple group orders.  sandwich handles
+Three parts live here.  order_bounds and omega_upper are the paper's
+quoted rational lower/upper envelopes on the classical orders (the integer
+bit-length bracket of an order is orders.order_bits).  order_bits_floor
+gives a bit-length floor for the other groups.  sandwich handles
 the recurring pattern where a ratio of group orders R is pinned between two
 rational functions f(q) < R < g(q) and compared against a rational threshold
 h(q): if h < f the underlying subgroup is certainly large, if h > g it
@@ -59,80 +61,19 @@ def order_bounds(family, n, q):
     raise UnknownCase(f"no order bounds for family {family!r}")
 
 
-def _simple_leads(fam, n, q):
-    """(e_lo, c, e_hi) with q^e_lo / c <= |G0| <= q^e_hi for the simple
-    group G0 of family fam in dimension n over GF(q)."""
-    if fam == "PSL":
-        least, e_lo, c, e_hi = 2, n * n - 2, 1, n * n - 1
-    elif fam == "PSU":
-        least, e_lo, c, e_hi = 3, n * n - 2, 2, n * n - 1
-    elif fam == "PSp":
-        least, e_lo, c = 4, n * (n + 1) // 2, 2 * gcd(2, int(q) - 1)
-        e_hi = e_lo
-    elif fam == "POmega":
-        least, e_lo, c = 7, n * (n - 1) // 2, 4 * gcd(2, n)
-        e_hi = e_lo
-    else:
-        raise UnknownCase(f"no simple order bounds for family {fam!r}")
-    if n < least:
-        raise ConstraintViolation(f"{fam} bounds need n >= {least}")
-    return e_lo, c, e_hi
-
-
-def simple_order_bounds(g):
-    """Rational (lower, upper) bounds on the order of a simple group id."""
-    fam, n, q = g.family, g.n, int(g.q)
-    e_lo, c, e_hi = _simple_leads(fam, n, q)
-    x = ExactRatio(1, q)
-    lower, upper = ExactRatio(q) ** e_lo, ExactRatio(q) ** e_hi
-    if fam == "PSL":
-        return lower, (1 - x ** 2) * upper
-    if fam == "PSU":
-        # 1 - x >= 1/2 = 1/c
-        return (1 - x) * lower, (1 - x ** 2) * (1 + x ** 3) * upper
-    return lower / c, upper
-
-
-def simple_order_bits(g):
-    """Integer bracket (lo, hi) with 2^lo <= |G0| < 2^hi, or None.
-
-    Read off the leading powers of simple_order_bounds: with a the bit
-    length of q, 2^(a-1) <= q < 2^a gives q^e_lo / c > 2^((a-1) e_lo -
-    bitlen(c)) and q^e_hi < 2^(a e_hi).  None where those bounds do not
-    apply.  No order is built, so the cost does not grow with |G0|.
-    """
-    try:
-        e_lo, c, e_hi = _simple_leads(g.family, g.n, g.q)
-    except (ConstraintViolation, UnknownCase):
-        return None
-    a = int(g.q).bit_length()
-    return (a - 1) * e_lo - c.bit_length(), a * e_hi
-
-
 def order_bits_floor(g):
-    """An integer b with 2^b <= |g|, for a group id of any family.
-
-    The simple classical families take the lower end of simple_order_bits
-    where it applies.  GL, SL, PGL, GU, SU and PGU have order at least
-    q^(n(n-1)): each factor q^i -+ 1 of the order is at least q^(i-1), and
-    the i = 1 factor covers the division by q -+ 1.  Any other group of Lie
-    type holds a Sylow p-subgroup of order q^N.  Here q >= 2^(a-1) with a
-    the bit length of q.  Alt(d) and Sym(d) have order at least
-    floor(d/3)^d.  As in simple_order_bits, no order is built.
+    """An integer b with 2^b <= |g|, for the groups that orders.order_bits
+    does not bracket: Alt(d) and Sym(d) have order at least floor(d/3)^d,
+    a group of Lie type holds a Sylow p-subgroup of order q^N, with
+    q >= 2^(a-1) for a the bit length of q, and a sporadic group has
+    order at least 2^0.  No order is built.
     """
-    bits = simple_order_bits(g)
-    if bits is not None:
-        return bits[0]
     fam, n = g.family, g.n
     if fam == "Sporadic":
         return 0
     if fam in ("Alt", "Sym"):
         return n * max((n // 3).bit_length() - 1, 0)
-    if fam in ("GL", "SL", "PGL", "GU", "SU", "PGU"):
-        exp = n * (n - 1)
-    else:
-        exp = sylow_exponent(g)
-    return exp * (int(g.q).bit_length() - 1)
+    return sylow_exponent(g) * (int(g.q).bit_length() - 1)
 
 
 def omega_upper(n, eps, q):

@@ -4,7 +4,8 @@ Verbs: order, out, subgroups, check, sweep, reproduce, tables, explain.
 All numeric output is exact decimal.  Exit codes: 0 success, 1 a
 failed check or a reader that closed the output early, 2 parse error,
 3 unsupported group, 4 ambiguous selector, 5 missing golden files.  The
-selector's --class and --type ignore surrounding spaces.
+selector's --class and --type ignore surrounding spaces.  check
+--h0-order reads no selector, and refuses one as a parse error.
 """
 
 import argparse
@@ -19,7 +20,8 @@ from .errors import (AmbiguousSelector, ConstraintViolation, GroupParseError,
                      LargeAtlasError, MissingGolden, NotAPrimePower,
                      UnknownCase, UnsupportedGroup)
 from .largeness import EXACT, is_large, is_large_h1
-from .orders import canonicalize, is_simple, order, out_order, parse_group
+from .orders import (FORM_FAMILIES, canonicalize, is_simple, order, order_bits, out_order,
+                     parse_group)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -112,10 +114,12 @@ def _resolve_entry(g0, args):
 
 def _host(args):
     """The named host G0 and |G0|.  A host is refused before its order is
-    built when the floor 2^b <= |G0| of order_bits_floor puts |G0| >=
-    10^MAX_DIGITS: 2^b >= 10^D once 1000 b >= 3322 D, as log2(10) < 3.322."""
+    built when a floor 2^b <= |G0| puts |G0| >= 10^MAX_DIGITS: 2^b >= 10^D
+    once 1000 b >= 3322 D, as log2(10) < 3.322.  The floor is the lower end
+    of order_bits for a classical family, else order_bits_floor."""
     g0 = parse_group(args.group)
-    if 1000 * order_bits_floor(g0) >= 3322 * MAX_DIGITS:
+    b = order_bits(g0)[0] if g0.family in FORM_FAMILIES else order_bits_floor(g0)
+    if 1000 * b >= 3322 * MAX_DIGITS:
         raise UnsupportedGroup(f"|{g0}| has more than {MAX_DIGITS} decimal digits")
     return g0, order(g0)
 
@@ -180,6 +184,11 @@ def cmd_subgroups(args):
 def cmd_check(args):
     g0, g0_order = _host(args)
     if args.h0_order is not None:
+        # an explicit |H0| reads no selector: refuse one rather than drop it
+        for flag, value in (("--class", args.klass), ("--type", args.type),
+                            ("--exceptional", args.exceptional), ("--item", args.item)):
+            if value is not None:
+                raise GroupParseError(f"{flag} is not read with --h0-order")
         h0, o, bound = args.h0_order, 1, EXACT
     else:
         entry = _resolve_entry(g0, args)

@@ -8,7 +8,11 @@ orders.  Everything is exact integer arithmetic.
 
 The table FAMILIES holds each family's name shape, least dimension and
 order formula: `order` looks a group up there, `GroupId.__str__` and
-`parse_group` read the shape, and `out_order` the least dimension.
+`parse_group` read the shape, and `out_order` the least dimension.  The
+orders of the fourteen classical families have one factored form,
+`classical_form`: the exported formulas evaluate it, `sylow_exponent`
+reads its exponent N, and `order_bits` brackets the bit length of the
+order from it without building the order.
 """
 
 import re
@@ -122,133 +126,184 @@ def sporadic(name):
 
 
 # ---------------------------------------------------------------------------
-# order formulas
+# the classical orders as one factored form
 # ---------------------------------------------------------------------------
 
 
-def gl_order(n, q):
-    """|GL_n(q)| = q^(n(n-1)/2) * prod_{i=1..n} (q^i - 1)."""
-    _check_dim("GL", n)
+def classical_form(fam, n, q, eps=""):
+    """The order of the classical group fam_n(q) as (N, runs, c, d), with
+
+        |G| = c * q^N * prod over the runs (start, stop, step, s) of
+              prod_{i in range(start, stop, step)} (q^i - s)  /  d
+
+    (Kleidman-Liebeck, section 2.1).  s is 1 or -1, q^N is the order of a
+    Sylow p-subgroup, and there are at most two runs, so the form's size
+    does not grow with n.  q is an int: a power of p is even exactly when
+    p = 2.  Refuses n below the family's least dimension in FAMILIES,
+    odd-dimensional Sp, SO and GO in odd dimension over even q, and an eps
+    that does not fit the dimension (the orthogonal families).
+    """
+    _check_dim(fam, n)
+    m = n // 2
+    g2 = 1 + q % 2  # gcd(2, q - 1)
+    if fam in ("GL", "SL", "PGL", "PSL"):
+        # SL and PGL drop the factor q - 1 of GL
+        d = gcd(n, q - 1) if fam == "PSL" else 1
+        return n * (n - 1) // 2, ((1 if fam == "GL" else 2, n + 1, 1, 1),), 1, d
+    if fam in ("GU", "SU", "PGU", "PSU"):
+        # the factors q^i - (-1)^i, odd i apart from even i; SU and PGU
+        # drop the factor q + 1 of GU
+        d = gcd(n, q + 1) if fam == "PSU" else 1
+        return (n * (n - 1) // 2,
+                ((1 if fam == "GU" else 3, n + 1, 2, -1), (2, n + 1, 2, 1)), 1, d)
+    if fam in ("Sp", "PSp"):
+        if n % 2:
+            raise UnsupportedGroup(f"Sp_{n} needs even dimension")
+        return m * m, ((2, n + 1, 2, 1),), 1, g2 if fam == "PSp" else 1
+    if fam not in ("Omega", "SO", "GO", "POmega"):
+        raise UnsupportedGroup(f"{fam} has no classical order form")
+    if n % 2:
+        # Omega_{2m+1}(q) = Sp_2m(q) / (2, q - 1), SO = 2 Omega (odd q), GO = 2 SO
+        if q % 2 == 0 and fam in ("SO", "GO"):
+            raise UnsupportedGroup("SO in odd dimension needs odd q")
+        if eps not in ("", CIRC):
+            raise UnsupportedGroup("odd-dimensional orthogonal group takes no sign")
+        if fam in ("Omega", "POmega"):
+            return m * m, ((2, n, 2, 1),), 1, g2
+        return m * m, ((2, n, 2, 1),), 2 if fam == "GO" else 1, 1
+    if eps not in (PLUS, MINUS):
+        raise UnsupportedGroup("even-dimensional orthogonal group needs a sign")
+    # |Omega_2m^eps(q)| = q^(m(m-1)) (q^m - s) prod_{i<m} (q^2i - 1) / (2, q - 1),
+    # SO = 2 Omega, GO = (2, q - 1) SO, POmega = Omega / pomega_center
+    s = 1 if eps == PLUS else -1
+    runs = ((2, n - 1, 2, 1), (m, m + 1, 1, s))
+    if fam == "POmega":
+        return m * (m - 1), runs, 1, gcd(4, pow(q, m, 4) - s)
+    if fam == "Omega":
+        return m * (m - 1), runs, 1, g2
+    return m * (m - 1), runs, 2 // g2 if fam == "SO" else 2, 1
+
+
+def _order_of(fam, n, q, eps=""):
+    """|fam_n(q)| from classical_form: the one place that multiplies the
+    factors of a classical order."""
     q = int(q)
-    return q ** (n * (n - 1) // 2) * prod(q ** i - 1 for i in range(1, n + 1))
+    N, runs, c, d = classical_form(fam, n, q, eps)
+    return c * q ** N * prod(q ** i - s for start, stop, step, s in runs
+                             for i in range(start, stop, step)) // d
+
+
+def _form_order(g):
+    return _order_of(g.family, g.n, g.q, g.eps)
+
+
+def order_bits(g):
+    """(lo, hi) with 2^lo <= |g| < 2^hi for a group g of a family of
+    FORM_FAMILIES, in integers alone and without building |g|.
+
+    Write |g| = (c/d) q^D prod (1 - s q^-i) over the factors q^i - s of
+    classical_form, D = N + the sum of their i, and bracket sixteen times
+    the base-2 logarithm of each part:
+    - q^D: a/16 <= log2 q < (a+1)/16 with a = bitlen(q^16) - 1, and
+      log2 q = a/16 when q is a power of 2;
+    - the factors with i <= k are multiplied into c exactly, k the least
+      with (bitlen(q) - 1)(k + 1) >= 8, so that q^(k+1) >= 2^8; an integer
+      x has h - 1 <= 16 log2 x < h with h = bitlen(x^16), and so has d;
+    - the other factors of a run have q^i >= 2^8, so their sum of q^-i is
+      at most 2^-7, and over at most two runs their product lies strictly
+      within a factor 2^(1/16) of 1.
+    The sum of the i of a run is read off its ends, so the cost does not
+    grow with n.
+    """
+    q = int(g.q)
+    N, runs, c, d = classical_form(g.family, g.n, q, g.eps)
+    k = 7 // (q.bit_length() - 1)
+    e, head = N, c
+    for i, stop, step, s in runs:
+        count = (stop - i + step - 1) // step
+        e += count * (2 * i + (count - 1) * step) // 2
+        while i <= k and i < stop:
+            head *= q ** i - s
+            e -= i
+            i += step
+    a = (q ** 16).bit_length() - 1
+    h = (head ** 16).bit_length() - (d ** 16).bit_length()
+    lo = (e * a + h - 2) // 16
+    return lo if lo > 0 else 0, -((e * (a + (q & (q - 1) != 0)) + h + 2) // -16)
+
+
+def gl_order(n, q):
+    return _order_of("GL", n, q)
 
 
 def sl_order(n, q):
-    _check_dim("SL", n)
-    q = int(q)
-    return gl_order(n, q) // (q - 1)
+    return _order_of("SL", n, q)
 
 
 def gu_order(n, q):
-    """|GU_n(q)| = q^(n(n-1)/2) * prod_{i=1..n} (q^i - (-1)^i)."""
-    _check_dim("GU", n)
-    q = int(q)
-    return q ** (n * (n - 1) // 2) * prod(q ** i - (-1) ** i for i in range(1, n + 1))
+    return _order_of("GU", n, q)
 
 
 def su_order(n, q):
-    _check_dim("SU", n)
-    q = int(q)
-    return gu_order(n, q) // (q + 1)
+    return _order_of("SU", n, q)
 
 
 def sp_order(n, q):
-    """|Sp_n(q)| for even n = 2m: q^(m^2) * prod_{i=1..m} (q^2i - 1)."""
-    _check_dim("Sp", n)
-    if n % 2:
-        raise UnsupportedGroup(f"Sp_{n} needs even dimension")
-    q = int(q)
-    m = n // 2
-    return q ** (m * m) * prod(q ** (2 * i) - 1 for i in range(1, m + 1))
+    return _order_of("Sp", n, q)
 
 
 def omega_order(n, eps, q):
-    """|Omega_n^eps(q)| for n >= 2.
-
-    Odd n over odd q uses the kernel-of-spinor-norm order; odd n over even q
-    is the symplectic group of rank (n-1)/2.  n = 2 gives the cyclic torus.
-    """
-    _check_dim("Omega", n)
-    qq = parse_prime_power(q)
-    q = qq.q
-    if n % 2:
-        if eps not in ("", CIRC):
-            raise UnsupportedGroup("odd-dimensional orthogonal group takes no sign")
-        full = sp_order(n - 1, q)
-        if qq.p == 2:
-            return full  # Omega_{2m+1}(q) = Sp_{2m}(q) in characteristic 2
-        return full // 2
-    if eps not in (PLUS, MINUS):
-        raise UnsupportedGroup("even-dimensional orthogonal group needs a sign")
-    m = n // 2
-    s = 1 if eps == PLUS else -1
-    top = q ** (m * (m - 1)) * (q ** m - s) * prod(q ** (2 * i) - 1 for i in range(1, m))
-    return top // gcd(2, q - 1)
+    return _order_of("Omega", n, q, eps)
 
 
 def so_order(n, eps, q):
-    _check_dim("SO", n)
-    qq = parse_prime_power(q)
-    if n % 2 and qq.p == 2:
-        raise UnsupportedGroup("SO in odd dimension needs odd q")
-    return 2 * omega_order(n, eps, q)
+    return _order_of("SO", n, q, eps)
 
 
 def go_order(n, eps, q):
-    _check_dim("GO", n)
-    qq = parse_prime_power(q)
-    if n % 2:
-        return 2 * so_order(n, eps, q)
-    return gcd(2, qq.q - 1) * so_order(n, eps, q)
+    return _order_of("GO", n, q, eps)
 
 
 def psl_order(n, q):
-    q = int(q)
-    return sl_order(n, q) // gcd(n, q - 1)
+    return _order_of("PSL", n, q)
 
 
 def psu_order(n, q):
-    q = int(q)
-    return su_order(n, q) // gcd(n, q + 1)
+    return _order_of("PSU", n, q)
 
 
 def psp_order(n, q):
-    q = int(q)
-    return sp_order(n, q) // gcd(2, q - 1)
+    return _order_of("PSp", n, q)
+
+
+def pomega_order(n, eps, q):
+    return _order_of("POmega", n, q, eps)
 
 
 def pomega_center(n, eps, q):
     """|Omega_n^eps(q) : POmega_n^eps(q)|, the order of the center of Omega:
     gcd(4, q^m - s) / gcd(2, q - 1) for n = 2m, where s = 1 for eps = +
-    and -1 for eps = -; 1 for odd n."""
+    and -1 for eps = -; 1 for odd n.  q^m is read mod 4 only."""
     if n % 2:
         return 1
     q = int(q)
     s = 1 if eps == PLUS else -1
-    return gcd(4, q ** (n // 2) - s) // gcd(2, q - 1)
-
-
-def pomega_order(n, eps, q):
-    return omega_order(n, eps, q) // pomega_center(n, eps, q)
+    return gcd(4, pow(q, n // 2, 4) - s) // gcd(2, q - 1)
 
 
 def sylow_exponent(g):
     """The number N of positive roots of the group of Lie type g over GF(q):
     q^N is the order of a Sylow p-subgroup of g, p the characteristic, and
-    the same for every isogeny type of one family.  (SO and GO in
-    characteristic 2 are the exception: their index-2 part over Omega adds
-    a factor 2, so there q^N only divides the order.)"""
-    fam, n = g.family, g.n
-    if fam in ("PSL", "SL", "GL", "PGL", "PSU", "SU", "GU", "PGU"):
-        return n * (n - 1) // 2
-    if fam in ("PSp", "Sp"):
-        return (n // 2) ** 2
-    if fam in ("POmega", "SO", "GO", "Omega"):
-        m = n // 2
-        return m * m if n % 2 else m * (m - 1)
+    the same for every isogeny type of one family.  For the classical
+    families it is the N of classical_form.  (SO and GO in characteristic
+    2 are the exception: their index-2 part over Omega adds a factor 2, so
+    there q^N only divides the order.)"""
+    fam = g.family
     if fam in ("Sz", "G2", "3D4"):
         return {"Sz": 2, "G2": 6, "3D4": 12}[fam]
-    raise UnsupportedGroup(f"{g} is not a group of Lie type")
+    if fam not in FORM_FAMILIES:
+        raise UnsupportedGroup(f"{g} is not a group of Lie type")
+    return classical_form(fam, g.n, int(g.q), g.eps)[0]
 
 
 def sz_order(q):
@@ -295,23 +350,24 @@ def _sporadic_order(name):
 # Shapes: "nq" F(n,q), "signed" F(n,q) or F+(n,q) / F-(n,q) in even
 # dimension, "degree" F(d), "field" F(q), "name" F(X).  A least dimension
 # of 0 leaves the check to the formula (Alt and Sym need degree >= 1, Sz an
-# odd power of 2, a sporadic group a known name).  The exported formulas
-# of GL, SL, GU, SU, Sp, SO, GO and Omega check their own least dimension.
+# odd power of 2, a sporadic group a known name).  The fourteen classical
+# families take their order from classical_form, which checks the least
+# dimension, as do the exported formulas gl_order ... pomega_order.
 FAMILIES = {
-    "PSL": ("nq", 2, lambda g: psl_order(g.n, g.q)),
-    "PSU": ("nq", 2, lambda g: psu_order(g.n, g.q)),
-    "PSp": ("nq", 2, lambda g: psp_order(g.n, g.q)),
-    "POmega": ("signed", 3, lambda g: pomega_order(g.n, g.eps, g.q)),
-    "GL": ("nq", 1, lambda g: gl_order(g.n, g.q)),
-    "SL": ("nq", 1, lambda g: sl_order(g.n, g.q)),
-    "PGL": ("nq", 1, lambda g: sl_order(g.n, g.q)),
-    "GU": ("nq", 1, lambda g: gu_order(g.n, g.q)),
-    "SU": ("nq", 1, lambda g: su_order(g.n, g.q)),
-    "PGU": ("nq", 1, lambda g: su_order(g.n, g.q)),
-    "Sp": ("nq", 2, lambda g: sp_order(g.n, g.q)),
-    "SO": ("signed", 2, lambda g: so_order(g.n, g.eps, g.q)),
-    "GO": ("signed", 2, lambda g: go_order(g.n, g.eps, g.q)),
-    "Omega": ("signed", 2, lambda g: omega_order(g.n, g.eps, g.q)),
+    "PSL": ("nq", 2, _form_order),
+    "PSU": ("nq", 2, _form_order),
+    "PSp": ("nq", 2, _form_order),
+    "POmega": ("signed", 3, _form_order),
+    "GL": ("nq", 1, _form_order),
+    "SL": ("nq", 1, _form_order),
+    "PGL": ("nq", 1, _form_order),
+    "GU": ("nq", 1, _form_order),
+    "SU": ("nq", 1, _form_order),
+    "PGU": ("nq", 1, _form_order),
+    "Sp": ("nq", 2, _form_order),
+    "SO": ("signed", 2, _form_order),
+    "GO": ("signed", 2, _form_order),
+    "Omega": ("signed", 2, _form_order),
     "Alt": ("degree", 0, lambda g: alt_order(g.n)),
     "Sym": ("degree", 0, lambda g: sym_order(g.n)),
     "Sz": ("field", 0, lambda g: sz_order(g.q)),
@@ -320,12 +376,14 @@ FAMILIES = {
     "Sporadic": ("name", 0, lambda g: _sporadic_order(g.name)),
 }
 
+# the families that classical_form knows
+FORM_FAMILIES = tuple(fam for fam, row in FAMILIES.items() if row[2] is _form_order)
+
 
 def order(g):
     """Exact order of the group identified by the GroupId g: its family's
-    formula in FAMILIES, after refusing n below the family's least
-    dimension."""
-    _check_dim(g.family, g.n)
+    formula in FAMILIES.  A classical family's formula refuses n below the
+    family's least dimension; the others have least dimension 0."""
     return FAMILIES[g.family][2](g)
 
 
@@ -423,7 +481,7 @@ def out_order(g):
             return 2 * e
         m = n // 2
         s = 1 if eps == PLUS else -1
-        d = gcd(4, qi ** m - s)
+        d = gcd(4, pow(qi, m, 4) - s)
         if eps == PLUS and m == 4:
             return 6 * d * e
         return 2 * d * e

@@ -13,8 +13,9 @@ does the rest for every case: it builds the row, skips points the
 constructor rejects and rows whose host is not simple, and decides
 membership by the cube inequality.  A case registered with named=True adds
 the row's name to the member key.  Membership is decided first from an
-integer bit-length bracket on |G0| (bounds.simple_order_bits) and from the
-exact |G0| only where the bracket cannot decide; both routes are exact,
+integer bit-length bracket on |G0| (orders.order_bits, read off the
+factored order without building it) and from the exact |G0| only where
+the bracket cannot decide; both routes are exact,
 and no point's membership depends on which one settled it.  For a
 case with a ratio sandwich of the same name in bounds.SANDWICH_CASES, a
 decisive sandwich verdict that contradicts the membership is reported as an
@@ -32,11 +33,10 @@ from typing import Callable
 
 from . import catalog
 from .arith import prime_powers as _prime_power_objects
-from .bounds import (CERTAINLY_LARGE, CERTAINLY_NOT_LARGE, SANDWICH_CASES,
-                     sandwich, simple_order_bits)
+from .bounds import CERTAINLY_LARGE, CERTAINLY_NOT_LARGE, SANDWICH_CASES, sandwich
 from .errors import ConstraintViolation, MissingGolden, UnknownCase
 from .largeness import UPPER, decisive, is_large_h1
-from .orders import PLUS, is_simple, order, pomega, psl, psp, psu
+from .orders import PLUS, is_simple, order, order_bits, pomega, psl, psp, psu
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def _parse_member(line):
     out = []
     for tok in line.split(","):
         tok = tok.strip()
-        out.append(int(tok) if tok.lstrip("-").isdigit() and tok not in ("-", "+") else tok)
+        out.append(int(tok) if tok.removeprefix("-").isdecimal() else tok)
     return tuple(out)
 
 
@@ -142,19 +142,22 @@ def _member(g0, entry):
 def _bracket_member(g0, entry):
     """Membership when 2^lo <= |G0| < 2^hi settles the cube test, else None.
 
-    With b the bit length of rhs = |H0|^3 |O1|^2, b <= lo means rhs < |G0|
-    (not large) and b - 1 >= hi means rhs > |G0| (large).  A large row is a
-    member unless it stores only an upper bound on |H0|, as in
-    _exact_member.
+    With 2^(b_lo - 1) <= rhs = |H0|^3 |O1|^2 < 2^b_hi, b_hi <= lo means
+    rhs < |G0| (not large) and b_lo - 1 >= hi means rhs > |G0| (large).
+    The bit lengths of |H0| and |O1| give b_lo and b_hi four apart; rhs is
+    built, and b_lo = b_hi its bit length, only where they do not decide.
+    A large row is a member unless it stores only an upper bound on |H0|,
+    as in _exact_member.
     """
-    bits = simple_order_bits(g0)
-    if bits is None:
-        return None
-    lo, hi = bits
-    b = (entry.h0_order ** 3 * entry.o1_order ** 2).bit_length()
-    if b <= lo:
+    lo, hi = order_bits(g0)
+    h0, o1 = entry.h0_order, entry.o1_order
+    b_hi = 3 * h0.bit_length() + 2 * o1.bit_length()
+    b_lo = b_hi - 4
+    if lo < b_hi and b_lo - 1 < hi:
+        b_lo = b_hi = (h0 ** 3 * o1 ** 2).bit_length()
+    if b_hi <= lo:
         return False
-    if b - 1 >= hi:
+    if b_lo - 1 >= hi:
         return entry.bound != UPPER
     return None
 

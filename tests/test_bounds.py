@@ -14,8 +14,6 @@ from large_atlas.bounds import (
     omega_upper,
     order_bits_floor,
     sandwich,
-    simple_order_bits,
-    simple_order_bounds,
 )
 from large_atlas.errors import ConstraintViolation, UnknownCase, UnsupportedGroup
 from large_atlas.largeness import is_large_h1
@@ -28,10 +26,7 @@ from large_atlas.orders import (
     omega_order,
     order,
     parse_group,
-    pomega,
     psl,
-    psp,
-    psu,
     so_order,
     sp_order,
 )
@@ -90,46 +85,6 @@ def test_order_bounds_rejects_bad_input():
         order_bounds("Sp", 3, 5)
     with pytest.raises(UnknownCase):
         order_bounds("XYZ", 6, 5)
-
-
-@pytest.mark.parametrize("name", [
-    "PSL(3,4)", "PSL(9,2)", "PSU(4,3)", "PSp(6,3)",
-    "POmega(7,3)", "POmega+(10,2)", "POmega-(8,3)",
-])
-def test_simple_order_bounds_bracket(name):
-    g = parse_group(name)
-    lo, up = simple_order_bounds(g)
-    assert lo < order(g) <= up
-
-
-def _bracket_hosts():
-    for q in [int(q) for q in prime_powers(2, 16)]:
-        for n in range(2, 13):
-            yield psl(n, q)
-            if n >= 3:
-                yield psu(n, q)
-            if n >= 4 and n % 2 == 0:
-                yield psp(n, q)
-            if n >= 7:
-                for eps in ((CIRC,) if n % 2 else (PLUS, MINUS)):
-                    yield pomega(n, q, eps)
-    yield psp(1024, 3)
-
-
-def test_simple_order_bits_bracket():
-    hosts = list(_bracket_hosts())
-    assert {g.family for g in hosts} == {"PSL", "PSU", "PSp", "POmega"}
-    for g in hosts:
-        lo, hi = simple_order_bits(g)
-        assert 2 ** lo <= order(g) < 2 ** hi, str(g)
-
-
-@pytest.mark.parametrize("name", [
-    "PSU(2,5)", "PSp(2,7)", "POmega+(6,3)", "POmega(5,3)", "Alt(7)",
-    "Sporadic(J3)", "G2(3)",
-])
-def test_simple_order_bits_none_outside_the_bounds(name):
-    assert simple_order_bits(parse_group(name)) is None
 
 
 def test_order_bits_floor_never_exceeds_the_order():

@@ -47,6 +47,18 @@ def test_orders_beyond_the_digit_cap_exit_unsupported_at_once(capsys, argv):
     assert time.perf_counter() - t0 < 1
 
 
+@pytest.mark.parametrize("host", ["PSL(2400,3)", "POmega+(100000000,3)", "GL(3000,2)"])
+@pytest.mark.parametrize("verb", [["order"], ["subgroups"], ["check", "--class", "C1"]])
+def test_hosts_beyond_the_digit_cap_exit_unsupported_before_any_order(capsys, host, verb):
+    # |PSL(2400,3)| has about 2.7 million digits: the bracket of its
+    # factored order refuses it, where a floor read off q^(n^2 - 2) alone
+    # could not
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, verb[0], host, *verb[1:])
+    assert code == 3 and out == "" and "decimal digits" in err
+    assert time.perf_counter() - t0 < 0.5
+
+
 @pytest.mark.parametrize("host", ["GL(3000,2)", "SL(3000,2)", "GU(3000,2)", "PGU(3000,2)"])
 def test_linear_and_unitary_orders_beyond_the_digit_cap_are_never_built(capsys, monkeypatch, host):
     exact = cli.order
@@ -65,14 +77,14 @@ def test_linear_and_unitary_orders_beyond_the_digit_cap_are_never_built(capsys, 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="the interpreter has no digit cap")
 def test_digit_cap_hit_while_printing_exits_unsupported(capsys, monkeypatch):
-    # with a 1000-digit cap the bracket of PSL(50,3) cannot refuse it
-    # (lo = 2497 bits), but its 1192-digit order fails to print
+    # with a 1000-digit cap the bracket of PSL(46,3) cannot refuse it
+    # (lo = 3303 bits, below 3322), but its 1009-digit order fails to print
     old = sys.get_int_max_str_digits()
     monkeypatch.setattr(cli, "MAX_DIGITS", 1000)
     try:
         for argv in (("order",), ("subgroups", "--json"), ("check", "--class", "C1"),
                      ("explain", "--class", "C1")):
-            code, out, err = run(capsys, argv[0], "PSL(50,3)", *argv[1:])
+            code, out, err = run(capsys, argv[0], "PSL(46,3)", *argv[1:])
             assert code == 3 and out == "" and "decimal digits" in err, argv
         assert run(capsys, "order", "PSL(45,3)")[0] == 0  # 966 digits
     finally:
@@ -150,6 +162,17 @@ def test_check_with_explicit_orders(capsys):
 def test_check_refuses_a_zero_outer_order(capsys, selector):
     code, out, err = run(capsys, "check", "PSL(2,7)", *selector, "--o", "0")
     assert code == 3 and out == "" and "orders must be positive" in err
+
+
+@pytest.mark.parametrize("selector", [
+    ["--class", "C9"], ["--type", "nonsense"], ["--item", "3"], ["--exceptional", "sp4"],
+    ["--item", "3", "--class", "C9", "--type", "nonsense"],
+])
+def test_check_refuses_a_selector_beside_an_explicit_h0_order(capsys, selector):
+    # --h0-order reads no selector, so one given beside it is an error,
+    # as --item without --exceptional is
+    code, out, err = run(capsys, "check", "PSL(2,7)", "--h0-order", "24", *selector)
+    assert code == 2 and out == "" and "is not read with --h0-order" in err
 
 
 def test_check_outer_order_keeps_the_rows_bound_kind(capsys):
@@ -244,6 +267,16 @@ def test_sweep_verb_flags_diffs(capsys):
     code, out, _ = run(capsys, "sweep", "psu-c2-t3")
     assert code == 1
     assert "extra:   31" in out
+
+
+def test_sweep_reports_a_superscript_golden_token_as_missing(capsys, monkeypatch, tmp_path):
+    # "²" is a digit (str.isdigit) but not a decimal one: the token stays a
+    # string, so the golden member is missing, not a ValueError traceback
+    (tmp_path / "psl-c6.golden").write_text("2,\u00b2\n", encoding="utf-8")
+    monkeypatch.setenv("LARGE_ATLAS_GOLDEN_DIR", str(tmp_path))
+    code, out, err = run(capsys, "sweep", "psl-c6")
+    assert code == 1 and err == ""
+    assert "  missing: 2,\u00b2" in out.splitlines()
 
 
 def test_sweep_list(capsys):

@@ -1,15 +1,18 @@
 """Order formulas and group name handling."""
 
 import hashlib
+import time
 from importlib import resources
 from types import SimpleNamespace
 
 import pytest
 
 from large_atlas import orders
+from large_atlas.arith import prime_powers
 from large_atlas.errors import DataIntegrityError, GroupParseError, UnsupportedGroup
 from large_atlas.orders import (
     CIRC,
+    FORM_FAMILIES,
     MINUS,
     PLUS,
     alt_order,
@@ -20,6 +23,7 @@ from large_atlas.orders import (
     is_simple,
     omega_order,
     order,
+    order_bits,
     out_order,
     parse_group,
     pomega,
@@ -164,6 +168,37 @@ def test_sylow_exponent_is_the_p_part_of_the_order():
     for name in ("Alt(7)", "Sym(5)", "Sporadic(M11)"):
         with pytest.raises(UnsupportedGroup):
             sylow_exponent(parse_group(name))
+
+
+def test_order_bits_brackets_every_classical_order():
+    # every family of classical_form at every dimension n <= 24 it admits,
+    # over every prime power q <= 32, and two hosts of large dimension
+    assert len(FORM_FAMILIES) == 14
+    hosts = [parse_group("PSp(1024,3)"), parse_group("GL(200,2)")]
+    for q in prime_powers(2, 32):
+        for fam in FORM_FAMILIES:
+            signs = ("", PLUS, MINUS) if orders.FAMILIES[fam][0] == "signed" else ("",)
+            for n in range(25):
+                for eps in signs:
+                    hosts.append(orders.GroupId(fam, n, q, eps))
+    checked = set()
+    for g in hosts:
+        try:
+            g_order = order(g)
+        except UnsupportedGroup:
+            continue  # below the least dimension, odd Sp, SO(odd, even q), a wrong sign
+        lo, hi = order_bits(g)
+        assert 2 ** lo <= g_order < 2 ** hi, str(g)
+        # the bracket's tail bound allows at most two runs
+        assert len(orders.classical_form(g.family, g.n, int(g.q), g.eps)[1]) <= 2
+        checked.add(g.family)
+    assert checked == set(FORM_FAMILIES)
+
+
+def test_out_order_of_a_large_orthogonal_host_reads_q_to_the_m_mod_4():
+    t0 = time.perf_counter()
+    assert out_order(pomega(2 * 10 ** 7, 3, PLUS)) == 8
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_suzuki_and_triality_formulas():

@@ -102,7 +102,7 @@ def test_bracket_agrees_with_exact_membership(monkeypatch):
     monkeypatch.setattr(sweep, "_bracket_member", checked)
     for cid in sweep.case_ids():
         sweep.run_case(cid)
-    assert len(decided) > 3000
+    assert len(decided) >= 4347
 
 
 def test_psp_c7_never_builds_the_dimension_1024_order(monkeypatch):
