@@ -6,7 +6,7 @@ logarithmic (field degrees, factorial growth) are restated as integer power
 comparisons by the callers.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, isqrt, lcm, prod
@@ -49,14 +49,16 @@ def is_prime(n):
 @dataclass(frozen=True, order=True, slots=True)
 class PrimePower:
     """A prime power q = p^e, kept normalized.  Slotted, as the factor
-    cache behind parse_prime_power keeps up to 1024 of them."""
+    cache behind parse_prime_power keeps up to 1024 of them.  q is built
+    once, at construction; repr, equality, ordering and hash read (p, e)
+    alone."""
 
     p: int
     e: int
+    q: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def q(self):
-        return self.p ** self.e
+    def __post_init__(self):
+        object.__setattr__(self, "q", self.p ** self.e)
 
     def __int__(self):
         return self.q

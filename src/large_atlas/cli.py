@@ -5,7 +5,9 @@ All numeric output is exact decimal.  Exit codes: 0 success, 1 a
 failed check or a reader that closed the output early, 2 parse error,
 3 unsupported group, 4 ambiguous selector, 5 missing golden files.  The
 selector's --class and --type ignore surrounding spaces.  check
---h0-order reads no selector, and refuses one as a parse error.
+--h0-order reads no selector, and refuses one as a parse error; reproduce
+reads exactly one of a case id, --family and --all, and sweep --list no
+case id.
 """
 
 import argparse
@@ -229,6 +231,9 @@ def cmd_sweep(args):
     from . import sweep as sweep_mod
 
     if args.list:
+        if args.case:
+            print("sweep: --list takes no case id", file=sys.stderr)
+            return EXIT_PARSE
         for cid in sweep_mod.case_ids():
             print(cid)
         return EXIT_OK
@@ -254,15 +259,25 @@ def cmd_sweep(args):
 def cmd_reproduce(args):
     from . import sweep as sweep_mod
 
+    # one selector, so that none given is left unread; an empty case id or
+    # prefix counts as not given
+    given = bool(args.case) + bool(args.family) + args.all
+    if not given:
+        print("reproduce: give a case id, --family PREFIX, or --all", file=sys.stderr)
+        return EXIT_PARSE
+    if given > 1:
+        print("reproduce: give only one of a case id, --family PREFIX and --all",
+              file=sys.stderr)
+        return EXIT_PARSE
     if args.all:
         reports = sweep_mod.run_all()
     elif args.family:
         reports = sweep_mod.run_all(prefix=args.family)
-    elif args.case:
-        reports = [sweep_mod.run_case(args.case)]
+        if not reports:
+            print(f"reproduce: no case id starts with {args.family!r}", file=sys.stderr)
+            return EXIT_PARSE
     else:
-        print("reproduce: give a case id, --family PREFIX, or --all", file=sys.stderr)
-        return EXIT_PARSE
+        reports = [sweep_mod.run_case(args.case)]
     os.makedirs(args.out_dir, exist_ok=True)
     ok = True
     for report in reports:
@@ -398,26 +413,57 @@ _VERBS = {
 }
 
 
+class _OneVerbParser(argparse.ArgumentParser):
+    """The top level of a one-verb parser.  A command line that starts with
+    the verb goes straight to the verb's subparser, `verb_parser`, so the
+    words after the verb are parsed once; the full route matches them
+    against the top-level pattern first and then hands them on.  Any other
+    command line takes the full route."""
+
+    verb = verb_parser = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if not args or args[0] != self.verb:
+            return super().parse_known_args(args, namespace)
+        # as argparse's subparsers action does: parse into a fresh namespace
+        # and copy it over.  The leftover words go back to parse_args, which
+        # refuses them under the top-level usage.
+        sub_namespace, extras = self.verb_parser.parse_known_args(args[1:], None)
+        if namespace is None:
+            namespace = argparse.Namespace()
+        namespace.verb = args[0]
+        for key, value in vars(sub_namespace).items():
+            setattr(namespace, key, value)
+        return namespace, extras
+
+
 @cache
 def _build_parser(verb=None):
     """The command-line parser: with every verb's subparser, or with only
     the subparser of `verb`.  A one-verb parser parses that verb's command
-    lines as the full one does; its usage line still names every verb
-    (through the metavar), so the top-level errors it can still raise,
-    such as unrecognized arguments, print the same text.  Each parser is
-    built once per process: parse_args keeps no state in the parser, and
+    lines as the full one does, but parses the words after the verb once,
+    with the verb's subparser alone (_OneVerbParser); words that subparser
+    leaves over are refused by the top level, under its usage line.  That
+    usage line still names every verb (through the metavar), so the
+    top-level errors print the same text as the full parser's.  Each parser
+    is built once per process: parse_args keeps no state in the parser, and
     every call gets a fresh namespace."""
-    top = argparse.ArgumentParser(
+    top = (argparse.ArgumentParser if verb is None else _OneVerbParser)(
         prog="large-atlas",
         description="Exact arithmetic for large maximal subgroups of "
                     "finite classical groups.")
     metavar = None if verb is None else "{" + ",".join(_VERBS) + "}"
-    sub = top.add_subparsers(dest="verb", required=True, metavar=metavar)
+    # the subparsers are plain parsers: by default they take the top
+    # level's class
+    sub = top.add_subparsers(dest="verb", required=True, metavar=metavar,
+                             parser_class=argparse.ArgumentParser)
     for name in _VERBS if verb is None else (verb,):
         help_, fn, add_arguments = _VERBS[name]
         p = sub.add_parser(name, help=help_)
         add_arguments(p)
         p.set_defaults(fn=fn)
+    if verb is not None:
+        top.verb, top.verb_parser = verb, p
     return top
 
 

@@ -32,6 +32,10 @@ class AmbiguousSelector(LargeAtlasError, ValueError):
 class UnknownCase(LargeAtlasError, KeyError):
     """Raised for unknown sweep or sandwich case identifiers."""
 
+    def __str__(self):
+        # KeyError's str is the repr of its key; this one is a message
+        return Exception.__str__(self)
+
 
 class MissingGolden(LargeAtlasError, FileNotFoundError):
     """Raised when a golden file cannot be located."""

@@ -282,13 +282,11 @@ def pomega_order(n, eps, q):
 
 def pomega_center(n, eps, q):
     """|Omega_n^eps(q) : POmega_n^eps(q)|, the order of the center of Omega:
-    gcd(4, q^m - s) / gcd(2, q - 1) for n = 2m, where s = 1 for eps = +
-    and -1 for eps = -; 1 for odd n.  q^m is read mod 4 only."""
-    if n % 2:
-        return 1
+    the two orders share classical_form's N, runs and c, so it is the
+    quotient of their d, gcd(4, q^m - s) / gcd(2, q - 1) for n = 2m, where
+    s = 1 for eps = + and -1 for eps = -, and 1 for odd n."""
     q = int(q)
-    s = 1 if eps == PLUS else -1
-    return gcd(4, pow(q, n // 2, 4) - s) // gcd(2, q - 1)
+    return classical_form("POmega", n, q, eps)[3] // classical_form("Omega", n, q, eps)[3]
 
 
 def sylow_exponent(g):
@@ -479,10 +477,9 @@ def out_order(g):
             if q.p == 2:
                 return out_order(psp(n - 1, q))
             return 2 * e
-        m = n // 2
-        s = 1 if eps == PLUS else -1
-        d = gcd(4, pow(qi, m, 4) - s)
-        if eps == PLUS and m == 4:
+        # gcd(4, q^m - s), s = 1 for eps = + and -1 for eps = -
+        d = classical_form("POmega", n, qi, eps)[3]
+        if eps == PLUS and n == 8:
             return 6 * d * e
         return 2 * d * e
 

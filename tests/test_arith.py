@@ -60,6 +60,16 @@ def test_parse_prime_power_cache_is_bounded():
     assert arith._factor_prime_power.cache_info().maxsize is not None
 
 
+def test_prime_power_stores_q_and_compares_on_p_and_e():
+    q = PrimePower(5, 2)
+    assert q.q == 25 and int(q) == 25 and str(q) == "25"
+    assert repr(q) == "PrimePower(p=5, e=2)"
+    assert q == PrimePower(5, 2) and hash(q) == hash(PrimePower(5, 2))
+    assert sorted([PrimePower(3, 1), PrimePower(2, 3)]) == [PrimePower(2, 3), PrimePower(3, 1)]
+    with pytest.raises(TypeError):
+        PrimePower(5, 2, 25)
+
+
 def test_prime_powers_range():
     got = [int(q) for q in prime_powers(2, 32)]
     assert got == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]

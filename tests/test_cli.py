@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -347,6 +348,32 @@ def test_reproduce_without_a_selector_exits_parse_error(capsys, tmp_path):
     assert not (tmp_path / "reports").exists()
 
 
+@pytest.mark.parametrize("argv", [["sweep", "nope"], ["reproduce", "nope"]])
+def test_unknown_case_message_has_no_stray_quotes(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (2, "", "error: unknown sweep case 'nope'\n")
+    assert not (tmp_path / "reports").exists()
+
+
+ONLY_ONE = "give only one of a case id, --family PREFIX and --all"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["reproduce", "--all", "psl-c6"], ONLY_ONE),
+    (["reproduce", "--all", "--family", "psu"], ONLY_ONE),
+    (["reproduce", "--family", "psu", "psl-c6"], ONLY_ONE),
+    (["reproduce", "--family", "zzz"], "no case id starts with 'zzz'"),
+])
+def test_reproduce_refuses_a_selector_it_would_not_read(capsys, tmp_path, argv, err):
+    out_dir = tmp_path / "reports"
+    assert run(capsys, *argv, "--out-dir", str(out_dir)) == (2, "", f"reproduce: {err}\n")
+    assert not out_dir.exists()
+
+
+def test_sweep_refuses_a_case_beside_list(capsys):
+    assert run(capsys, "sweep", "psl-c6", "--list") == (2, "", "sweep: --list takes no case id\n")
+
+
 def test_sweep_without_a_case_exits_parse_error(capsys):
     code, out, err = run(capsys, "sweep")
     assert code == 2 and out == ""
@@ -481,17 +508,53 @@ def _parse(capsys, parser, argv):
     return result, out.out, out.err
 
 
+# the first word after each verb that its handler reads
+FIRST_WORD = {"sweep": "psl-c3-r5", "reproduce": "psl-c3-r5", "tables": "A0"}
+
+
+def _edge_argv(verb):
+    """Command lines where argparse's routes could part: "--" before and
+    after the first word, a first word that looks like a negative number or
+    a flag, abbreviated flags, --flag=value, a repeated flag, a flag before
+    the first word, -h after it, and extra words."""
+    w = FIRST_WORD.get(verb, "PSL(2,7)")
+    return [[verb, *tail] for tail in (
+        ["--", w], [w, "--"], ["-5"], ["--", "-5"], ["--", "--json"], [w, "--", "-5"],
+        [w, "--cl", "C2"], [w, "--js"], [w, "--li"], [w, "--fam", "psu"],
+        [w, "--json=1"], [w, "--class=C2"], [w, "--class", "C1", "--class", "C2"],
+        ["--json", w, "--json"], ["--class", "C2", w], [w, "-h"], [w, "extra", "words"],
+    )]
+
+
+def _main(capsys, argv):
+    """(exit code, stdout with its timings blanked, stderr) of main(argv)."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, re.sub(r'\d+ ms|"elapsed_ms": \d+', "#", out.out), out.err
+
+
 @pytest.mark.parametrize("verb", list(cli._VERBS))
-def test_one_verb_parser_parses_as_the_full_parser(capsys, verb):
+def test_one_verb_parser_parses_as_the_full_parser(capsys, monkeypatch, tmp_path, verb):
     full, one = cli._build_parser(), cli._build_parser(verb)
     assert list(_subparsers(one)) == [verb]
     assert _subparsers(one)[verb].format_help() == _subparsers(full)[verb].format_help()
+    edge = _edge_argv(verb)
     for argv in (SAMPLE_ARGV[verb], [verb, "--help"], [verb], [verb, "--no-such-flag"],
-                 SAMPLE_ARGV[verb] + ["extra", "args"]):
+                 SAMPLE_ARGV[verb] + ["extra", "args"], *edge):
         assert _parse(capsys, one, argv) == _parse(capsys, full, argv), argv
     code, _, err = _parse(capsys, one, [verb])
     if verb not in ("sweep", "reproduce"):  # their case id is optional
         assert code == 2 and "the following arguments are required" in err
+    # and main answers alike through either parser; reproduce writes its
+    # reports under the working directory
+    monkeypatch.chdir(tmp_path)
+    direct = [_main(capsys, argv) for argv in edge]
+    monkeypatch.setattr(cli, "_build_parser", lambda verb=None: full)
+    assert [_main(capsys, argv) for argv in edge] == direct
+    assert {code for code, _, _ in direct} >= {0, 2}
 
 
 @pytest.mark.parametrize("argv", [[], ["bogus", "PSL(2,7)"], ["--help"], ["-h", "order"]])

@@ -3,6 +3,7 @@
 import hashlib
 import time
 from importlib import resources
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -117,6 +118,27 @@ def test_pomega_center(n, eps, q, z):
     # |Z(Omega_2m^eps(q))| = gcd(4, q^m - eps) / gcd(2, q - 1); 1 for odd n
     assert pomega_center(n, eps, q) == z
     assert pomega_order(n, eps, q) * z == omega_order(n, eps, q)
+
+
+def test_pomega_center_and_out_order_match_their_closed_forms():
+    # both read gcd(4, q^m - s) from classical_form's d; here it is written
+    # out, for every POmega host with n <= 24 and q <= 32
+    checked = 0
+    for n in range(3, 25):
+        m = n // 2
+        for q in prime_powers(2, 32):
+            qi, e = int(q), q.e
+            for eps in (PLUS, MINUS) if n % 2 == 0 else (CIRC,):
+                if n % 2:
+                    # over even q, |Out(PSp(n - 1, q))|
+                    z, out = 1, 2 * e if q.p != 2 or n == 5 else e
+                else:
+                    d = gcd(4, qi ** m - (1 if eps == PLUS else -1))
+                    z, out = d // gcd(2, qi - 1), (6 if (eps, m) == (PLUS, 4) else 2) * d * e
+                assert pomega_center(n, eps, qi) == z, (n, eps, qi)
+                assert out_order(pomega(n, q, eps)) == out, (n, eps, qi)
+                checked += 1
+    assert checked == 18 * (11 * 2 + 11)
 
 
 def test_pomega_order_agrees_with_each_exceptional_isomorphism():
