@@ -108,11 +108,25 @@ def _factor_prime_power(q):
 
 
 def prime_powers(lo, hi):
-    """All prime powers q with lo <= q <= hi, ascending, as PrimePower."""
+    """All prime powers q with lo <= q <= hi, ascending, as PrimePower.
+    One sieve of least prime factors up to hi: q > 1 is p^e, p its least
+    prime factor, when q = p or q / p is p^(e-1)."""
+    if hi < 2:
+        return []
+    least = list(range(hi + 1))
+    for p in range(2, isqrt(hi) + 1):
+        if least[p] == p:
+            for m in range(p * p, hi + 1, p):
+                if least[m] == m:
+                    least[m] = p
+    # exponent[q] = e where q = p^e, else 0
+    exponent = [0] * (hi + 1)
     out = []
-    for q in range(max(lo, 2), hi + 1):
-        try:
-            out.append(parse_prime_power(q))
-        except NotAPrimePower:
-            pass
+    for q in range(2, hi + 1):
+        p = least[q]
+        r = q // p
+        e = 1 if r == 1 else exponent[r] + 1 if least[r] == p and exponent[r] else 0
+        exponent[q] = e
+        if e and q >= lo:
+            out.append(PrimePower(p, e))
     return out

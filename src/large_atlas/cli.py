@@ -8,6 +8,13 @@ selector's --class and --type ignore surrounding spaces.  check
 --h0-order reads no selector, and refuses one as a parse error; reproduce
 reads exactly one of a case id, --family and --all, and sweep --list no
 case id.
+
+A plain command line (the verb, its positionals, and each option spelled
+in full, at most once, with a value not starting with "-") is parsed
+straight from the verb's table of arguments in _VERBS, by _parse_plain.
+Every other command line, and every one of sweep and reproduce, goes to
+argparse (_build_parser), which prints help and usage errors; both routes
+give the same namespace.
 """
 
 import argparse
@@ -234,8 +241,11 @@ def cmd_sweep(args):
         if args.case:
             print("sweep: --list takes no case id", file=sys.stderr)
             return EXIT_PARSE
-        for cid in sweep_mod.case_ids():
-            print(cid)
+        if args.json:
+            print(json.dumps(sweep_mod.case_ids(), indent=2))
+        else:
+            for cid in sweep_mod.case_ids():
+                print(cid)
         return EXIT_OK
     if not args.case:
         print("sweep: a case id is required (or --list)", file=sys.stderr)
@@ -357,60 +367,124 @@ def cmd_tables(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_group(p):
-    p.add_argument("group")
+# each verb's arguments, as (flags, add_argument keyword arguments): the one
+# home of the command-line grammar.  _build_parser adds them to the verb's
+# subparser and _parse_plain reads them.
+_GROUP = ((("group",), {}),)
+_SELECTOR = _GROUP + (
+    (("--class",), {"dest": "klass", "help": "Aschbacher class, e.g. C2"}),
+    (("--type",), {"help": "type descriptor or structure name"}),
+    (("--exceptional",), {"choices": ("sp4", "o8"),
+                          "help": "graph-automorphism candidate list"}),
+    (("--item",), {"help": "1-based or roman index into the list"}),
+)
+_JSON = ((("--json",), {"action": "store_true"}),)
 
-
-def _add_selector(p):
-    p.add_argument("group")
-    p.add_argument("--class", dest="klass", help="Aschbacher class, e.g. C2")
-    p.add_argument("--type", help="type descriptor or structure name")
-    p.add_argument("--exceptional", choices=("sp4", "o8"),
-                   help="graph-automorphism candidate list")
-    p.add_argument("--item", help="1-based or roman index into the list")
-
-
-def _add_selector_json(p):
-    _add_selector(p)
-    p.add_argument("--json", action="store_true")
-
-
-def _add_check(p):
-    _add_selector(p)
-    p.add_argument("--h0-order", type=int, help="explicit |H0| instead of a selector")
-    p.add_argument("--o", type=int, help="override the outer part order")
-
-
-def _add_sweep(p):
-    p.add_argument("case", nargs="?")
-    p.add_argument("--list", action="store_true", help="list case ids")
-    p.add_argument("--json", action="store_true")
-
-
-def _add_reproduce(p):
-    p.add_argument("case", nargs="?")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--family", help="case id prefix, e.g. psu")
-    p.add_argument("--out-dir", default="reports")
-
-
-def _add_tables(p):
-    p.add_argument("which", choices=("A", "B", "A0", "a", "b", "a0"))
-    p.add_argument("--json", action="store_true")
-
-
-# verb -> (help line, handler, adds the verb's arguments to its subparser),
-# in the order the top-level help lists them
+# verb -> (help line, handler, arguments), in the order the top-level help
+# lists them
 _VERBS = {
-    "order": ("print the exact order of a group", cmd_order, _add_group),
-    "out": ("print |Out(G0)|", cmd_out, _add_group),
-    "subgroups": ("list catalog entries for a host", cmd_subgroups, _add_selector_json),
-    "check": ("largeness verdict for one subgroup", cmd_check, _add_check),
-    "explain": ("show the formula behind one entry", cmd_explain, _add_selector_json),
-    "sweep": ("run one sweep case against its golden", cmd_sweep, _add_sweep),
-    "reproduce": ("run sweeps and write JSON reports", cmd_reproduce, _add_reproduce),
-    "tables": ("re-emit a data table with verdicts", cmd_tables, _add_tables),
+    "order": ("print the exact order of a group", cmd_order, _GROUP),
+    "out": ("print |Out(G0)|", cmd_out, _GROUP),
+    "subgroups": ("list catalog entries for a host", cmd_subgroups, _SELECTOR + _JSON),
+    "check": ("largeness verdict for one subgroup", cmd_check, _SELECTOR + (
+        (("--h0-order",), {"type": int, "help": "explicit |H0| instead of a selector"}),
+        (("--o",), {"type": int, "help": "override the outer part order"}),
+    )),
+    "explain": ("show the formula behind one entry", cmd_explain, _SELECTOR + _JSON),
+    "sweep": ("run one sweep case against its golden", cmd_sweep, (
+        (("case",), {"nargs": "?"}),
+        (("--list",), {"action": "store_true", "help": "list case ids"}),
+    ) + _JSON),
+    "reproduce": ("run sweeps and write JSON reports", cmd_reproduce, (
+        (("case",), {"nargs": "?"}),
+        (("--all",), {"action": "store_true"}),
+        (("--family",), {"help": "case id prefix, e.g. psu"}),
+        (("--out-dir",), {"default": "reports"}),
+    )),
+    "tables": ("re-emit a data table with verdicts", cmd_tables, (
+        (("which",), {"choices": ("A", "B", "A0", "a", "b", "a0")}),
+    ) + _JSON),
 }
+
+
+@cache
+def _plain_grammar(verb):
+    """The verb's arguments as _parse_plain reads them: (the positionals in
+    order, {flag: option}, the namespace argparse starts from), where a
+    positional or option is (dest, takes a value, int-typed, choices).
+    None when an argument has a shape the direct parse leaves to argparse:
+    an action other than store and store_true, a type other than int, a
+    string default of an int, nargs or any other keyword."""
+    _, fn, arguments = _VERBS[verb]
+    positionals, options, start = [], {}, {"verb": verb}
+    for flags, kw in arguments:
+        action, type_ = kw.get("action", "store"), kw.get("type")
+        if (not kw.keys() <= {"action", "choices", "default", "dest", "help", "type"}
+                or action not in ("store", "store_true") or type_ not in (None, int)
+                or (type_ is int and isinstance(kw.get("default"), str))):
+            return None
+        if not flags[0].startswith("-"):
+            positionals.append((flags[0], True, False, kw.get("choices")))
+            start[flags[0]] = kw.get("default")
+            continue
+        # argparse's dest: the first long flag, without its dashes
+        long = next((f for f in flags if f.startswith("--")), flags[0])
+        dest = kw.get("dest") or long.lstrip("-").replace("-", "_")
+        spec = (dest, action == "store", type_ is int, kw.get("choices"))
+        options.update(dict.fromkeys(flags, spec))
+        start[dest] = kw.get("default", False if action == "store_true" else None)
+    start["fn"] = fn
+    return tuple(positionals), options, start
+
+
+def _parse_plain(verb, words):
+    """The namespace of `verb` followed by `words`, parsed straight from the
+    verb's arguments, or None where argparse is needed.  The direct parse
+    takes only the plain shape: the verb's positionals, each option spelled
+    in full and given at most once, each value not starting with "-", each
+    int value in ASCII decimal digits and each value with choices among
+    them.  On such a command line argparse makes the same namespace; any
+    other (help, errors, abbreviations, --flag=value, "--", a repeated
+    flag) returns None."""
+    grammar = _plain_grammar(verb)
+    if grammar is None:
+        return None
+    positionals, options, start = grammar
+    values = dict(start)
+    given = set()
+    n = len(positionals)
+    k = i = 0
+    while i < len(words):
+        word = words[i]
+        i += 1
+        if word.startswith("-"):
+            if word not in options or options[word][0] in given:
+                return None
+            dest, takes_value, is_int, choices = options[word]
+            given.add(dest)
+            if not takes_value:
+                values[dest] = True
+                continue
+            if i == len(words) or words[i].startswith("-"):
+                return None
+            word = words[i]
+            i += 1
+        elif k < n:
+            dest, _, is_int, choices = positionals[k]
+            k += 1
+        else:
+            return None
+        if is_int:
+            if not (word.isascii() and word.isdigit()):
+                return None
+            try:
+                word = int(word)
+            except ValueError:  # beyond the interpreter's digit cap
+                return None
+        if choices is not None and word not in choices:
+            return None
+        values[dest] = word
+    return argparse.Namespace(**values) if k == n else None
 
 
 class _OneVerbParser(argparse.ArgumentParser):
@@ -440,7 +514,11 @@ class _OneVerbParser(argparse.ArgumentParser):
 @cache
 def _build_parser(verb=None):
     """The command-line parser: with every verb's subparser, or with only
-    the subparser of `verb`.  A one-verb parser parses that verb's command
+    the subparser of `verb`.  main calls it only for a command line that
+    _parse_plain does not take: help, a usage error, argparse's other
+    shapes (abbreviated flags, --flag=value, "--", a repeated flag, a value
+    starting with "-"), and every command line of sweep and reproduce,
+    whose case id is optional.  A one-verb parser parses that verb's command
     lines as the full one does, but parses the words after the verb once,
     with the verb's subparser alone (_OneVerbParser); words that subparser
     leaves over are refused by the top level, under its usage line.  That
@@ -458,9 +536,10 @@ def _build_parser(verb=None):
     sub = top.add_subparsers(dest="verb", required=True, metavar=metavar,
                              parser_class=argparse.ArgumentParser)
     for name in _VERBS if verb is None else (verb,):
-        help_, fn, add_arguments = _VERBS[name]
+        help_, fn, arguments = _VERBS[name]
         p = sub.add_parser(name, help=help_)
-        add_arguments(p)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
         p.set_defaults(fn=fn)
     if verb is not None:
         top.verb, top.verb_parser = verb, p
@@ -474,10 +553,13 @@ def main(argv=None):
         sys.set_int_max_str_digits(MAX_DIGITS)
     if argv is None:
         argv = sys.argv[1:]
-    # the parser holds only the subparser of the verb named; any other
-    # first word (none, --help, a typo) gets the full parser and its errors
+    # a plain command line of a verb is parsed straight from its arguments;
+    # any other gets a parser holding only the subparser of the verb named,
+    # and any other first word (none, --help, a typo) the full parser
     verb = argv[0] if argv and argv[0] in _VERBS else None
-    args = _build_parser(verb).parse_args(argv)
+    args = None if verb is None else _parse_plain(verb, argv[1:])
+    if args is None:
+        args = _build_parser(verb).parse_args(argv)
     try:
         code = args.fn(args)
         # a reader that closed the output early shows here, not at exit

@@ -82,6 +82,23 @@ def test_prime_powers_yields_normalized_objects():
         assert q.p ** q.e == int(q)
 
 
+def test_prime_powers_sieve_matches_trial_division():
+    # the list q by q through parse_prime_power, which factors by trial
+    # division, for every range up to 1024
+    by_trial = []
+    for q in range(2, 1025):
+        try:
+            by_trial.append(parse_prime_power(q))
+        except NotAPrimePower:
+            pass
+    for hi in range(-2, 1025):
+        for lo in (-1, 2, hi // 2, hi):
+            want = [q for q in by_trial if lo <= q.q <= hi]
+            assert prime_powers(lo, hi) == want, (lo, hi)
+    assert [(q.p, q.e) for q in prime_powers(1000, 1024)] == [
+        (1009, 1), (1013, 1), (1019, 1), (1021, 1), (2, 10)]
+
+
 def test_exact_ratio_is_exact():
     # one third plus one sixth is exactly one half, no rounding anywhere
     assert ExactRatio(1, 3) + ExactRatio(1, 6) == ExactRatio(1, 2)

@@ -11,7 +11,7 @@ import time
 import pytest
 
 import large_atlas
-from large_atlas import catalog, cli, orders
+from large_atlas import catalog, cli, orders, sweep
 from large_atlas.orders import parse_group
 
 
@@ -286,6 +286,13 @@ def test_sweep_list(capsys):
     assert "psl-c2-t3" in out.split()
 
 
+def test_sweep_list_json_prints_the_case_ids_as_a_json_list(capsys):
+    code, out, _ = run(capsys, "sweep", "--list", "--json")
+    assert code == 0
+    assert out == json.dumps(sweep.case_ids(), indent=2) + "\n"
+    assert out.startswith('[\n  "psl-c2-t3",\n  "psl-c3-r3",\n')
+
+
 def test_subgroups_json(capsys):
     code, out, _ = run(capsys, "subgroups", "PSL(2,7)", "--json")
     assert code == 0
@@ -544,16 +551,27 @@ def test_one_verb_parser_parses_as_the_full_parser(capsys, monkeypatch, tmp_path
     edge = _edge_argv(verb)
     for argv in (SAMPLE_ARGV[verb], [verb, "--help"], [verb], [verb, "--no-such-flag"],
                  SAMPLE_ARGV[verb] + ["extra", "args"], *edge):
-        assert _parse(capsys, one, argv) == _parse(capsys, full, argv), argv
+        want = _parse(capsys, full, argv)
+        assert _parse(capsys, one, argv) == want, argv
+        # the direct parse takes a command line only where argparse makes
+        # the same namespace
+        plain = cli._parse_plain(verb, argv[1:])
+        assert plain is None or (vars(plain), "", "") == want, argv
+    # the sample line is plain: the direct parse takes it, but for the
+    # optional case id of sweep and reproduce
+    assert (cli._parse_plain(verb, SAMPLE_ARGV[verb][1:]) is None) == (
+        verb in ("sweep", "reproduce"))
     code, _, err = _parse(capsys, one, [verb])
     if verb not in ("sweep", "reproduce"):  # their case id is optional
         assert code == 2 and "the following arguments are required" in err
-    # and main answers alike through either parser; reproduce writes its
-    # reports under the working directory
+    # and main answers alike through its own routes as through the full
+    # parser alone; reproduce writes its reports under the working directory
     monkeypatch.chdir(tmp_path)
-    direct = [_main(capsys, argv) for argv in edge]
+    lines = [SAMPLE_ARGV[verb], *edge]
+    direct = [_main(capsys, argv) for argv in lines]
     monkeypatch.setattr(cli, "_build_parser", lambda verb=None: full)
-    assert [_main(capsys, argv) for argv in edge] == direct
+    monkeypatch.setattr(cli, "_parse_plain", lambda verb, words: None)
+    assert [_main(capsys, argv) for argv in lines] == direct
     assert {code for code, _, _ in direct} >= {0, 2}
 
 
@@ -573,7 +591,10 @@ def test_main_falls_back_to_the_full_parser(capsys, monkeypatch, argv):
     out = capsys.readouterr()
     assert (exc.value.code, out.out, out.err) == want
     assert built == [None]
-    assert cli.main(["out", "PSL(2,7)"]) == 0 and built == [None, "out"]
+    # a plain command line builds no parser; any other builds the verb's
+    assert cli.main(["out", "PSL(2,7)"]) == 0 and built == [None]
+    assert cli.main(["out", "--", "PSL(2,7)"]) == 0 and built == [None, "out"]
+    assert capsys.readouterr().out == "2\n2\n"
 
 
 def test_a_reused_parser_carries_no_state_between_calls(capsys, monkeypatch):
@@ -590,18 +611,28 @@ def test_a_reused_parser_carries_no_state_between_calls(capsys, monkeypatch):
             seen.append((code, capsys.readouterr().err))
         assert seen[0] == seen[1] and seen[0][0] == want and seen[0][1], argv
     parsed = []
-    parse_args = argparse.ArgumentParser.parse_args
 
-    def spy(self, *args, **kwargs):
-        parsed.append(parse_args(self, *args, **kwargs))
-        return parsed[-1]
+    def spy(parse):
+        def recorded(*args, **kwargs):
+            parsed.append((parse.__name__, parse(*args, **kwargs)))
+            return parsed[-1][1]
+        return recorded
 
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
-    assert cli.main(["check", "PSL(2,7)", "--h0-order", "21"]) == 0
-    assert cli.main(["check", "PSL(2,7)", "--class", "C1"]) == 0
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        spy(argparse.ArgumentParser.parse_args))
+    monkeypatch.setattr(cli, "_parse_plain", spy(cli._parse_plain))
+    # plain lines are parsed directly, and make no argparse parse; the
+    # others fall back to the verb's reused parser
+    for argv in (["check", "PSL(2,7)", "--h0-order", "21"],
+                 ["check", "PSL(2,7)", "--class", "C1"],
+                 ["check", "PSL(2,7)", "--h0-order=21"],
+                 ["check", "PSL(2,7)", "--cl", "C1"]):
+        assert cli.main(argv) == 0, argv
     capsys.readouterr()
-    assert (parsed[0].h0_order, parsed[0].klass) == (21, None)
-    assert (parsed[1].h0_order, parsed[1].klass) == (None, "C1")
+    routes = [name for name, _ in parsed]
+    assert routes == ["_parse_plain"] * 3 + ["parse_args", "_parse_plain", "parse_args"]
+    got = [(ns.h0_order, ns.klass) for _, ns in parsed if ns is not None]
+    assert got == [(21, None), (None, "C1")] * 2
 
 
 def _env():
