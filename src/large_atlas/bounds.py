@@ -11,8 +11,8 @@ certainly is not, and otherwise the sandwich is inconclusive and exact
 arithmetic must decide.
 """
 
-from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .arith import ExactRatio, parse_prime_power
 from .errors import ConstraintViolation, UnknownCase
@@ -73,7 +73,7 @@ def order_bits_floor(g):
         return 0
     if fam in ("Alt", "Sym"):
         return n * max((n // 3).bit_length() - 1, 0)
-    return sylow_exponent(g) * (int(g.q).bit_length() - 1)
+    return sylow_exponent(g) * (g.q.q.bit_length() - 1)
 
 
 def omega_upper(n, eps, q):
@@ -88,10 +88,9 @@ def omega_upper(n, eps, q):
     return ExactRatio(q) ** (n * (n - 1) // 2) / gcd(2, q - 1)
 
 
-@dataclass(frozen=True)
-class BoundTriple:
+class BoundTriple(NamedTuple):
     """A sandwich f < R < g together with the threshold h it is tested
-    against and the resulting verdict."""
+    against and the resulting verdict.  An immutable named tuple."""
 
     case: str
     lower: ExactRatio

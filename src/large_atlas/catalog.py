@@ -25,6 +25,7 @@ irreducible candidates.
 """
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cache
 from importlib import resources
@@ -34,7 +35,7 @@ from .arith import is_prime, parse_prime_power
 from .errors import (ConstraintViolation, DataIntegrityError, GroupParseError,
                      UnknownCase, UnsupportedGroup)
 from .largeness import EXACT, LOWER, UPPER
-from .orders import (CIRC, MINUS, PLUS, GroupId, alt_order, g2_order,
+from .orders import (CIRC, MINUS, PLUS, alt_order, g2_order,
                      gl_order, go_order, gu_order, omega_order, order,
                      out_order, parse_group, pomega, pomega_center, psl_order,
                      psp, psp_order, psu_order, sl_order, so_order, sp_order,
@@ -42,23 +43,22 @@ from .orders import (CIRC, MINUS, PLUS, GroupId, alt_order, g2_order,
                      sz_order, tri_d4_order)
 
 
-@dataclass(frozen=True)
-class SubgroupEntry:
-    """One instantiated candidate subgroup of a given host group."""
+class SubgroupEntry(namedtuple("SubgroupEntry", "host aschbacher_class type_descriptor "
+                                "params h0_order o1_order bound name formula")):
+    """One instantiated candidate subgroup of a given host group: its host
+    (GroupId), Aschbacher class, type descriptor, params (sorted (key,
+    value) pairs), |H0| and |O1| (ints >= 1), the bound kind of |H0|, the
+    structure name and the formula id.  An immutable named tuple; a row
+    with |H0| or |O1| below 1 raises ConstraintViolation."""
 
-    host: GroupId
-    aschbacher_class: str
-    type_descriptor: str
-    params: tuple
-    h0_order: int
-    o1_order: int
-    bound: str = EXACT
-    name: str = ""
-    formula: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.h0_order < 1 or self.o1_order < 1:
-            raise ConstraintViolation(f"bad entry numbers for {self.type_descriptor}")
+    def __new__(cls, host, aschbacher_class, type_descriptor, params, h0_order,
+                o1_order, bound=EXACT, name="", formula=""):
+        if h0_order < 1 or o1_order < 1:
+            raise ConstraintViolation(f"bad entry numbers for {type_descriptor}")
+        return tuple.__new__(cls, (host, aschbacher_class, type_descriptor, params,
+                                   h0_order, o1_order, bound, name, formula))
 
 
 def _require(cond, msg):
@@ -81,7 +81,7 @@ def c1_stabilizer(g):
     linear host, a subspace stabilizer otherwise.  It contains a full Sylow
     p-subgroup, so the stored lower bound already certifies largeness."""
     desc = "parabolic P1" if g.family == "PSL" else "subspace stabilizer"
-    return _entry(g, "C1", desc, {}, int(g.q) ** sylow_exponent(g), 1,
+    return _entry(g, "C1", desc, {}, g.q.q ** sylow_exponent(g), 1,
                   bound=LOWER, formula="sylow-p-lower")
 
 
@@ -91,7 +91,7 @@ def c1_stabilizer(g):
 
 
 def psl_c2(g, m, t):
-    n, q = g.n, int(g.q)
+    n, q = g.n, g.q.q
     _require(n == m * t and t >= 2 and m >= 1, "imprimitive type needs n = m*t")
     _require(q >= 5 or m >= 2, "blocks of size 1 need q >= 5")
     _require(q >= 3 or m >= 3, "blocks of size 2 need q >= 3")
@@ -102,7 +102,7 @@ def psl_c2(g, m, t):
 
 
 def psl_c3(g, m, r):
-    n, q = g.n, int(g.q)
+    n, q = g.n, g.q.q
     _require(n == m * r and r >= 2 and is_prime(r), "field-extension degree must be prime")
     d = gcd(n, q - 1)
     h0 = gl_order(m, q ** r) * r // (d * (q - 1))
@@ -111,7 +111,7 @@ def psl_c3(g, m, r):
 
 
 def psl_c4(g, n1, n2):
-    n, q = g.n, int(g.q)
+    n, q = g.n, g.q.q
     _require(n == n1 * n2 and 2 <= n1 < n2, "tensor type needs n = n1*n2, n1 < n2")
     d = gcd(n, q - 1)
     cc = gcd(gcd(q - 1, n1), n2)
@@ -159,7 +159,7 @@ def psl_c6(g):
 
 
 def psl_c7(g, m, t):
-    n, q = g.n, int(g.q)
+    n, q = g.n, g.q.q
     _require(n == m ** t and m >= 3 and t >= 2, "tensor-power type needs n = m^t, m >= 3")
     h0 = sl_order(m, q) ** t * factorial(t)
     return _entry(g, "C7", f"GL({m},{q}) wr S{t} (tensor)", {"m": m, "t": t},
@@ -190,7 +190,7 @@ def psl_c8(g, kind):
 
 
 def psu_c2_wr(g, m, t):
-    n, q = g.n, int(g.q)
+    n, q = g.n, g.q.q
     _require(n == m * t and t >= 2 and m >= 1, "imprimitive type needs n = m*t")
     d = gcd(n, q + 1)
     h0 = gu_order(m, q) ** t * factorial(t) // (d * (q + 1))
@@ -199,7 +199,7 @@ def psu_c2_wr(g, m, t):
 
 
 def psu_c2_gl(g):
-    n, q = g.n, int(g.q)
+    n, q = g.n, g.q.q
     _require(n % 2 == 0, "the GL-type imprimitive subgroup needs even n")
     d = gcd(n, q + 1)
     h0 = gl_order(n // 2, q * q) * 2 // (d * (q + 1))
@@ -208,7 +208,7 @@ def psu_c2_gl(g):
 
 
 def psu_c3(g, m, r):
-    n, q = g.n, int(g.q)
+    n, q = g.n, g.q.q
     _require(n == m * r and r >= 3 and r % 2 == 1 and is_prime(r),
              "unitary field extension needs an odd prime degree")
     d = gcd(n, q + 1)
@@ -218,7 +218,7 @@ def psu_c3(g, m, r):
 
 
 def psu_c4(g, n1, n2):
-    n, q = g.n, int(g.q)
+    n, q = g.n, g.q.q
     _require(n == n1 * n2 and 2 <= n1 < n2, "tensor type needs n = n1*n2, n1 < n2")
     d = gcd(n, q + 1)
     cc = gcd(gcd(q + 1, n1), n2)
@@ -243,7 +243,7 @@ def psu_c5_subfield(g, r):
 
 
 def psu_c5_form(g, kind):
-    n, q = g.n, int(g.q)
+    n, q = g.n, g.q.q
     if kind == "Sp":
         _require(n % 2 == 0, "symplectic form subgroup needs even n")
         return _entry(g, "C5", f"Sp({n},{q})", {}, psp_order(n, q), 1,
@@ -279,7 +279,7 @@ def psu_c6(g):
 
 
 def psu_c7(g, m, t):
-    n, q = g.n, int(g.q)
+    n, q = g.n, g.q.q
     _require(n == m ** t and m >= 3 and t >= 2, "tensor-power type needs n = m^t, m >= 3")
     _require((m, q) != (3, 2), "the (3,2) tensor-power case does not occur")
     h0 = su_order(m, q) ** t * factorial(t)
@@ -293,7 +293,7 @@ def psu_c7(g, m, t):
 
 
 def psp_c2_gl(g):
-    n, q = g.n, int(g.q)
+    n, q = g.n, g.q.q
     d = gcd(2, q - 1)
     return _entry(g, "C2", f"GL({n // 2},{q}).2", {},
                   2 * gl_order(n // 2, q) // d, 1, bound=LOWER,
@@ -323,7 +323,7 @@ def psp_c3(g, m, r):
 
 
 def psp_c3_gu(g):
-    n, q = g.n, int(g.q)
+    n, q = g.n, g.q.q
     d = gcd(2, q - 1)
     return _entry(g, "C3", f"GU({n // 2},{q})", {}, gu_order(n // 2, q) // d,
                   1, bound=LOWER, formula="psp-c3-gu-lower")
@@ -406,7 +406,7 @@ def _pso_o1(g):
 
 
 def pso_c2_gl(g):
-    n, eps, q = g.n, g.eps, int(g.q)
+    n, eps, q = g.n, g.eps, g.q.q
     _require(n % 2 == 0 and eps == PLUS, "the GL-type stabilizer needs plus type")
     return _entry(g, "C2", f"GL({n // 2},{q}).2", {},
                   gl_order(n // 2, q) // ((q - 1) * 4), 1, bound=LOWER,
@@ -454,7 +454,7 @@ def pso_c2_o1p(g):
 
 
 def pso_c2_go_wr(g, m, eps1, t):
-    n, eps, q = g.n, g.eps, int(g.q)
+    n, eps, q = g.n, g.eps, g.q.q
     _require(n == m * t and t >= 2 and m >= 2, "imprimitive type needs n = m*t")
     if m % 2 == 0:
         want = PLUS if (eps1 == PLUS or t % 2 == 0) else MINUS
@@ -478,7 +478,7 @@ def pso_c2_go_wr(g, m, eps1, t):
 
 
 def pso_c3(g, kind):
-    n, eps, q = g.n, g.eps, int(g.q)
+    n, eps, q = g.n, g.eps, g.q.q
     m = n // 2
     if kind == "GU":
         _require(eps == (PLUS if m % 2 == 0 else MINUS),
@@ -498,7 +498,7 @@ def pso_c3(g, kind):
 
 
 def pso_c3_extra(g, m, s):
-    n, eps, q = g.n, g.eps, int(g.q)
+    n, eps, q = g.n, g.eps, g.q.q
     _require(n == m * s and m >= 3 and s % 2 == 1 and is_prime(s),
              "degree must be an odd prime with n = m*s")
     _require(eps != CIRC or m % 2 == 1, "sign must match the block dimension")
@@ -513,7 +513,7 @@ def pso_c4(g):
     """Type Sp_2(q) (x) Sp_{n/2}(q) in a plus-type host, 4 | n.  Exact for q
     odd: |Sp_2 x Sp_{n/2}| / 2 times the diagonal part gcd(2, n/4), over the
     center of order 2; for q even the lower bound |PSp_2(q) x PSp_{n/2}(q)|."""
-    n, q = g.n, int(g.q)
+    n, q = g.n, g.q.q
     _require(g.eps == PLUS and n % 4 == 0, "the symplectic tensor type needs plus type")
     desc = f"Sp(2,{q}) (x) Sp({n // 2},{q})"
     if q % 2:
@@ -555,7 +555,7 @@ PSO_C7_KINDS = (("sp", None), ("circ", None), ("signed", PLUS), ("signed", MINUS
 
 
 def pso_c7(g, m, t, kind, eps1):
-    n, eps, q = g.n, g.eps, int(g.q)
+    n, eps, q = g.n, g.eps, g.q.q
     _require(n == m ** t and t >= 2, "tensor-power type needs n = m^t")
     d = gcd(2, q - 1)
     if kind == "sp":
@@ -597,7 +597,7 @@ ROMAN = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x",
 
 def _with_item(entry, label):
     """Attach the stable list position label to a candidate entry."""
-    return replace(entry, params=entry.params + (("item", label),))
+    return entry._replace(params=entry.params + (("item", label),))
 
 
 def sp4_graph_candidates(g):
@@ -791,7 +791,7 @@ class TableRow:
     def sample_q(self):
         cond = self.condition
         if cond == "-":
-            return int(parse_group(self.g0_pattern).q)
+            return parse_group(self.g0_pattern).q.q
         if cond.startswith("q:in:"):
             return int(cond[5:].split(",")[0])
         if cond == "q:even":

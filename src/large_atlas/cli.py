@@ -338,7 +338,7 @@ def cmd_tables(args):
         g0_order = order(g0)
         in_g0 = is_large(g0_order, h0_order).is_large
         with_o1 = is_large(g0_order, h0_order, out_order(g0)).is_large
-        contradiction = in_g0 == _not_large_expected(row.remark, int(g0.q))
+        contradiction = in_g0 == _not_large_expected(row.remark, g0.q.q)
         flagged = flagged or contradiction
         rows.append({
             "host": str(g0),

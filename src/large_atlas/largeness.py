@@ -8,7 +8,7 @@ stabilize the G0-class of H0.  Everything here is integer arithmetic; no
 verdict ever depends on floating point.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import ExactRatio
 from .errors import ConstraintViolation
@@ -33,9 +33,9 @@ _MODES = {
 }
 
 
-@dataclass(frozen=True)
-class LargenessVerdict:
-    """Outcome of one largeness test, with both sides of the inequality."""
+class LargenessVerdict(NamedTuple):
+    """Outcome of one largeness test, with both sides of the inequality.
+    An immutable named tuple."""
 
     h0_order: int
     o_order: int

@@ -9,9 +9,17 @@ primes in _QUADRATICS (so up to GF(49)); GL/SL counts take n <= 3 and GU/SU
 counts n <= 2.  That is enough to pin down every formula family.  The tests
 count GL/SL up to GF(7) and GU/SU up to GF(49), the unitary groups row by
 row: first rows of norm 1, then the second rows orthogonal to each.
+
+One enumeration per (n, q) serves GL, SL and Sp2: it counts the nonzero
+and the unit determinants together, and the result is kept in a private
+memo (_gl_tally), so count_gl(n, q), count_gl(n, q, det_one=True) and
+count_sp2(q) share one brute-force count.  GU and SU share one count per
+(n, q0) the same way (_gu_tally).  The memos hold counts only; no count
+reads an order formula.
 """
 
 from collections import Counter
+from functools import cache
 from itertools import product
 
 from .arith import parse_prime_power
@@ -92,19 +100,28 @@ class SmallField:
 
 
 def count_gl(n, q, det_one=False):
-    """Count invertible n x n matrices over GF(q), optionally with det 1.
+    """Count invertible n x n matrices over GF(q), optionally with det 1,
+    read from the one enumeration of (n, q) in _gl_tally."""
+    if not 1 <= n <= 3:
+        raise UnsupportedGroup(f"count_gl supports n <= 3, not n = {n}")
+    return _gl_tally(n, q)[1 if det_one else 0]
+
+
+@cache
+def _gl_tally(n, q):
+    """(invertible, det 1) counts of n x n matrices over GF(q), from one
+    enumeration.
 
     The determinant is expanded along the last row.  The first n - 1 rows
     are enumerated once and tallied by their cofactor vector c: (1) for
     n = 1, (-b, a) for a first row (a, b), and for n = 3 the three 2 x 2
     minors of the top two rows, written out over rows of the multiplication
     table.  For each distinct c, every last row x is enumerated once and its
-    determinant x_1 c_1 + ... + x_n c_n evaluated; each hit counts as many
-    matrices as c's multiplicity.  For n = 3 that is at most q^6 + q^3 (q +
-    q^2 + q^3) field steps in place of the q^9 matrices.
+    determinant x_1 c_1 + ... + x_n c_n evaluated; each nonzero and each
+    unit determinant counts as many matrices as c's multiplicity.  For
+    n = 3 that is at most q^6 + q^3 (q + q^2 + q^3) field steps in place of
+    the q^9 matrices.
     """
-    if not 1 <= n <= 3:
-        raise UnsupportedGroup(f"count_gl supports n <= 3, not n = {n}")
     F = SmallField(q)
     els, add, sub, mul = F.elements, F._add, F._sub, F._mul
     if n == 1:
@@ -118,19 +135,30 @@ def count_gl(n, q, det_one=False):
             ma, mb, mc = mul[a], mul[b], mul[c]
             tally.update((sub[mb[f]][mc[e]], sub[mc[d]][ma[f]], sub[ma[e]][mb[d]])
                          for d, e, f in rows)
-    count = 0
+    invertible = unit = 0
     for cof, mult in tally.items():
         # the determinants of all q^n last rows, built column by column from
         # the partial sums x_1 c_1 + ... + x_j c_j, in product(els, repeat=n) order
         dets = [0]
         for c in cof:
             dets = [add[d][mul[x][c]] for d in dets for x in els]
-        count += mult * (dets.count(1) if det_one else len(dets) - dets.count(0))
-    return count
+        invertible += mult * (len(dets) - dets.count(0))
+        unit += mult * dets.count(1)
+    return invertible, unit
 
 
 def count_gu(n, q0, det_one=False):
-    """Count n x n unitary matrices over GF(q0^2) by enumeration (n <= 2).
+    """Count n x n unitary matrices over GF(q0^2), optionally with det 1,
+    read from the one enumeration of (n, q0) in _gu_tally (n <= 2)."""
+    if not 1 <= n <= 2:
+        raise UnsupportedGroup(f"count_gu supports n <= 2, not n = {n}")
+    return _gu_tally(n, q0)[1 if det_one else 0]
+
+
+@cache
+def _gu_tally(n, q0):
+    """(all, det 1) counts of n x n unitary matrices over GF(q0^2), from one
+    enumeration.
 
     A matrix is unitary when its rows have norm x x^q0 summed to 1 and are
     orthogonal under the hermitian form.  The q0-power and norm tables are
@@ -140,16 +168,14 @@ def count_gu(n, q0, det_one=False):
     last.  Every matrix with two rows of norm 1 is visited; the ones left
     out have a row of another norm, and no unitary matrix has one.
     """
-    if not 1 <= n <= 2:
-        raise UnsupportedGroup(f"count_gu supports n <= 2, not n = {n}")
     F = SmallField(q0 * q0)
     els, add, sub, mul = F.elements, F._add, F._sub, F._mul
     frob = [F.frob(a) for a in els]
     norm = [mul[a][frob[a]] for a in els]
     if n == 1:
-        return sum(1 for a in els if norm[a] == 1 and (not det_one or a == 1))
+        return sum(1 for a in els if norm[a] == 1), int(norm[1] == 1)
     unit = [(a, b) for a, b in product(els, repeat=2) if add[norm[a]][norm[b]] == 1]
-    count = 0
+    count = special = 0
     for a, b in unit:
         # (c, d) is orthogonal to (a, b) when c a^q0 + d b^q0 = 0
         fa, fb = mul[frob[a]], mul[frob[b]]
@@ -157,10 +183,12 @@ def count_gu(n, q0, det_one=False):
         for c, d in unit:
             if add[fa[c]][fb[d]] == 0:
                 det = sub[ma[d]][mb[c]]
-                count += det != 0 and (not det_one or det == 1)
-    return count
+                count += det != 0
+                special += det == 1
+    return count, special
 
 
 def count_sp2(q):
-    """|Sp_2(q)| counted directly: 2 x 2 matrices of determinant 1."""
+    """|Sp_2(q)| counted directly: 2 x 2 matrices of determinant 1, the
+    det-1 count of the one enumeration that count_gl(2, q) reads."""
     return count_gl(2, q, det_one=True)

@@ -16,10 +16,10 @@ order from it without building the order.
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from importlib import resources
-from math import gcd, prod
+from math import gcd
 
 from .arith import PrimePower, factorial, parse_prime_power
 from .errors import DataIntegrityError, GroupParseError, UnsupportedGroup
@@ -71,19 +71,17 @@ def _sporadic_orders():
     return table
 
 
-@dataclass(frozen=True)
-class GroupId:
-    """Identifier of a group in one of the supported families."""
+class GroupId(namedtuple("GroupId", "family n q eps name")):
+    """Identifier of a group in one of the supported families: its family
+    (str), n (int), q (PrimePower), eps (str) and name (str).  An immutable
+    named tuple; it refuses a family that FAMILIES does not know."""
 
-    family: str
-    n: int = 0
-    q: PrimePower = None
-    eps: str = ""
-    name: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise UnsupportedGroup(f"unknown family {self.family!r}")
+    def __new__(cls, family, n=0, q=None, eps="", name=""):
+        if family not in FAMILIES:
+            raise UnsupportedGroup(f"unknown family {family!r}")
+        return tuple.__new__(cls, (family, n, q, eps, name))
 
     def __str__(self):
         shape = FAMILIES[self.family][0]
@@ -186,15 +184,21 @@ def classical_form(fam, n, q, eps=""):
 
 def _order_of(fam, n, q, eps=""):
     """|fam_n(q)| from classical_form: the one place that multiplies the
-    factors of a classical order."""
+    factors of a classical order.  Each run's q^i is a running power, one
+    multiplication by q^step per factor."""
     q = int(q)
     N, runs, c, d = classical_form(fam, n, q, eps)
-    return c * q ** N * prod(q ** i - s for start, stop, step, s in runs
-                             for i in range(start, stop, step)) // d
+    total = c * q ** N
+    for start, stop, step, s in runs:
+        qi, qstep = q ** start, q ** step
+        for _ in range(start, stop, step):
+            total *= qi - s
+            qi *= qstep
+    return total // d
 
 
 def _form_order(g):
-    return _order_of(g.family, g.n, g.q, g.eps)
+    return _order_of(g.family, g.n, g.q.q, g.eps)
 
 
 def order_bits(g):
@@ -215,7 +219,7 @@ def order_bits(g):
     The sum of the i of a run is read off its ends, so the cost does not
     grow with n.
     """
-    q = int(g.q)
+    q = g.q.q
     N, runs, c, d = classical_form(g.family, g.n, q, g.eps)
     k = 7 // (q.bit_length() - 1)
     e, head = N, c
@@ -301,7 +305,7 @@ def sylow_exponent(g):
         return {"Sz": 2, "G2": 6, "3D4": 12}[fam]
     if fam not in FORM_FAMILIES:
         raise UnsupportedGroup(f"{g} is not a group of Lie type")
-    return classical_form(fam, g.n, int(g.q), g.eps)[0]
+    return classical_form(fam, g.n, g.q.q, g.eps)[0]
 
 
 def sz_order(q):
@@ -315,13 +319,13 @@ def sz_order(q):
 
 def g2_order(q):
     """|G2(q)| = q^6 (q^6 - 1)(q^2 - 1)."""
-    q = int(parse_prime_power(q))
+    q = parse_prime_power(q).q
     return q ** 6 * (q ** 6 - 1) * (q ** 2 - 1)
 
 
 def tri_d4_order(q):
     """|3D4(q)| = q^12 (q^8 + q^4 + 1)(q^6 - 1)(q^2 - 1)."""
-    q = int(parse_prime_power(q))
+    q = parse_prime_power(q).q
     return q ** 12 * (q ** 8 + q ** 4 + 1) * (q ** 6 - 1) * (q ** 2 - 1)
 
 
@@ -401,7 +405,7 @@ def is_simple(g):
     """Whether the group is simple: decided for PSL, PSU, PSp, POmega and
     Alt with the usual small exceptions, True for the sporadic groups.  Any
     other family raises UnsupportedGroup (GL(3,2) is simple, GL(3,3) not)."""
-    fam, n, q = g.family, g.n, int(g.q) if g.q else 0
+    fam, n, q = g.family, g.n, g.q.q if g.q else 0
     if fam == "PSL":
         return not (n == 2 and q in (2, 3))
     if fam == "PSU":

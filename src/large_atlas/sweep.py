@@ -99,11 +99,14 @@ def _sort_key(member):
     return tuple((0, x) if isinstance(x, int) else (1, x) for x in member)
 
 
+# the goldens shipped in the package, resolved once, at import
+_PACKAGE_GOLDENS = str(resources.files("large_atlas.data").joinpath("goldens"))
+
+
 def golden_dir():
-    env = os.environ.get("LARGE_ATLAS_GOLDEN_DIR")
-    if env:
-        return env
-    return str(resources.files("large_atlas.data").joinpath("goldens"))
+    """$LARGE_ATLAS_GOLDEN_DIR, read on every call, or else the package's
+    data/goldens."""
+    return os.environ.get("LARGE_ATLAS_GOLDEN_DIR") or _PACKAGE_GOLDENS
 
 
 def load_golden(fname):
@@ -122,7 +125,7 @@ def load_golden(fname):
 
 def prime_powers(lo, hi):
     """Prime powers in [lo, hi] as plain ints, so member tuples stay plain."""
-    return [int(q) for q in _prime_power_objects(lo, hi)]
+    return [q.q for q in _prime_power_objects(lo, hi)]
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +194,7 @@ def _catalog_members(case, alarms):
             continue
         got = _member(entry.host, entry)
         if sandwiched:
-            _alarm_check(alarms, case.case_id, int(entry.host.q), got)
+            _alarm_check(alarms, case.case_id, entry.host.q.q, got)
         if got:
             yield key + (entry.name,) if case.named else key
 
@@ -226,9 +229,10 @@ def _psl_c3_r3():
 
 @_case("psl-c3-r5")
 def _psl_c3_r5():
+    qs = prime_powers(2, 64)
     for r in (5, 7, 11):
         for m in (1, 2, 3):
-            for q in prime_powers(2, 64):
+            for q in qs:
                 yield (m * r, q), catalog.psl_c3, (psl(m * r, q), m, r)
 
 

@@ -114,3 +114,53 @@ def test_oracle_imports_no_formula():
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 assert alias.name.split(".")[0] in sys.stdlib_module_names, alias.name
+
+
+def _count_gl2_literally(q, det_one=False):
+    """Every one of the q^4 matrices, with the two-term determinant."""
+    F = oracle.SmallField(q)
+    count = 0
+    for a, b, c, d in product(F.elements, repeat=4):
+        det = F.sub(F.mul(a, d), F.mul(b, c))
+        count += det != 0 and (not det_one or det == 1)
+    return count
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+@pytest.mark.parametrize("det_one_first", (False, True))
+def test_gl_sl_and_sp2_share_one_enumeration(q, det_one_first):
+    # whichever count comes first enumerates; the others read its memo, and
+    # every count is checked against no formula at all
+    oracle._gl_tally.cache_clear()
+    gl, sl = _count_gl2_literally(q), _count_gl2_literally(q, det_one=True)
+    calls = [(lambda: oracle.count_gl(2, q), gl),
+             (lambda: oracle.count_gl(2, q, det_one=True), sl),
+             (lambda: oracle.count_sp2(q), sl)]
+    for count, want in calls[::-1] if det_one_first else calls:
+        assert count() == want
+    info = oracle._gl_tally.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    if q < 4:
+        oracle._gl_tally.cache_clear()
+        gl3, sl3 = _count_gl3_literally(q), _count_gl3_literally(q, det_one=True)
+        if det_one_first:
+            assert oracle.count_gl(3, q, det_one=True) == sl3
+            assert oracle.count_gl(3, q) == gl3
+        else:
+            assert oracle.count_gl(3, q) == gl3
+            assert oracle.count_gl(3, q, det_one=True) == sl3
+        assert oracle._gl_tally.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("q0", (2, 3))
+@pytest.mark.parametrize("det_one_first", (False, True))
+def test_gu_and_su_share_one_enumeration(q0, det_one_first):
+    oracle._gu_tally.cache_clear()
+    gu, su = _count_gu2_literally(q0), _count_gu2_literally(q0, det_one=True)
+    if det_one_first:
+        assert oracle.count_gu(2, q0, det_one=True) == su
+        assert oracle.count_gu(2, q0) == gu
+    else:
+        assert oracle.count_gu(2, q0) == gu
+        assert oracle.count_gu(2, q0, det_one=True) == su
+    assert oracle._gu_tally.cache_info().misses == 1
