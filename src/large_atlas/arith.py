@@ -6,12 +6,12 @@ logarithmic (field degrees, factorial growth) are restated as integer power
 comparisons by the callers.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, isqrt, lcm, prod
 
-from .errors import NotAPrimePower
+from .errors import NotAPrimePower, UnsupportedGroup
 
 __all__ = [
     "ExactRatio",
@@ -46,19 +46,19 @@ def is_prime(n):
     return True
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class PrimePower:
-    """A prime power q = p^e, kept normalized.  Slotted, as the factor
-    cache behind parse_prime_power keeps up to 1024 of them.  q is built
-    once, at construction; repr, equality, ordering and hash read (p, e)
-    alone."""
+class PrimePower(namedtuple("PrimePower", "p e q")):
+    """A prime power q = p^e, kept normalized.  An immutable named tuple
+    (p, e, q), q built once at construction, so that its hash, equality
+    and ordering run in C; ordering by (p, e, q) is ordering by (p, e).
+    Built from p and e alone."""
 
-    p: int
-    e: int
-    q: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", self.p ** self.e)
+    def __new__(cls, p, e):
+        return tuple.__new__(cls, (p, e, p ** e))
+
+    def __repr__(self):
+        return f"PrimePower(p={self.p}, e={self.e})"
 
     def __int__(self):
         return self.q
@@ -78,32 +78,81 @@ def parse_prime_power(q):
     return _factor_prime_power(int(q))
 
 
+# the first thirteen primes: the Miller-Rabin bases of _is_strong_probable_prime,
+# and the trial divisors of _factor_prime_power
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin on the bases _SMALL_PRIMES is proven correct for every n below
+# this bound (Sorenson and Webster 2017, psi_13 = 3317044064679887385961981)
+_MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
+def _is_strong_probable_prime(n):
+    """Whether the odd n > 41 passes Miller-Rabin on every base of
+    _SMALL_PRIMES: a proof that n is prime below _MILLER_RABIN_BOUND, and a
+    proof that it is composite when it fails."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n, k):
+    """The integer part of the k-th root of n >= 1, by Newton's method from
+    above in integers."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 @lru_cache(maxsize=1024)
 def _factor_prime_power(q):
     """PrimePower of the int q, factored once per q while it stays in the
-    cache.  A q that is not a prime power raises, and is not cached."""
+    cache.  A q that is not a prime power raises NotAPrimePower, and is not
+    cached.
+
+    A prime factor up to 41 fixes p.  Otherwise every prime factor exceeds
+    41 > 2^5, so q = p^e has e < bitlen(q) / 5.  Every exact root of q is
+    p^(e/k) for some k dividing e, so counting down from there, the first e
+    with an exact e-th root p of q is the exponent, and p must be prime.
+    Primality is Miller-Rabin on the bases up to 41, proven below
+    _MILLER_RABIN_BOUND; a p above the bound that passes every round is
+    refused with UnsupportedGroup, as unproven.
+    """
     if q < 2:
         raise NotAPrimePower(f"{q} is not a prime power")
-    # Smallest prime factor by trial division; q = p^e must then hold.
-    p = None
-    if q % 2 == 0:
-        p = 2
-    else:
-        f = 3
-        while f <= isqrt(q):
-            if q % f == 0:
-                p = f
-                break
-            f += 2
-        if p is None:
-            return PrimePower(q, 1)  # q itself is prime
-    e = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        e += 1
-    if rest != 1:
+    for p in _SMALL_PRIMES:
+        if q % p == 0:
+            e, rest = 0, q
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            if rest != 1:
+                raise NotAPrimePower(f"{q} is not a prime power")
+            return PrimePower(p, e)
+    for e in range(q.bit_length() // 5, 0, -1):  # e = 1 always matches
+        p = _iroot(q, e)
+        if p ** e == q:
+            break
+    if not _is_strong_probable_prime(p):
         raise NotAPrimePower(f"{q} is not a prime power")
+    if p >= _MILLER_RABIN_BOUND:
+        raise UnsupportedGroup(
+            f"{q} is a prime power only if {p} is prime, and the Miller-Rabin test"
+            f" on the bases up to 41 proves that only below {_MILLER_RABIN_BOUND}")
     return PrimePower(p, e)
 
 

@@ -29,8 +29,8 @@ from .errors import (AmbiguousSelector, ConstraintViolation, GroupParseError,
                      LargeAtlasError, MissingGolden, NotAPrimePower,
                      UnknownCase, UnsupportedGroup)
 from .largeness import EXACT, is_large, is_large_h1
-from .orders import (FORM_FAMILIES, canonicalize, is_simple, order, order_bits, out_order,
-                     parse_group)
+from .orders import (FORM_FAMILIES, canonicalize, clear_memos, is_simple, order, order_bits,
+                     out_order, parse_group)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -589,6 +589,9 @@ def main(argv=None):
     except LargeAtlasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # the order memos live for one command, however it ends
+        clear_memos()
 
 
 if __name__ == "__main__":

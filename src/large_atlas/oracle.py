@@ -14,8 +14,9 @@ One enumeration per (n, q) serves GL, SL and Sp2: it counts the nonzero
 and the unit determinants together, and the result is kept in a private
 memo (_gl_tally), so count_gl(n, q), count_gl(n, q, det_one=True) and
 count_sp2(q) share one brute-force count.  GU and SU share one count per
-(n, q0) the same way (_gu_tally).  The memos hold counts only; no count
-reads an order formula.
+(n, q0) the same way (_gu_tally).  Each field's tables are built once
+and shared by its counts (_field).  The memos hold counts and fields only;
+no count reads an order formula.
 """
 
 from collections import Counter
@@ -33,55 +34,32 @@ class SmallField:
     """GF(p) or GF(p^2) with elements encoded as integers 0..q-1.
 
     Degree-two elements are pairs (a0, a1) packed as a0 + p*a1, representing
-    a0 + a1*x modulo an irreducible quadratic.
+    a0 + a1*x modulo an irreducible quadratic x^2 + bx + c of _QUADRATICS.
+    The addition, subtraction and multiplication tables are built once, at
+    construction; an element of GF(p) is the pair (a, 0).
     """
 
     def __init__(self, q):
         pp = parse_prime_power(q)
         if pp.e > 2 or (pp.e == 2 and pp.p not in _QUADRATICS):
             raise UnsupportedGroup(f"SmallField supports GF(p) and GF(p^2) for small p, not {q}")
-        self.p = pp.p
+        self.p = p = pp.p
         self.e = pp.e
         self.q = pp.q
         self.elements = list(range(self.q))
-        self._add = [[self._add_raw(a, b) for b in self.elements] for a in self.elements]
-        self._sub = [[self._sub_raw(a, b) for b in self.elements] for a in self.elements]
-        self._mul = [[self._mul_raw(a, b) for b in self.elements] for a in self.elements]
-
-    def _split(self, a):
-        return (a % self.p, a // self.p)
-
-    def _join(self, a0, a1):
-        return a0 + self.p * a1
-
-    def _add_raw(self, a, b):
-        if self.e == 1:
-            return (a + b) % self.p
-        a0, a1 = self._split(a)
-        b0, b1 = self._split(b)
-        return self._join((a0 + b0) % self.p, (a1 + b1) % self.p)
-
-    def _mul_raw(self, a, b):
-        if self.e == 1:
-            return (a * b) % self.p
-        a0, a1 = self._split(a)
-        b0, b1 = self._split(b)
-        bb, cc = _QUADRATICS[self.p]
-        # (a0 + a1 x)(b0 + b1 x) with x^2 = -bb*x - cc
-        lo = a0 * b0
-        mid = a0 * b1 + a1 * b0
-        hi = a1 * b1
-        return self._join((lo - hi * cc) % self.p, (mid - hi * bb) % self.p)
+        pairs = [(a % p, a // p) for a in self.elements]
+        # (a0 + a1 x)(b0 + b1 x) with x^2 = -b x - c; over GF(p) a1 = b1 = 0
+        b, c = _QUADRATICS.get(p, (0, 0))
+        self._add = [[(a0 + b0) % p + p * ((a1 + b1) % p) for b0, b1 in pairs]
+                     for a0, a1 in pairs]
+        self._sub = [[(a0 - b0) % p + p * ((a1 - b1) % p) for b0, b1 in pairs]
+                     for a0, a1 in pairs]
+        self._mul = [[(a0 * b0 - a1 * b1 * c) % p
+                      + p * ((a0 * b1 + a1 * b0 - a1 * b1 * b) % p) for b0, b1 in pairs]
+                     for a0, a1 in pairs]
 
     def add(self, a, b):
         return self._add[a][b]
-
-    def _sub_raw(self, a, b):
-        if self.e == 1:
-            return (a - b) % self.p
-        a0, a1 = self._split(a)
-        b0, b1 = self._split(b)
-        return self._join((a0 - b0) % self.p, (a1 - b1) % self.p)
 
     def sub(self, a, b):
         return self._sub[a][b]
@@ -97,6 +75,12 @@ class SmallField:
         for _ in range(self.p - 1):
             r = self.mul(r, a)
         return r
+
+
+@cache
+def _field(q):
+    """The SmallField of order q, built once per field size."""
+    return SmallField(q)
 
 
 def count_gl(n, q, det_one=False):
@@ -122,7 +106,7 @@ def _gl_tally(n, q):
     n = 3 that is at most q^6 + q^3 (q + q^2 + q^3) field steps in place of
     the q^9 matrices.
     """
-    F = SmallField(q)
+    F = _field(q)
     els, add, sub, mul = F.elements, F._add, F._sub, F._mul
     if n == 1:
         tally = {(1,): 1}
@@ -168,7 +152,7 @@ def _gu_tally(n, q0):
     last.  Every matrix with two rows of norm 1 is visited; the ones left
     out have a row of another norm, and no unitary matrix has one.
     """
-    F = SmallField(q0 * q0)
+    F = _field(q0 * q0)
     els, add, sub, mul = F.elements, F._add, F._sub, F._mul
     frob = [F.frob(a) for a in els]
     norm = [mul[a][frob[a]] for a in els]

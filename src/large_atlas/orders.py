@@ -13,6 +13,10 @@ orders of the fourteen classical families have one factored form,
 `classical_form`: the exported formulas evaluate it, `sylow_exponent`
 reads its exponent N, and `order_bits` brackets the bit length of the
 order from it without building the order.
+
+Seven pure functions, listed in MEMOIZED, keep a memo of their results
+(functools.cache); clear_memos empties them all, and the command line
+does so at the end of every command.
 """
 
 import re
@@ -96,18 +100,22 @@ class GroupId(namedtuple("GroupId", "family n q eps name")):
         return f"{self.family}({self.n},{self.q})"
 
 
+@cache
 def psl(n, q):
     return GroupId("PSL", n, parse_prime_power(q))
 
 
+@cache
 def psu(n, q):
     return GroupId("PSU", n, parse_prime_power(q))
 
 
+@cache
 def psp(n, q):
     return GroupId("PSp", n, parse_prime_power(q))
 
 
+@cache
 def pomega(n, q, eps=None):
     q = parse_prime_power(q)
     if eps is None:
@@ -182,6 +190,7 @@ def classical_form(fam, n, q, eps=""):
     return m * (m - 1), runs, 2 // g2 if fam == "SO" else 2, 1
 
 
+@cache
 def _order_of(fam, n, q, eps=""):
     """|fam_n(q)| from classical_form: the one place that multiplies the
     factors of a classical order.  Each run's q^i is a running power, one
@@ -201,6 +210,7 @@ def _form_order(g):
     return _order_of(g.family, g.n, g.q.q, g.eps)
 
 
+@cache
 def order_bits(g):
     """(lo, hi) with 2^lo <= |g| < 2^hi for a group g of a family of
     FORM_FAMILIES, in integers alone and without building |g|.
@@ -455,6 +465,7 @@ def canonicalize(g):
     return g
 
 
+@cache
 def out_order(g):
     """|Out(G0)| for the four simple classical families.  Like order, it
     refuses n below the family's least dimension in FAMILIES."""
@@ -486,6 +497,18 @@ def out_order(g):
         if eps == PLUS and n == 8:
             return 6 * d * e
         return 2 * d * e
+
+
+# the pure order functions that keep a memo (functools.cache), in their one
+# list.  A memo lives until clear_memos empties it: cli.main does so when
+# each command ends, and a library caller keeps it until it calls that.
+MEMOIZED = (psl, psu, psp, pomega, _order_of, order_bits, out_order)
+
+
+def clear_memos():
+    """Empty the memo of every function in MEMOIZED."""
+    for fn in MEMOIZED:
+        fn.cache_clear()
 
 
 # ---------------------------------------------------------------------------

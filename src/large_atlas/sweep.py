@@ -27,6 +27,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from math import factorial
 from typing import Callable
@@ -123,9 +124,21 @@ def load_golden(fname):
     return sorted(members, key=_sort_key)
 
 
+# the widest grid's largest field size: every grid reads one sieve to here
+_Q_MAX = 512
+
+
+@cache
+def _sieved():
+    return [q.q for q in _prime_power_objects(2, _Q_MAX)]
+
+
 def prime_powers(lo, hi):
-    """Prime powers in [lo, hi] as plain ints, so member tuples stay plain."""
-    return [q.q for q in _prime_power_objects(lo, hi)]
+    """Prime powers in [lo, hi] as plain ints, so member tuples stay plain,
+    read from one sieve to _Q_MAX that every grid shares."""
+    if hi > _Q_MAX:
+        raise ValueError(f"grid field sizes go up to {_Q_MAX}, not {hi}")
+    return [q for q in _sieved() if lo <= q <= hi]
 
 
 # ---------------------------------------------------------------------------

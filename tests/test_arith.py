@@ -1,5 +1,8 @@
 """Integer and prime-power arithmetic."""
 
+import time
+from math import isqrt
+
 import pytest
 
 from large_atlas import arith
@@ -10,7 +13,7 @@ from large_atlas.arith import (
     parse_prime_power,
     prime_powers,
 )
-from large_atlas.errors import NotAPrimePower
+from large_atlas.errors import NotAPrimePower, UnsupportedGroup
 
 
 def test_is_prime_small():
@@ -60,6 +63,66 @@ def test_parse_prime_power_cache_is_bounded():
     assert arith._factor_prime_power.cache_info().maxsize is not None
 
 
+def _factor_by_trial_division(q):
+    """(p, e) with q = p^e, p found by trial division up to the square root
+    of q, or None: the factorization parse_prime_power made before it
+    tested primality by Miller-Rabin."""
+    if q < 2:
+        return None
+    p = 2 if q % 2 == 0 else next((f for f in range(3, isqrt(q) + 1, 2) if q % f == 0), q)
+    e, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        e += 1
+    return (p, e) if rest == 1 else None
+
+
+def test_parse_prime_power_factors_every_small_q_as_trial_division_does():
+    for q in range(-2, 10 ** 5 + 1):
+        try:
+            got = parse_prime_power(q)
+        except NotAPrimePower:
+            got = None
+        assert (got and (got.p, got.e)) == _factor_by_trial_division(q), q
+
+
+@pytest.mark.parametrize("q, p, e", [
+    (10 ** 18 + 3, 10 ** 18 + 3, 1),
+    ((10 ** 9 + 7) ** 2, 10 ** 9 + 7, 2),
+    (2 ** 100, 2, 100),
+    (43 ** 14, 43, 14),
+    # the largest prime below the bound of the Miller-Rabin test
+    (3317044064679887385961813, 3317044064679887385961813, 1),
+])
+def test_parse_prime_power_of_a_large_q_is_fast(q, p, e):
+    # trial division up to the square root of 10^18 + 3 ran for more than 30 s
+    t0 = time.perf_counter()
+    got = parse_prime_power(q)
+    assert (got.p, got.e, got.q) == (p, e, q)
+    assert time.perf_counter() - t0 < 0.1
+
+
+@pytest.mark.parametrize("q", [
+    (10 ** 9 + 7) * (10 ** 9 + 9), (10 ** 9 + 7) ** 2 * (10 ** 9 + 9), 47 ** 3 * 53,
+    2 ** 100 * 3, 3317044064679887385961813 * 3, (2 ** 89 - 1) * (2 ** 61 - 1),
+])
+def test_parse_prime_power_refuses_a_large_composite(q):
+    # above the bound too, a failed Miller-Rabin round proves q composite
+    with pytest.raises(NotAPrimePower):
+        parse_prime_power(q)
+
+
+@pytest.mark.parametrize("q", [
+    2 ** 89 - 1, (2 ** 89 - 1) ** 3, 2 ** 127 - 1,
+    # the least composite that passes every round: the bound itself
+    3317044064679887385961981,
+])
+def test_a_prime_above_the_miller_rabin_bound_is_refused_as_unproven(q):
+    bound = "only below 3317044064679887385961981"
+    with pytest.raises(UnsupportedGroup, match="Miller-Rabin.*" + bound):
+        parse_prime_power(q)
+
+
 def test_prime_power_stores_q_and_compares_on_p_and_e():
     q = PrimePower(5, 2)
     assert q.q == 25 and int(q) == 25 and str(q) == "25"
@@ -68,6 +131,10 @@ def test_prime_power_stores_q_and_compares_on_p_and_e():
     assert sorted([PrimePower(3, 1), PrimePower(2, 3)]) == [PrimePower(2, 3), PrimePower(3, 1)]
     with pytest.raises(TypeError):
         PrimePower(5, 2, 25)
+    # a named tuple (p, e, q): hashed and compared in C
+    assert isinstance(q, tuple) and tuple(q) == (5, 2, 25)
+    with pytest.raises(AttributeError):
+        q.p = 7
 
 
 def test_prime_powers_range():
@@ -83,8 +150,8 @@ def test_prime_powers_yields_normalized_objects():
 
 
 def test_prime_powers_sieve_matches_trial_division():
-    # the list q by q through parse_prime_power, which factors by trial
-    # division, for every range up to 1024
+    # the list q by q through parse_prime_power, which factors by small
+    # divisors, integer roots and Miller-Rabin, for every range up to 1024
     by_trial = []
     for q in range(2, 1025):
         try:

@@ -673,3 +673,66 @@ def test_no_verb_loads_openssl():
     assert [line for line in lines if line.startswith("# ")] == [
         "# out 0 False", "# order 0 False", "# order 0 False", "# subgroups 0 False"]
     assert any(" M11 " in line for line in lines)
+
+
+def test_out_loads_no_dataclasses():
+    code = ("import sys\n"
+            "at_startup = 'dataclasses' in sys.modules\n"
+            "from large_atlas.cli import main\n"
+            "code = main(['out', 'PSL(2,7)'])\n"
+            "print(code, at_startup, 'dataclasses' in sys.modules)\n")
+    lines = _fresh_interpreter(code)
+    if lines[-1].split()[1] == "True":
+        pytest.skip("this interpreter loads dataclasses at startup")
+    assert lines == ["2", "0 False False"]
+
+
+def test_a_host_over_a_large_prime_field_is_answered_at_once(capsys):
+    # 10^18 + 3 is prime: trial division up to its square root ran for more than 30 s
+    t0 = time.perf_counter()
+    assert run(capsys, "out", "PSL(2,1000000000000000003)") == (0, "2\n", "")
+    assert time.perf_counter() - t0 < 1
+    # 2^89 - 1 is prime, beyond the bound below which Miller-Rabin proves it
+    code, out, err = run(capsys, "out", "PSL(2,618970019642690137449562111)")
+    assert code == 3 and out == "" and "Miller-Rabin" in err
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: flush raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError
+
+    def fileno(self):
+        return self.fd
+
+
+def test_no_command_leaves_an_order_memo_behind(capsys, monkeypatch, tmp_path):
+    # the memos fill during each command and are empty after it, whatever
+    # its exit: a failed check, success, an unsupported host, a closed pipe
+    filled = []
+
+    def clear_memos():
+        filled.append(sum(fn.cache_info().currsize for fn in orders.MEMOIZED))
+        orders.clear_memos()
+
+    monkeypatch.setattr(cli, "clear_memos", clear_memos)
+    orders.clear_memos()
+    calls = [(["reproduce", "--all", "--out-dir", str(tmp_path / "r")], 1),
+             (["subgroups", "PSL(8,5)"], 0),
+             (["subgroups", "POmega+(6,3)"], 3),
+             (["order", "PSL(400,7)"], 1)]
+    with open(tmp_path / "stdout", "w") as sink:
+        for argv, want in calls:
+            if argv[0] == "order":
+                monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink.fileno()))
+            assert cli.main(argv) == want, argv
+            assert filled[-1] > 0, argv
+            assert [fn.cache_info().currsize for fn in orders.MEMOIZED] == [0] * 7, argv
+    assert len(filled) == len(calls)

@@ -164,3 +164,41 @@ def test_gu_and_su_share_one_enumeration(q0, det_one_first):
         assert oracle.count_gu(2, q0) == gu
         assert oracle.count_gu(2, q0, det_one=True) == su
     assert oracle._gu_tally.cache_info().misses == 1
+
+
+def _field_op_literally(F, op, a, b):
+    """a op b in GF(p) or GF(p^2), element by element: the pairs (a0, a1)
+    of a = a0 + p a1 stand for a0 + a1 x, with x^2 = -b x - c for the
+    quadratic (b, c) of the field's prime."""
+    p = F.p
+    a0, a1, b0, b1 = a % p, a // p, b % p, b // p
+    if op == "add":
+        r0, r1 = a0 + b0, a1 + b1
+    elif op == "sub":
+        r0, r1 = a0 - b0, a1 - b1
+    else:
+        bb, cc = oracle._QUADRATICS[p] if F.e == 2 else (0, 0)
+        r0, r1 = a0 * b0 - a1 * b1 * cc, a0 * b1 + a1 * b0 - a1 * b1 * bb
+    return r0 % p + p * (r1 % p)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 9, 25, 49))
+def test_field_tables_equal_the_element_wise_definitions(q):
+    F = oracle.SmallField(q)
+    for op, table in (("add", F._add), ("sub", F._sub), ("mul", F._mul)):
+        assert table == [[_field_op_literally(F, op, a, b) for b in F.elements]
+                         for a in F.elements], op
+
+
+def test_each_field_is_built_once_and_shared_by_its_counts():
+    oracle._field.cache_clear()
+    oracle._gl_tally.cache_clear()
+    oracle._gu_tally.cache_clear()
+    for n in (1, 2, 3):
+        oracle.count_gl(n, 3)
+    oracle.count_gu(1, 2)
+    oracle.count_gu(2, 2)
+    oracle.count_gl(2, 4)
+    info = oracle._field.cache_info()
+    # GF(3) for the three GL counts, GF(4) for both GU counts and GL(2, 4)
+    assert (info.misses, info.hits) == (2, 4)

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from large_atlas import orders
-from large_atlas.arith import prime_powers
+from large_atlas.arith import parse_prime_power, prime_powers
 from large_atlas.errors import DataIntegrityError, GroupParseError, UnsupportedGroup
 from large_atlas.orders import (
     CIRC,
@@ -403,3 +403,37 @@ def test_subgroup_name_order():
     assert subgroup_name_order("S4") == 24
     assert subgroup_name_order("PSL2(7)") == 168
     assert subgroup_name_order("Sp4(3)") == sp_order(4, 3)
+
+
+def _outcome(fn, args):
+    try:
+        return fn(*args)
+    except UnsupportedGroup as exc:
+        return type(exc)
+
+
+def test_each_memoized_function_answers_as_its_body():
+    memoized = (orders.psl, orders.psu, orders.psp, orders.pomega, orders._order_of,
+                order_bits, out_order)
+    assert orders.MEMOIZED == memoized
+    orders.clear_memos()
+    calls = []
+    for q in (2, 3, 4, 5, 8, 9, 25, 27, 64, 1024):
+        for n in range(1, 14):
+            calls += [(orders.psl, (n, q)), (orders.psu, (n, q)), (orders.psp, (n, q)),
+                      (orders.pomega, (n, q))]
+            calls += [(orders.pomega, (n, q, eps)) for eps in (PLUS, MINUS, CIRC)]
+            calls += [(orders._order_of, (fam, n, q, eps))
+                      for fam in FORM_FAMILIES for eps in ("", PLUS, MINUS, CIRC)]
+            hosts = [orders.GroupId(fam, n, parse_prime_power(q), eps)
+                     for fam in FORM_FAMILIES for eps in ("", PLUS, MINUS)]
+            calls += [(order_bits, (g,)) for g in hosts
+                      if _outcome(order, (g,)) is not UnsupportedGroup]
+            calls += [(out_order, (g,)) for g in hosts if g.family in orders.CLASSICAL]
+    # the first round fills the memos, the second reads them
+    for _ in range(2):
+        for fn, args in calls:
+            assert _outcome(fn, args) == _outcome(fn.__wrapped__, args), (fn.__name__, args)
+    assert all(fn.cache_info().currsize > 0 for fn in memoized)
+    orders.clear_memos()
+    assert [fn.cache_info().currsize for fn in memoized] == [0] * len(memoized)

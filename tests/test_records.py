@@ -18,7 +18,9 @@ PSL35 = "GroupId(family='PSL', n=3, q=PrimePower(p=5, e=1), eps='', name='')"
 
 # each record with its field names, in order
 RECORDS = {
-    "GroupId": (lambda: orders.psl(3, 5), ("family", "n", "q", "eps", "name")),
+    # orders.psl keeps a memo and would return one shared object
+    "GroupId": (lambda: orders.GroupId("PSL", 3, parse_prime_power(5)),
+                ("family", "n", "q", "eps", "name")),
     "SubgroupEntry": (lambda: catalog.c1_stabilizer(orders.psl(3, 5)),
                       ("host", "aschbacher_class", "type_descriptor", "params",
                        "h0_order", "o1_order", "bound", "name", "formula")),

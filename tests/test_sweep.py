@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from large_atlas import bounds, catalog, orders, sweep
+from large_atlas import arith, bounds, catalog, orders, sweep
 from large_atlas.errors import MissingGolden, UnknownCase
 
 
@@ -173,3 +173,16 @@ MEMBER_POINTS = {
 def test_member_decides_every_catalog_grid_point(monkeypatch):
     calls = _calls_by_case(monkeypatch, "_member")
     assert Counter(cid for cid, _ in calls) == MEMBER_POINTS
+
+
+def test_every_grid_reads_one_sieve():
+    sweep._sieved.cache_clear()
+    for case in sweep.CASES.values():
+        for _ in case.grid():
+            pass
+    assert sweep._sieved.cache_info().misses == 1
+    for lo in (-1, 2, 3, 100):
+        for hi in (-1, 1, 2, 8, 9, 13, 16, 97, 400, 510, 511, 512):
+            assert sweep.prime_powers(lo, hi) == [q.q for q in arith.prime_powers(lo, hi)]
+    with pytest.raises(ValueError, match="up to 512"):
+        sweep.prime_powers(2, sweep._Q_MAX + 1)
