@@ -99,56 +99,6 @@ class BoundTriple(NamedTuple):
     verdict: str
 
 
-def _verdict(lower, upper, threshold):
-    if threshold < lower:
-        return CERTAINLY_LARGE
-    if threshold > upper:
-        return CERTAINLY_NOT_LARGE
-    return UNDETERMINED
-
-
-def _gl_power_sandwich(x, k):
-    """Bounds on |GL_m(q)|^k / |GL_km(q)| with x = 1/q."""
-    return ((1 - x - x ** 2) ** k / ((1 - x) * (1 - x ** 2)),
-            ((1 - x) * (1 - x ** 2)) ** k / (1 - x - x ** 2))
-
-
-class _Ratio:
-    """num/den over plain integers, left unreduced.
-
-    The sandwich formulas are short polynomials and quotients in x = 1/q,
-    and a Fraction would take a gcd after every step; sandwich reduces
-    each bound once, at the end.  Both operands are _Ratio, except that an
-    int may stand left of + and - (as in 1 - x); powers take k >= 0.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        self.num, self.den = num, den
-
-    def __add__(self, y):
-        return _Ratio(self.num * y.den + y.num * self.den, self.den * y.den)
-
-    def __radd__(self, k):
-        return _Ratio(k * self.den + self.num, self.den)
-
-    def __sub__(self, y):
-        return _Ratio(self.num * y.den - y.num * self.den, self.den * y.den)
-
-    def __rsub__(self, k):
-        return _Ratio(k * self.den - self.num, self.den)
-
-    def __mul__(self, y):
-        return _Ratio(self.num * y.num, self.den * y.den)
-
-    def __truediv__(self, y):
-        return _Ratio(self.num * y.den, self.den * y.num)
-
-    def __pow__(self, k):
-        return _Ratio(self.num ** k, self.den ** k)
-
-
 SANDWICH_CASES = (
     "psl-c2-t3", "psl-c3-r3", "psl-c5-r3",
     "psu-c2-t3", "psu-c3-r3",
@@ -156,55 +106,66 @@ SANDWICH_CASES = (
 )
 
 
-def _sandwich_bounds(case, x, q, e, n):
-    """(lower, upper, threshold) of the named sandwich at x = 1/q, q = p^e.
+def _sandwich_bounds(case, q, e, n):
+    """(lower num, lower den, upper num, upper den, threshold num, threshold
+    den) of the named sandwich at q = p^e, as plain integers, unreduced.
 
-    lower and upper are built from x by + - * / and powers alone, so they
-    come out as a Fraction for a Fraction x and as a _Ratio for a _Ratio x.
-    The threshold is a Fraction.
+    The paper states each bound as a rational function of x = 1/q (the
+    comments); here it is multiplied out over a power of q into integer
+    polynomials in q.  Every denominator is positive for q >= 2.
     """
     if case == "psl-c2-t3":
-        lower, upper = _gl_power_sandwich(x, 9)
-        h = ExactRatio((q - 1) ** 2, 864 * e * e)
-    elif case == "psl-c3-r3":
-        lower = (1 - x ** 3 - x ** 6) ** 3 / (1 - x - x ** 2)
-        upper = (1 - x ** 3) ** 3 * (1 - x ** 6) ** 3 / (1 - x - x ** 2)
-        h = ExactRatio((q - 1) ** 2, 108 * e * e)
-    elif case == "psl-c5-r3":
+        # (1 - x - x^2)^9 / ((1 - x)(1 - x^2)) < R < ((1 - x)(1 - x^2))^9 / (1 - x - x^2)
+        a, b = q * q - q - 1, (q - 1) * (q * q - 1)
+        return a ** 9, q ** 15 * b, b ** 9, q ** 25 * a, (q - 1) ** 2, 864 * e * e
+    if case == "psl-c3-r3":
+        # (1 - x^3 - x^6)^3 / (1 - x - x^2) < R < (1 - x^3)^3 (1 - x^6)^3 / (1 - x - x^2)
+        q3 = q ** 3
+        a = q * q - q - 1
+        return ((q3 * q3 - q3 - 1) ** 3, q ** 16 * a,
+                ((q3 - 1) * (q3 * q3 - 1)) ** 3, q ** 25 * a,
+                (q - 1) ** 2, 108 * e * e)
+    if case == "psl-c5-r3":
+        # (1 - x - x^2)^3 / ((1 - x^3)(1 - x^6)) < R < ((1 - x)(1 - x^2))^3 / (1 - x^3 - x^6)
         if n is None:
             raise ConstraintViolation("psl-c5-r3 needs the dimension n")
-        lower = (1 - x - x ** 2) ** 3 / ((1 - x ** 3) * (1 - x ** 6))
-        upper = (1 - x) ** 3 * (1 - x ** 2) ** 3 / (1 - x ** 3 - x ** 6)
         big = q ** 3
         d = gcd(n, big - 1)
         s = gcd(q - 1, (big - 1) // d)
         c = (big - 1) // lcm(q - 1, (big - 1) // d)
         # threshold derived from |H0| = s/(q-1) * |PGL_n(q)| on the small
         # field and the outer contribution 2*log_p(q^3)*d/c of the host
-        h = ExactRatio((q - 1) ** 6 * c * c,
-                       36 * e * e * d ** 3 * s ** 3 * (big - 1))
-    elif case == "psu-c2-t3":
-        lower = (1 + x) ** 8 * (1 - x ** 2) ** 9
-        upper = (1 + x) ** 8 / (1 - x ** 2)
-        h = ExactRatio((q + 1) ** 2, 864 * e * e)
-    elif case == "psu-c3-r3":
-        lower = (1 + x ** 3) ** 3 * (1 - x ** 6) ** 3 / (1 + x)
-        upper = (1 + x ** 3) ** 3 / ((1 + x) * (1 - x ** 2))
-        h = ExactRatio((q + 1) ** 2, 108 * e * e)
-    elif case == "po-c5-r3":
-        lower = (1 - x ** 2 - x ** 4) ** 3 / (1 - x ** 6)
-        upper = (1 - x ** 2) ** 3 / (1 - x ** 6 - x ** 12)
+        return ((q * q - q - 1) ** 3 * big, (big - 1) * (big * big - 1),
+                ((q - 1) * (q * q - 1)) ** 3, big * (big * big - big - 1),
+                (q - 1) ** 6 * c * c, 36 * e * e * d ** 3 * s ** 3 * (big - 1))
+    if case == "psu-c2-t3":
+        # (1 + x)^8 (1 - x^2)^9 < R < (1 + x)^8 / (1 - x^2)
+        u = (q + 1) ** 8
+        return (u * (q * q - 1) ** 9, q ** 26, u, q ** 6 * (q * q - 1),
+                (q + 1) ** 2, 864 * e * e)
+    if case == "psu-c3-r3":
+        # (1 + x^3)^3 (1 - x^6)^3 / (1 + x) < R < (1 + x^3)^3 / ((1 + x)(1 - x^2))
+        q3 = q ** 3
+        u = (q3 + 1) ** 3
+        return (u * (q3 * q3 - 1) ** 3, q ** 26 * (q + 1),
+                u, q ** 6 * (q + 1) * (q * q - 1),
+                (q + 1) ** 2, 108 * e * e)
+    if case == "po-c5-r3":
+        # (1 - x^2 - x^4)^3 / (1 - x^6) < R < (1 - x^2)^3 / (1 - x^6 - x^12)
+        q2, q6 = q * q, q ** 6
         # the 1/16 odd-characteristic ratio factor and the minimum possible
         # outer contribution are folded into the threshold
-        h = ExactRatio(1, 36 * e * e) if q % 2 == 0 else ExactRatio(1, 9 * e * e)
-    elif case == "o8-triality-3d4":
-        lower = (1 - x ** 12) ** 2 * (1 - x ** 6) ** 2 / (1 + x ** 2) ** 3
-        upper = ((1 - x ** 12) ** 2 * (1 - x ** 6) ** 3
-                 / ((1 + x ** 2) ** 3 * (1 - x ** 6 - x ** 12)))
-        h = ExactRatio(1)
-    else:
-        raise UnknownCase(f"unknown sandwich case {case!r}")
-    return lower, upper, h
+        return ((q2 * q2 - q2 - 1) ** 3, q6 * (q6 - 1),
+                (q2 - 1) ** 3 * q6, q6 * q6 - q6 - 1,
+                1, (36 if q % 2 == 0 else 9) * e * e)
+    if case == "o8-triality-3d4":
+        # (1 - x^12)^2 (1 - x^6)^2 / (1 + x^2)^3 < R
+        #   < (1 - x^12)^2 (1 - x^6)^3 / ((1 + x^2)^3 (1 - x^6 - x^12))
+        q6 = q ** 6
+        u = (q6 * q6 - 1) ** 2 * (q6 - 1) ** 2
+        v = (q * q + 1) ** 3
+        return (u, q ** 30 * v, u * (q6 - 1), q ** 24 * v * (q6 * q6 - q6 - 1), 1, 1)
+    raise UnknownCase(f"unknown sandwich case {case!r}")
 
 
 def sandwich(case, q, n=None):
@@ -212,9 +173,16 @@ def sandwich(case, q, n=None):
 
     q is the smaller field parameter (q0) in the field-extension and
     subfield cases.  The psl-c5-r3 case also needs the dimension n to form
-    its exact threshold.
+    its exact threshold.  The verdict compares the integer bounds by cross
+    multiplication; the three bounds are reduced only for the BoundTriple.
     """
     qq = parse_prime_power(q)
-    lower, upper, h = _sandwich_bounds(case, _Ratio(1, qq.q), qq.q, qq.e, n)
-    lower, upper = ExactRatio(lower.num, lower.den), ExactRatio(upper.num, upper.den)
-    return BoundTriple(case, lower, upper, h, _verdict(lower, upper, h))
+    ln, ld, un, ud, hn, hd = _sandwich_bounds(case, qq.q, qq.e, n)
+    if hn * ld < ln * hd:
+        verdict = CERTAINLY_LARGE
+    elif hn * ud > un * hd:
+        verdict = CERTAINLY_NOT_LARGE
+    else:
+        verdict = UNDETERMINED
+    return BoundTriple(case, ExactRatio(ln, ld), ExactRatio(un, ud), ExactRatio(hn, hd),
+                       verdict)

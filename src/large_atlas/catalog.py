@@ -46,10 +46,11 @@ from .orders import (CIRC, MINUS, PLUS, alt_order, g2_order,
 class SubgroupEntry(namedtuple("SubgroupEntry", "host aschbacher_class type_descriptor "
                                 "params h0_order o1_order bound name formula")):
     """One instantiated candidate subgroup of a given host group: its host
-    (GroupId), Aschbacher class, type descriptor, params (sorted (key,
-    value) pairs), |H0| and |O1| (ints >= 1), the bound kind of |H0|, the
-    structure name and the formula id.  An immutable named tuple; a row
-    with |H0| or |O1| below 1 raises ConstraintViolation."""
+    (GroupId), Aschbacher class, type descriptor, params ((key, value)
+    pairs in key order, then the "item" label of a pool row), |H0| and |O1|
+    (ints >= 1), the bound kind of |H0|, the structure name and the formula
+    id.  An immutable named tuple, and the one check on every catalog row:
+    a row with |H0| or |O1| below 1 raises ConstraintViolation."""
 
     __slots__ = ()
 
@@ -66,11 +67,6 @@ def _require(cond, msg):
         raise ConstraintViolation(msg)
 
 
-def _entry(host, klass, desc, params, h0, o1, bound=EXACT, name="", formula=""):
-    return SubgroupEntry(host, klass, desc, tuple(sorted(params.items())),
-                         int(h0), int(o1), bound, name, formula)
-
-
 def signs(n):
     """The orthogonal signs a form of dimension n can carry."""
     return (CIRC,) if n % 2 else (PLUS, MINUS)
@@ -81,8 +77,8 @@ def c1_stabilizer(g):
     linear host, a subspace stabilizer otherwise.  It contains a full Sylow
     p-subgroup, so the stored lower bound already certifies largeness."""
     desc = "parabolic P1" if g.family == "PSL" else "subspace stabilizer"
-    return _entry(g, "C1", desc, {}, g.q.q ** sylow_exponent(g), 1,
-                  bound=LOWER, formula="sylow-p-lower")
+    return SubgroupEntry(g, "C1", desc, (), g.q.q ** sylow_exponent(g), 1,
+                         bound=LOWER, formula="sylow-p-lower")
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +93,8 @@ def psl_c2(g, m, t):
     _require(q >= 3 or m >= 3, "blocks of size 2 need q >= 3")
     d = gcd(n, q - 1)
     h0 = sl_order(m, q) ** t * (q - 1) ** (t - 1) * factorial(t) // d
-    return _entry(g, "C2", f"GL({m},{q}) wr S{t}", {"m": m, "t": t},
-                  h0, out_order(g), formula="psl-c2")
+    return SubgroupEntry(g, "C2", f"GL({m},{q}) wr S{t}", (("m", m), ("t", t)),
+                         h0, out_order(g), formula="psl-c2")
 
 
 def psl_c3(g, m, r):
@@ -106,8 +102,8 @@ def psl_c3(g, m, r):
     _require(n == m * r and r >= 2 and is_prime(r), "field-extension degree must be prime")
     d = gcd(n, q - 1)
     h0 = gl_order(m, q ** r) * r // (d * (q - 1))
-    return _entry(g, "C3", f"GL({m},{q}^{r})", {"m": m, "r": r},
-                  h0, out_order(g), formula="psl-c3")
+    return SubgroupEntry(g, "C3", f"GL({m},{q}^{r})", (("m", m), ("r", r)),
+                         h0, out_order(g), formula="psl-c3")
 
 
 def psl_c4(g, n1, n2):
@@ -116,8 +112,8 @@ def psl_c4(g, n1, n2):
     d = gcd(n, q - 1)
     cc = gcd(gcd(q - 1, n1), n2)
     h0 = sl_order(n1, q) * sl_order(n2, q) * cc // d
-    return _entry(g, "C4", f"GL({n1},{q}) (x) GL({n2},{q})", {"n1": n1, "n2": n2},
-                  h0, out_order(g) // cc, formula="psl-c4")
+    return SubgroupEntry(g, "C4", f"GL({n1},{q}) (x) GL({n2},{q})", (("n1", n1), ("n2", n2)),
+                         h0, out_order(g) // cc, formula="psl-c4")
 
 
 def psl_c5(g, r):
@@ -129,8 +125,8 @@ def psl_c5(g, r):
     s = gcd(q0 - 1, (q - 1) // d)
     h0 = sl_order(n, q0) * s // (q0 - 1)
     c = (q - 1) // lcm(q0 - 1, (q - 1) // d)
-    return _entry(g, "C5", f"GL({n},{q0})", {"q0": q0, "r": r},
-                  h0, out_order(g) // c, formula="psl-c5")
+    return SubgroupEntry(g, "C5", f"GL({n},{q0})", (("q0", q0), ("r", r)),
+                         h0, out_order(g) // c, formula="psl-c5")
 
 
 def psl_c6(g):
@@ -140,30 +136,30 @@ def psl_c6(g):
     q = qq.q
     _require(qq.e == 1, "extraspecial normalizers need prime fields")
     if n == 2 and q % 8 in (1, 7):
-        return _entry(g, "C6", "2^(1+2).O2-(2)", {}, 24, 1, name="S4", formula="psl-c6-n2")
+        return SubgroupEntry(g, "C6", "2^(1+2).O2-(2)", (), 24, 1, name="S4", formula="psl-c6-n2")
     if n == 2 and q % 8 in (3, 5) and q > 3:
-        return _entry(g, "C6", "2^(1+2).O2-(2)", {}, 12, 2, name="A4", formula="psl-c6-n2")
+        return SubgroupEntry(g, "C6", "2^(1+2).O2-(2)", (), 12, 2, name="A4", formula="psl-c6-n2")
     if n == 3 and q % 3 == 1:
         h0 = 216 if q % 9 == 1 else 72
         name = "3^2:SL2(3)" if h0 == 216 else "3^2:Q8"
-        return _entry(g, "C6", "3^(1+2):Sp2(3)", {}, h0, 2, name=name, formula="psl-c6-n3")
+        return SubgroupEntry(g, "C6", "3^(1+2):Sp2(3)", (), h0, 2, name=name, formula="psl-c6-n3")
     if n == 4 and q % 8 == 5:
-        return _entry(g, "C6", "(4 o 2^(1+4)).Sp4(2)", {}, 16 * alt_order(6), 4,
-                      name="2^4.A6", formula="psl-c6-n4")
+        return SubgroupEntry(g, "C6", "(4 o 2^(1+4)).Sp4(2)", (), 16 * alt_order(6), 4,
+                             name="2^4.A6", formula="psl-c6-n4")
     if n == 4 and q % 8 == 1:
-        return _entry(g, "C6", "(4 o 2^(1+4)).Sp4(2)", {}, 16 * sym_order(6), 2,
-                      name="2^4.S6", formula="psl-c6-n4")
+        return SubgroupEntry(g, "C6", "(4 o 2^(1+4)).Sp4(2)", (), 16 * sym_order(6), 2,
+                             name="2^4.S6", formula="psl-c6-n4")
     _require(n == 8 and q % 4 == 1, "no extraspecial normalizer for this n and q")
-    return _entry(g, "C6", "(4 o 2^(1+6)).Sp6(2)", {}, 64 * sp_order(6, 2), 2,
-                  name="2^6.Sp6(2)", formula="psl-c6-n8")
+    return SubgroupEntry(g, "C6", "(4 o 2^(1+6)).Sp6(2)", (), 64 * sp_order(6, 2), 2,
+                         name="2^6.Sp6(2)", formula="psl-c6-n8")
 
 
 def psl_c7(g, m, t):
     n, q = g.n, g.q.q
     _require(n == m ** t and m >= 3 and t >= 2, "tensor-power type needs n = m^t, m >= 3")
     h0 = sl_order(m, q) ** t * factorial(t)
-    return _entry(g, "C7", f"GL({m},{q}) wr S{t} (tensor)", {"m": m, "t": t},
-                  h0, out_order(g), bound=UPPER, formula="psl-c7")
+    return SubgroupEntry(g, "C7", f"GL({m},{q}) wr S{t} (tensor)", (("m", m), ("t", t)),
+                         h0, out_order(g), bound=UPPER, formula="psl-c7")
 
 
 def psl_c8(g, kind):
@@ -180,8 +176,8 @@ def psl_c8(g, kind):
         _require(qq.e % 2 == 0 and n >= 3, "the unitary form subgroup needs square q, n >= 3")
         q = qq.p ** (qq.e // 2)  # GU(n, q0) with q0^2 = q
         h0 = psu_order(n, q)
-    return _entry(g, "C8", f"{kind}({n},{q})", {}, h0, 1, bound=LOWER,
-                  formula="c8-classical-lower")
+    return SubgroupEntry(g, "C8", f"{kind}({n},{q})", (), h0, 1, bound=LOWER,
+                         formula="c8-classical-lower")
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +190,8 @@ def psu_c2_wr(g, m, t):
     _require(n == m * t and t >= 2 and m >= 1, "imprimitive type needs n = m*t")
     d = gcd(n, q + 1)
     h0 = gu_order(m, q) ** t * factorial(t) // (d * (q + 1))
-    return _entry(g, "C2", f"GU({m},{q}) wr S{t}", {"m": m, "t": t},
-                  h0, out_order(g), formula="psu-c2")
+    return SubgroupEntry(g, "C2", f"GU({m},{q}) wr S{t}", (("m", m), ("t", t)),
+                         h0, out_order(g), formula="psu-c2")
 
 
 def psu_c2_gl(g):
@@ -203,8 +199,8 @@ def psu_c2_gl(g):
     _require(n % 2 == 0, "the GL-type imprimitive subgroup needs even n")
     d = gcd(n, q + 1)
     h0 = gl_order(n // 2, q * q) * 2 // (d * (q + 1))
-    return _entry(g, "C2", f"GL({n // 2},{q}^2).2", {}, h0, out_order(g),
-                  formula="psu-c2-gl")
+    return SubgroupEntry(g, "C2", f"GL({n // 2},{q}^2).2", (), h0, out_order(g),
+                         formula="psu-c2-gl")
 
 
 def psu_c3(g, m, r):
@@ -213,8 +209,8 @@ def psu_c3(g, m, r):
              "unitary field extension needs an odd prime degree")
     d = gcd(n, q + 1)
     h0 = gu_order(m, q ** r) * r // (d * (q + 1))
-    return _entry(g, "C3", f"GU({m},{q}^{r})", {"m": m, "r": r},
-                  h0, out_order(g), formula="psu-c3")
+    return SubgroupEntry(g, "C3", f"GU({m},{q}^{r})", (("m", m), ("r", r)),
+                         h0, out_order(g), formula="psu-c3")
 
 
 def psu_c4(g, n1, n2):
@@ -223,9 +219,9 @@ def psu_c4(g, n1, n2):
     d = gcd(n, q + 1)
     cc = gcd(gcd(q + 1, n1), n2)
     h0 = su_order(n1, q) * su_order(n2, q) * cc * cc // d
-    return _entry(g, "C4", f"GU({n1},{q}) (x) GU({n2},{q})", {"n1": n1, "n2": n2},
-                  h0, out_order(g) // max(cc, 1),
-                  bound=UPPER, formula="psu-c4")
+    return SubgroupEntry(g, "C4", f"GU({n1},{q}) (x) GU({n2},{q})", (("n1", n1), ("n2", n2)),
+                         h0, out_order(g) // max(cc, 1),
+                         bound=UPPER, formula="psu-c4")
 
 
 def psu_c5_subfield(g, r):
@@ -238,20 +234,20 @@ def psu_c5_subfield(g, r):
     s = gcd(q0 + 1, (q + 1) // d)
     h0 = su_order(n, q0) * s // (q0 + 1)
     c = (q + 1) // lcm(q0 + 1, (q + 1) // d)
-    return _entry(g, "C5", f"GU({n},{q0})", {"q0": q0, "r": r},
-                  h0, out_order(g) // c, formula="psu-c5")
+    return SubgroupEntry(g, "C5", f"GU({n},{q0})", (("q0", q0), ("r", r)),
+                         h0, out_order(g) // c, formula="psu-c5")
 
 
 def psu_c5_form(g, kind):
     n, q = g.n, g.q.q
     if kind == "Sp":
         _require(n % 2 == 0, "symplectic form subgroup needs even n")
-        return _entry(g, "C5", f"Sp({n},{q})", {}, psp_order(n, q), 1,
-                      bound=LOWER, formula="c8-classical-lower")
+        return SubgroupEntry(g, "C5", f"Sp({n},{q})", (), psp_order(n, q), 1,
+                             bound=LOWER, formula="c8-classical-lower")
     _require(q % 2 == 1, "orthogonal form subgroup needs odd q")
     _require((kind == CIRC) == (n % 2 == 1), "odd n takes no sign, even n needs one")
-    return _entry(g, "C5", f"GO{eps_tag(kind)}({n},{q})", {},
-                  so_order(n, kind, q), 1, bound=LOWER, formula="c8-classical-lower")
+    return SubgroupEntry(g, "C5", f"GO{eps_tag(kind)}({n},{q})", (),
+                         so_order(n, kind, q), 1, bound=LOWER, formula="c8-classical-lower")
 
 
 def psu_c6(g):
@@ -262,20 +258,20 @@ def psu_c6(g):
     _require(qq.e == 1, "extraspecial normalizers need prime fields")
     if n == 3 and q % 3 == 2:
         cc = gcd(9, q + 1) // 3
-        return _entry(g, "C6", "3^(1+2):Sp2(3)", {}, 72 * cc, 2 * gcd(3, q + 1) // cc,
-                      name="3^2:Q8" if cc == 1 else "3^2:Q8.3", formula="psu-c6-n3")
+        return SubgroupEntry(g, "C6", "3^(1+2):Sp2(3)", (), 72 * cc, 2 * gcd(3, q + 1) // cc,
+                             name="3^2:Q8" if cc == 1 else "3^2:Q8.3", formula="psu-c6-n3")
     if n == 4 and q % 8 == 3:
-        return _entry(g, "C6", "(4 o 2^(1+4)).Sp4(2)", {}, 16 * alt_order(6), 4,
-                      name="2^4.A6", formula="psu-c6-n4")
+        return SubgroupEntry(g, "C6", "(4 o 2^(1+4)).Sp4(2)", (), 16 * alt_order(6), 4,
+                             name="2^4.A6", formula="psu-c6-n4")
     if n == 4 and q % 8 == 7:
-        return _entry(g, "C6", "(4 o 2^(1+4)).Sp4(2)", {}, 16 * sym_order(6), 2,
-                      name="2^4.S6", formula="psu-c6-n4")
+        return SubgroupEntry(g, "C6", "(4 o 2^(1+4)).Sp4(2)", (), 16 * sym_order(6), 2,
+                             name="2^4.S6", formula="psu-c6-n4")
     _require(n >= 8 and n & (n - 1) == 0 and q % 4 == 3,
              "no extraspecial normalizer for this n and q")
     m = n.bit_length() - 1
-    return _entry(g, "C6", f"(4 o 2^(1+{2 * m})).Sp{2 * m}(2)", {},
-                  2 ** (2 * m) * sp_order(2 * m, 2), 2,
-                  name=f"2^{2 * m}.Sp{2 * m}(2)", formula="psu-c6-n8")
+    return SubgroupEntry(g, "C6", f"(4 o 2^(1+{2 * m})).Sp{2 * m}(2)", (),
+                         2 ** (2 * m) * sp_order(2 * m, 2), 2,
+                         name=f"2^{2 * m}.Sp{2 * m}(2)", formula="psu-c6-n8")
 
 
 def psu_c7(g, m, t):
@@ -283,8 +279,8 @@ def psu_c7(g, m, t):
     _require(n == m ** t and m >= 3 and t >= 2, "tensor-power type needs n = m^t, m >= 3")
     _require((m, q) != (3, 2), "the (3,2) tensor-power case does not occur")
     h0 = su_order(m, q) ** t * factorial(t)
-    return _entry(g, "C7", f"GU({m},{q}) wr S{t} (tensor)", {"m": m, "t": t},
-                  h0, out_order(g), bound=UPPER, formula="psu-c7")
+    return SubgroupEntry(g, "C7", f"GU({m},{q}) wr S{t} (tensor)", (("m", m), ("t", t)),
+                         h0, out_order(g), bound=UPPER, formula="psu-c7")
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +291,9 @@ def psu_c7(g, m, t):
 def psp_c2_gl(g):
     n, q = g.n, g.q.q
     d = gcd(2, q - 1)
-    return _entry(g, "C2", f"GL({n // 2},{q}).2", {},
-                  2 * gl_order(n // 2, q) // d, 1, bound=LOWER,
-                  formula="psp-c2-gl-lower")
+    return SubgroupEntry(g, "C2", f"GL({n // 2},{q}).2", (),
+                         2 * gl_order(n // 2, q) // d, 1, bound=LOWER,
+                         formula="psp-c2-gl-lower")
 
 
 def psp_c2_wr(g, m, t):
@@ -308,8 +304,8 @@ def psp_c2_wr(g, m, t):
     _require((m, q) != (2, 2), "blocks Sp2(2) do not occur")
     d = gcd(2, q - 1)
     h0 = sp_order(m, q) ** t * factorial(t) // d
-    return _entry(g, "C2", f"Sp({m},{q}) wr S{t}", {"m": m, "t": t},
-                  h0, d * qq.e, formula="psp-c2")
+    return SubgroupEntry(g, "C2", f"Sp({m},{q}) wr S{t}", (("m", m), ("t", t)),
+                         h0, d * qq.e, formula="psp-c2")
 
 
 def psp_c3(g, m, r):
@@ -318,15 +314,15 @@ def psp_c3(g, m, r):
     _require(n == m * r and m % 2 == 0 and is_prime(r), "extension degree must be prime")
     d = gcd(2, q - 1)
     h0 = r * sp_order(m, q ** r) // d
-    return _entry(g, "C3", f"Sp({m},{q}^{r})", {"m": m, "r": r},
-                  h0, d * qq.e, formula="psp-c3")
+    return SubgroupEntry(g, "C3", f"Sp({m},{q}^{r})", (("m", m), ("r", r)),
+                         h0, d * qq.e, formula="psp-c3")
 
 
 def psp_c3_gu(g):
     n, q = g.n, g.q.q
     d = gcd(2, q - 1)
-    return _entry(g, "C3", f"GU({n // 2},{q})", {}, gu_order(n // 2, q) // d,
-                  1, bound=LOWER, formula="psp-c3-gu-lower")
+    return SubgroupEntry(g, "C3", f"GU({n // 2},{q})", (), gu_order(n // 2, q) // d,
+                         1, bound=LOWER, formula="psp-c3-gu-lower")
 
 
 def psp_c4(g, n1, n2, eps):
@@ -337,9 +333,9 @@ def psp_c4(g, n1, n2, eps):
              "tensor type needs n = n1*n2 with n1 even, n2 >= 3, a sign for n2")
     # |PGO_n2^eps(q)|: GO modulo its center of order 2, q being odd
     h0 = psp_order(n1, q) * (go_order(n2, eps, q) // 2) * gcd(2, n2)
-    return _entry(g, "C4", f"Sp({n1},{q}) (x) GO{eps_tag(eps)}({n2},{q})",
-                  {"n1": n1, "n2": n2, "eps": eps}, h0,
-                  gcd(2, q - 1) * qq.e, formula="psp-c4")
+    return SubgroupEntry(g, "C4", f"Sp({n1},{q}) (x) GO{eps_tag(eps)}({n2},{q})",
+                         (("eps", eps), ("n1", n1), ("n2", n2)), h0,
+                         gcd(2, q - 1) * qq.e, formula="psp-c4")
 
 
 def psp_c5(g, r):
@@ -348,8 +344,8 @@ def psp_c5(g, r):
     q0 = qq.p ** (qq.e // r)
     cc = gcd(gcd(2, qq.q - 1), r)
     h0 = psp_order(n, q0) * cc
-    return _entry(g, "C5", f"Sp({n},{q0})", {"q0": q0, "r": r},
-                  h0, out_order(g), formula="psp-c5")
+    return SubgroupEntry(g, "C5", f"Sp({n},{q0})", (("q0", q0), ("r", r)),
+                         h0, out_order(g), formula="psp-c5")
 
 
 def psp_c6(g):
@@ -366,8 +362,8 @@ def psp_c6(g):
         h0 = 2 ** (2 * m) * omega_order(2 * m, MINUS, 2)
         o1 = 2
         name = f"2^{2 * m}.O{2 * m}-(2)"
-    return _entry(g, "C6", f"2^(1+{2 * m}).O{2 * m}-(2)", {}, h0, o1,
-                  name=name, formula="psp-c6")
+    return SubgroupEntry(g, "C6", f"2^(1+{2 * m}).O{2 * m}-(2)", (), h0, o1,
+                         name=name, formula="psp-c6")
 
 
 def psp_c7(g, m, t):
@@ -379,8 +375,8 @@ def psp_c7(g, m, t):
     _require((m, q) != (2, 3), "the (2,3) tensor-power case does not occur")
     d = gcd(2, q - 1)
     h0 = sp_order(m, q) ** t * factorial(t) // d
-    return _entry(g, "C7", f"Sp({m},{q}) wr S{t} (tensor)", {"m": m, "t": t},
-                  h0, d * qq.e, formula="psp-c7")
+    return SubgroupEntry(g, "C7", f"Sp({m},{q}) wr S{t} (tensor)", (("m", m), ("t", t)),
+                         h0, d * qq.e, formula="psp-c7")
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +404,9 @@ def _pso_o1(g):
 def pso_c2_gl(g):
     n, eps, q = g.n, g.eps, g.q.q
     _require(n % 2 == 0 and eps == PLUS, "the GL-type stabilizer needs plus type")
-    return _entry(g, "C2", f"GL({n // 2},{q}).2", {},
-                  gl_order(n // 2, q) // ((q - 1) * 4), 1, bound=LOWER,
-                  formula="pso-c2-gl-lower")
+    return SubgroupEntry(g, "C2", f"GL({n // 2},{q}).2", (),
+                         gl_order(n // 2, q) // ((q - 1) * 4), 1, bound=LOWER,
+                         formula="pso-c2-gl-lower")
 
 
 def pso_c2_o1p(g):
@@ -449,8 +445,8 @@ def pso_c2_o1p(g):
         o1 = 2 if q % 8 in (3, 5) else 1
     else:
         o1 = 4 if q % 8 in (3, 5) else 2
-    return _entry(g, "C2", f"GO1({q}) wr S{n}", {}, h0, o1, bound=bound,
-                  name=name, formula="pso-c2-o1p")
+    return SubgroupEntry(g, "C2", f"GO1({q}) wr S{n}", (), h0, o1, bound=bound,
+                         name=name, formula="pso-c2-o1p")
 
 
 def pso_c2_go_wr(g, m, eps1, t):
@@ -472,9 +468,9 @@ def pso_c2_go_wr(g, m, eps1, t):
     h0 = (omega_order(m, eps1, q) ** t
           * 2 ** (gcd(2, q - 1) * (t - 1)) * factorial(t))
     _require(h0 % z == 0, "central quotient must divide the stabilizer order")
-    return _entry(g, "C2", f"GO{eps_tag(eps1)}({m},{q}) wr S{t}",
-                  {"m": m, "t": t, "eps1": eps1}, h0 // z, _pso_o1(g),
-                  formula="pso-c2-go-wr")
+    return SubgroupEntry(g, "C2", f"GO{eps_tag(eps1)}({m},{q}) wr S{t}",
+                         (("eps1", eps1), ("m", m), ("t", t)), h0 // z, _pso_o1(g),
+                         formula="pso-c2-go-wr")
 
 
 def pso_c3(g, kind):
@@ -483,18 +479,18 @@ def pso_c3(g, kind):
     if kind == "GU":
         _require(eps == (PLUS if m % 2 == 0 else MINUS),
                  "the unitary field-change type needs n = 2m and sign (-1)^m")
-        return _entry(g, "C3", f"GU({m},{q})", {},
-                      gu_order(m, q) // (gcd(2, q - 1) * (q + 1)), 1,
-                      bound=LOWER, formula="pso-c3-lower")
+        return SubgroupEntry(g, "C3", f"GU({m},{q})", (),
+                             gu_order(m, q) // (gcd(2, q - 1) * (q + 1)), 1,
+                             bound=LOWER, formula="pso-c3-lower")
     if kind == "GOo":
         _require(n % 4 == 2 and q % 2 == 1, "the odd-block field change needs n = 2 mod 4, q odd")
         ksign = CIRC
     else:
         _require(n % 4 == 0 and eps != CIRC, "the signed field change needs 4 | n")
         ksign = eps
-    return _entry(g, "C3", f"GO{eps_tag(ksign)}({m},{q}^2)", {},
-                  omega_order(m, ksign, q * q) // 2, 1,
-                  bound=LOWER, formula="pso-c3-lower")
+    return SubgroupEntry(g, "C3", f"GO{eps_tag(ksign)}({m},{q}^2)", (),
+                         omega_order(m, ksign, q * q) // 2, 1,
+                         bound=LOWER, formula="pso-c3-lower")
 
 
 def pso_c3_extra(g, m, s):
@@ -505,8 +501,8 @@ def pso_c3_extra(g, m, s):
     z = pomega_center(n, eps, q)
     h0 = omega_order(m, eps if m % 2 == 0 else CIRC, q ** s) * s
     _require(h0 % z == 0, "central quotient must divide the stabilizer order")
-    return _entry(g, "C3", f"GO{eps_tag(eps)}({m},{q}^{s})", {"m": m, "s": s},
-                  h0 // z, _pso_o1(g), formula="pso-c3-extra")
+    return SubgroupEntry(g, "C3", f"GO{eps_tag(eps)}({m},{q}^{s})", (("m", m), ("s", s)),
+                         h0 // z, _pso_o1(g), formula="pso-c3-extra")
 
 
 def pso_c4(g):
@@ -518,9 +514,9 @@ def pso_c4(g):
     desc = f"Sp(2,{q}) (x) Sp({n // 2},{q})"
     if q % 2:
         h0 = sp_order(2, q) * sp_order(n // 2, q) // 2 * gcd(2, n // 4) // 2
-        return _entry(g, "C4", desc, {}, h0, _pso_o1(g), formula="pso-c4-odd")
-    return _entry(g, "C4", desc, {}, sp_order(2, q) * sp_order(n // 2, q), 1,
-                  bound=LOWER, formula="pso-c4-lower")
+        return SubgroupEntry(g, "C4", desc, (), h0, _pso_o1(g), formula="pso-c4-odd")
+    return SubgroupEntry(g, "C4", desc, (), sp_order(2, q) * sp_order(n // 2, q), 1,
+                         bound=LOWER, formula="pso-c4-lower")
 
 
 def pso_c5(g, r, eps_sub):
@@ -533,8 +529,8 @@ def pso_c5(g, r, eps_sub):
         _require(n % 2 == 1 or eps == PLUS, "even subfield index forces plus type")
         _require(eps_sub in signs(n), "the subfield form's sign must suit the dimension")
     h0 = omega_order(n, eps_sub, q0) // gcd(2, q0 - 1)
-    return _entry(g, "C5", f"GO{eps_tag(eps_sub)}({n},{q0})",
-                  {"q0": q0, "r": r}, h0, _pso_o1(g), formula="pso-c5")
+    return SubgroupEntry(g, "C5", f"GO{eps_tag(eps_sub)}({n},{q0})",
+                         (("q0", q0), ("r", r)), h0, _pso_o1(g), formula="pso-c5")
 
 
 def pso_c6(g):
@@ -546,8 +542,8 @@ def pso_c6(g):
     m = n.bit_length() - 1
     cc = 4 if q % 8 in (3, 5) else 8
     h0 = 2 ** (2 * m + 2) * omega_order(2 * m, PLUS, 2) // cc
-    return _entry(g, "C6", f"2^(2+{2 * m}).O{2 * m}+(2)", {}, h0, 8 // cc,
-                  name=f"2^{2 * m}.O{2 * m}+(2)", formula="pso-c6")
+    return SubgroupEntry(g, "C6", f"2^(2+{2 * m}).O{2 * m}+(2)", (), h0, 8 // cc,
+                         name=f"2^{2 * m}.O{2 * m}+(2)", formula="pso-c6")
 
 
 # the kinds of pso_c7, each with the block sign it takes
@@ -580,8 +576,8 @@ def pso_c7(g, m, t, kind, eps1):
         h0 = so_order(m, eps1, q) ** t * 2 ** (t - 1) * factorial(t)
         desc = f"GO{eps1}({m},{q}) wr S{t} (tensor)"
         bound = UPPER
-    return _entry(g, "C7", desc, {"m": m, "t": t}, h0, _pso_o1(g),
-                  bound=bound, formula="pso-c7")
+    return SubgroupEntry(g, "C7", desc, (("m", m), ("t", t)), h0, _pso_o1(g),
+                         bound=bound, formula="pso-c7")
 
 
 # ---------------------------------------------------------------------------
@@ -612,23 +608,23 @@ def sp4_graph_candidates(g):
         raise UnsupportedGroup("the graph automorphism case needs Sp4(2^e), q >= 4")
     o1 = out_order(g)
     rows = [
-        _entry(g, "X", "[q^4]:(q-1)^2", {}, q ** 4 * (q - 1) ** 2, o1,
-               name="[q^4]:(q-1)^2", formula="sp4-graph"),
-        _entry(g, "X", "(q-1)^2:D8", {}, (q - 1) ** 2 * 8, o1,
-               name="(q-1)^2:D8", formula="sp4-graph"),
-        _entry(g, "X", "(q+1)^2:D8", {}, (q + 1) ** 2 * 8, o1,
-               name="(q+1)^2:D8", formula="sp4-graph"),
-        _entry(g, "X", "(q^2+1):4", {}, (q * q + 1) * 4, o1,
-               name="(q^2+1):4", formula="sp4-graph"),
+        SubgroupEntry(g, "X", "[q^4]:(q-1)^2", (), q ** 4 * (q - 1) ** 2, o1,
+                      name="[q^4]:(q-1)^2", formula="sp4-graph"),
+        SubgroupEntry(g, "X", "(q-1)^2:D8", (), (q - 1) ** 2 * 8, o1,
+                      name="(q-1)^2:D8", formula="sp4-graph"),
+        SubgroupEntry(g, "X", "(q+1)^2:D8", (), (q + 1) ** 2 * 8, o1,
+                      name="(q+1)^2:D8", formula="sp4-graph"),
+        SubgroupEntry(g, "X", "(q^2+1):4", (), (q * q + 1) * 4, o1,
+                      name="(q^2+1):4", formula="sp4-graph"),
     ]
     for r in _prime_divisors(qq.e):
         q0 = qq.p ** (qq.e // r)
-        rows.append(_entry(g, "X", f"Sp(4,{q0})", {"q0": q0, "r": r},
-                           sp_order(4, q0), o1, name=f"Sp4({q0})",
-                           formula="sp4-graph"))
+        rows.append(SubgroupEntry(g, "X", f"Sp(4,{q0})", (("q0", q0), ("r", r)),
+                                  sp_order(4, q0), o1, name=f"Sp4({q0})",
+                                  formula="sp4-graph"))
     if qq.e % 2 == 1 and qq.e >= 3:
-        rows.append(_entry(g, "X", f"Sz({q})", {}, sz_order(q), o1,
-                           name=f"Sz({q})", formula="sp4-graph"))
+        rows.append(SubgroupEntry(g, "X", f"Sz({q})", (), sz_order(q), o1,
+                                  name=f"Sz({q})", formula="sp4-graph"))
     return [_with_item(e, label) for label, e in zip(ROMAN, rows)]
 
 
@@ -647,51 +643,51 @@ def o8_triality_candidates(g):
     d = gcd(2, q - 1)
     o1 = out_order(g)
     rows = [
-        ("i", _entry(g, "X", "parabolic", {}, q ** 12, o1, bound=LOWER,
-                     name="parabolic", formula="o8-tri")),
-        ("ii", _entry(g, "X", f"G2({q})", {}, g2_order(q), o1,
-                      name=f"G2({q})", formula="o8-tri")),
+        ("i", SubgroupEntry(g, "X", "parabolic", (), q ** 12, o1, bound=LOWER,
+                            name="parabolic", formula="o8-tri")),
+        ("ii", SubgroupEntry(g, "X", f"G2({q})", (), g2_order(q), o1,
+                             name=f"G2({q})", formula="o8-tri")),
     ]
     for e2 in (PLUS, MINUS):
-        rows.append(("iii", _entry(g, "X", f"GO{e2}(2,{q}) perp GO{e2}(6,{q})",
-                                   {}, omega_order(6, e2, q) // d, o1,
-                                   bound=LOWER, name=f"O{e2}6 point",
-                                   formula="o8-tri")))
+        rows.append(("iii", SubgroupEntry(g, "X", f"GO{e2}(2,{q}) perp GO{e2}(6,{q})",
+                                          (), omega_order(6, e2, q) // d, o1,
+                                          bound=LOWER, name=f"O{e2}6 point",
+                                          formula="o8-tri")))
     if qq.e == 1 and q % 2 == 1:
-        rows.append(("iv", _entry(g, "X", "2^3.2^6.PSL3(2)", {}, 2 ** 9 * 168,
-                                  o1, name="2^3.2^6.PSL3(2)", formula="o8-tri")))
+        rows.append(("iv", SubgroupEntry(g, "X", "2^3.2^6.PSL3(2)", (), 2 ** 9 * 168,
+                                         o1, name="2^3.2^6.PSL3(2)", formula="o8-tri")))
     rows.append(("v", pso_c2_go_wr(g, 2, MINUS, 4)))
     if q >= 5:
         rows.append(("vi", pso_c2_go_wr(g, 2, PLUS, 4)))
     if q >= 3:
         rows.append(("vii", pso_c2_go_wr(g, 4, PLUS, 2)))
-    rows.append(("viii", _entry(g, "X", "(D_{2(q^2+1)/d})^2.[2d].S2", {},
-                                (2 * (q * q + 1) // d) ** 2 * 2 * d * 2, o1,
-                                name="torus normalizer", formula="o8-tri")))
+    rows.append(("viii", SubgroupEntry(g, "X", "(D_{2(q^2+1)/d})^2.[2d].S2", (),
+                                       (2 * (q * q + 1) // d) ** 2 * 2 * d * 2, o1,
+                                       name="torus normalizer", formula="o8-tri")))
     if qq.e % 2 == 0:
         for e2 in (PLUS, MINUS):
             rows.append(("ix", pso_c5(g, 2, e2)))
     if qq.e % 3 == 0:
         rows.append(("ix", pso_c5(g, 3, PLUS)))
     if q % 3 == 1:
-        rows.append(("x", _entry(g, "X", f"PSL3({q}).3", {},
-                                 3 * psl_order(3, q), 6 * qq.e,
-                                 name=f"PSL3({q}).3", formula="o8-tri")))
+        rows.append(("x", SubgroupEntry(g, "X", f"PSL3({q}).3", (),
+                                        3 * psl_order(3, q), 6 * qq.e,
+                                        name=f"PSL3({q}).3", formula="o8-tri")))
     if q % 3 == 2 and q != 2:
-        rows.append(("x", _entry(g, "X", f"PSU3({q}).3", {}, su_order(3, q),
-                                 6 * qq.e, name=f"PSU3({q}).3",
-                                 formula="o8-tri")))
+        rows.append(("x", SubgroupEntry(g, "X", f"PSU3({q}).3", (), su_order(3, q),
+                                        6 * qq.e, name=f"PSU3({q}).3",
+                                        formula="o8-tri")))
     if qq.e % 3 == 0:
         q0 = qq.p ** (qq.e // 3)
-        rows.append(("xi", _entry(g, "X", f"3D4({q0})", {"q0": q0},
-                                  tri_d4_order(q0), o1, name=f"3D4({q0})",
-                                  formula="o8-tri")))
+        rows.append(("xi", SubgroupEntry(g, "X", f"3D4({q0})", (("q0", q0),),
+                                         tri_d4_order(q0), o1, name=f"3D4({q0})",
+                                         formula="o8-tri")))
     if qq.e == 1 and q % 2 == 1:
-        rows.append(("xii", _entry(g, "X", "POmega8+(2)", {}, 174182400, o1,
-                                   name="POmega8+(2)", formula="o8-tri")))
+        rows.append(("xii", SubgroupEntry(g, "X", "POmega8+(2)", (), 174182400, o1,
+                                          name="POmega8+(2)", formula="o8-tri")))
     if q == 5:
-        rows.append(("xiii", _entry(g, "X", "Sz(8)", {}, sz_order(8), o1,
-                                    name="Sz(8)", formula="o8-tri")))
+        rows.append(("xiii", SubgroupEntry(g, "X", "Sz(8)", (), sz_order(8), o1,
+                                           name="Sz(8)", formula="o8-tri")))
     return [_with_item(e, label) for label, e in rows]
 
 
@@ -849,23 +845,30 @@ def table_rows(which):
     return _load_table(f"table_{which.lower()}.txt", which)
 
 
-def table_entries(g0):
-    """The table A and B rows stated for the host g0.  A row is built at
-    g0's field size only when its host has g0's family, n and sign."""
-    shape = (g0.family, g0.n, g0.eps)
-    out = []
+@cache
+def _rows_by_shape():
+    """The rows of tables A and B, in table order, keyed by the (family, n,
+    sign) of their sample host; loading the tables checks every row."""
+    index = {}
     for which in ("A", "B"):
         for row in table_rows(which):
             host = row.sample[0]
-            if (host.family, host.n, host.eps) != shape:
-                continue
-            got = row.instantiate(g0.q)
-            if got is None or got[0] != g0:
-                continue
-            _, h0_name, h0_order = got
-            out.append(_entry(g0, "A" if which == "A" else "S",
-                              h0_name, {}, h0_order, out_order(g0), name=h0_name,
-                              formula=f"table-{which.lower()}-row"))
+            index.setdefault((host.family, host.n, host.eps), []).append(row)
+    return index
+
+
+def table_entries(g0):
+    """The table A and B rows stated for the host g0.  A row is built at
+    g0's field size only when its host has g0's family, n and sign."""
+    out = []
+    for row in _rows_by_shape().get((g0.family, g0.n, g0.eps), ()):
+        got = row.instantiate(g0.q)
+        if got is None or got[0] != g0:
+            continue
+        _, h0_name, h0_order = got
+        out.append(SubgroupEntry(g0, "A" if row.table == "A" else "S",
+                                 h0_name, (), h0_order, out_order(g0), name=h0_name,
+                                 formula=f"table-{row.table.lower()}-row"))
     return out
 
 
@@ -968,6 +971,11 @@ CONSTRUCTORS = {
 }
 
 
+# family -> class in lower case -> the CONSTRUCTORS rows of that class, in order
+_BY_CLASS = {family: {c.lower(): tuple(row for row in rows if row[0] == c) for c, _, _ in rows}
+             for family, rows in CONSTRUCTORS.items()}
+
+
 def candidates(g0, klass=None):
     """All catalog entries whose constraints accept the given host: every
     row of CONSTRUCTORS[g0.family] that no constraint rejects, then the
@@ -980,20 +988,20 @@ def candidates(g0, klass=None):
     if g0.family not in CONSTRUCTORS:
         raise UnsupportedGroup(f"no catalog for family {g0.family}")
     out_order(g0)  # refuses a degenerate host
-    want = None if klass is None else klass.lower()
-
-    def keep(c):
-        return want is None or c.lower() == want
-
+    if klass is None:
+        ctors = CONSTRUCTORS[g0.family]
+    else:
+        klass = klass.lower()
+        ctors = _BY_CLASS[g0.family].get(klass, ())
     out = []
-    for c, fn, arguments in CONSTRUCTORS[g0.family]:
-        if not keep(c):
-            continue
+    for _, fn, arguments in ctors:
         for args in arguments(g0):
             try:
                 out.append(fn(g0, *args))
             except ConstraintViolation:
                 continue
-    if keep("A") or keep("S"):
-        out.extend(e for e in table_entries(g0) if keep(e.aschbacher_class))
+    if klass is None:
+        out.extend(table_entries(g0))
+    elif klass in ("a", "s"):
+        out.extend(e for e in table_entries(g0) if e.aschbacher_class.lower() == klass)
     return out

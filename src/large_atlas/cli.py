@@ -23,6 +23,7 @@ import os
 import sys
 from contextlib import contextmanager
 from functools import cache
+from math import gcd
 
 from .bounds import order_bits_floor
 from .errors import (AmbiguousSelector, ConstraintViolation, GroupParseError,
@@ -43,12 +44,13 @@ MAX_DIGITS = 2_000_000
 
 
 def _verdict_dict(v):
-    margin = v.margin
+    # the margin rhs/lhs in lowest terms, as LargenessVerdict.margin gives it
+    g = gcd(v.rhs, v.lhs)
     return {
         "is_large": v.is_large,
         "lhs": v.lhs,
         "rhs": v.rhs,
-        "margin": f"{margin.numerator}/{margin.denominator}",
+        "margin": f"{v.rhs // g}/{v.lhs // g}",
         "mode": v.mode,
     }
 
@@ -219,18 +221,20 @@ def cmd_explain(args):
             d["g0_order"] = g0_order
             print(json.dumps(d, indent=2))
             return EXIT_OK
-        print(f"host           {entry.host}  (order {g0_order})")
-        print(f"class          {entry.aschbacher_class}")
-        print(f"type           {entry.type_descriptor}")
+        g0_text = str(g0_order)  # |G0| appears twice; convert it once
+        lines = [f"host           {entry.host}  (order {g0_text})",
+                 f"class          {entry.aschbacher_class}",
+                 f"type           {entry.type_descriptor}"]
         if entry.name:
-            print(f"structure      {entry.name}")
-        print(f"formula        {entry.formula}")
+            lines.append(f"structure      {entry.name}")
+        lines.append(f"formula        {entry.formula}")
         if entry.params:
-            print("parameters     " + ", ".join(f"{k}={val}" for k, val in entry.params))
-        print(f"|H0|           {entry.h0_order}  ({entry.bound})")
-        print(f"|O1|           {entry.o1_order}")
-        print(f"cube test      |H0|^3 |O1|^2 = {v.rhs} vs |G0| = {v.lhs}")
-        print(f"verdict        {'large' if v.is_large else 'not large'} ({v.mode})")
+            lines.append("parameters     " + ", ".join(f"{k}={val}" for k, val in entry.params))
+        lines += [f"|H0|           {entry.h0_order}  ({entry.bound})",
+                  f"|O1|           {entry.o1_order}",
+                  f"cube test      |H0|^3 |O1|^2 = {v.rhs} vs |G0| = {g0_text}",
+                  f"verdict        {'large' if v.is_large else 'not large'} ({v.mode})"]
+        print("\n".join(lines))
     return EXIT_OK
 
 

@@ -1,9 +1,10 @@
 """Exhaustive parameter sweeps with golden-list regression.
 
 Every finite member list produced by the classification is recomputed here
-by exact enumeration over a parameter grid at least twice as wide as the
-cutoff the source argument derives, then diffed against a committed golden
-file.
+by exact enumeration over a fixed parameter grid, then diffed against a
+committed golden file.  No code derives the cutoff beyond which a family
+has no members, so nothing shows that a grid covers its whole family: the
+tail certificates of ROADMAP item 6 are still open.
 
 A registered case is only its grid.  The grid of a catalog case yields
 (member key, catalog constructor, args), where args start with the host

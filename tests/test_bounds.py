@@ -1,15 +1,18 @@
 """Rational order bounds and the ratio sandwich evaluations."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
-from large_atlas import bounds, catalog
+from large_atlas import catalog
 from large_atlas.arith import parse_prime_power, prime_powers
 from large_atlas.bounds import (
     CERTAINLY_LARGE,
     CERTAINLY_NOT_LARGE,
     SANDWICH_CASES,
+    UNDETERMINED,
+    BoundTriple,
     order_bounds,
     omega_upper,
     order_bits_floor,
@@ -155,22 +158,63 @@ def test_sandwich_cases_all_evaluate():
         assert tri.lower < tri.upper
 
 
-def test_sandwich_bounds_agree_for_fraction_and_integer_pair_x():
-    # sandwich runs the formulas on an unreduced integer pair x = 1/q and
-    # reduces each bound once; over Fraction they must give the same triple
-    for qq in prime_powers(2, 1024):
+def _paper_sandwich(case, q, e, n):
+    """The paper's (lower, upper, threshold) of a sandwich, written in
+    x = 1/q and evaluated over Fraction: the independent route that the
+    integer polynomials of bounds.sandwich must agree with."""
+    x = Fraction(1, q)
+    gl1 = 1 - x - x ** 2
+    gl2 = (1 - x) * (1 - x ** 2)
+    if case == "psl-c2-t3":
+        return gl1 ** 9 / gl2, gl2 ** 9 / gl1, Fraction((q - 1) ** 2, 864 * e * e)
+    if case == "psl-c3-r3":
+        return ((1 - x ** 3 - x ** 6) ** 3 / gl1,
+                (1 - x ** 3) ** 3 * (1 - x ** 6) ** 3 / gl1,
+                Fraction((q - 1) ** 2, 108 * e * e))
+    if case == "psl-c5-r3":
+        big = q ** 3
+        d = gcd(n, big - 1)
+        s = gcd(q - 1, (big - 1) // d)
+        c = (big - 1) // lcm(q - 1, (big - 1) // d)
+        return (gl1 ** 3 / ((1 - x ** 3) * (1 - x ** 6)),
+                gl2 ** 3 / (1 - x ** 3 - x ** 6),
+                Fraction((q - 1) ** 6 * c * c, 36 * e * e * d ** 3 * s ** 3 * (big - 1)))
+    if case == "psu-c2-t3":
+        return ((1 + x) ** 8 * (1 - x ** 2) ** 9, (1 + x) ** 8 / (1 - x ** 2),
+                Fraction((q + 1) ** 2, 864 * e * e))
+    if case == "psu-c3-r3":
+        return ((1 + x ** 3) ** 3 * (1 - x ** 6) ** 3 / (1 + x),
+                (1 + x ** 3) ** 3 / ((1 + x) * (1 - x ** 2)),
+                Fraction((q + 1) ** 2, 108 * e * e))
+    if case == "po-c5-r3":
+        return ((1 - x ** 2 - x ** 4) ** 3 / (1 - x ** 6),
+                (1 - x ** 2) ** 3 / (1 - x ** 6 - x ** 12),
+                Fraction(1, (36 if q % 2 == 0 else 9) * e * e))
+    assert case == "o8-triality-3d4"
+    return ((1 - x ** 12) ** 2 * (1 - x ** 6) ** 2 / (1 + x ** 2) ** 3,
+            (1 - x ** 12) ** 2 * (1 - x ** 6) ** 3 / ((1 + x ** 2) ** 3 * (1 - x ** 6 - x ** 12)),
+            Fraction(1))
+
+
+def test_sandwich_triples_equal_the_paper_forms_in_x():
+    # sandwich multiplies each x = 1/q form out into integer polynomials in
+    # q and decides the verdict by cross multiplication; every field of the
+    # triple must equal the forms over Fraction, at every q up to 4096 (no
+    # case is undetermined there, but both decisive verdicts occur)
+    verdicts = set()
+    for qq in prime_powers(2, 4096):
         q, e = qq.q, qq.e
         for case in SANDWICH_CASES:
             for n in ((2, 3, 4, 6, 9) if case == "psl-c5-r3" else (None,)):
-                lower, upper, h = bounds._sandwich_bounds(case, Fraction(1, q), q, e, n)
-                pair = bounds._sandwich_bounds(case, bounds._Ratio(1, q), q, e, n)
-                assert Fraction(pair[0].num, pair[0].den) == lower, (case, q, n)
-                assert Fraction(pair[1].num, pair[1].den) == upper, (case, q, n)
-                assert pair[2] == h, (case, q, n)
+                lower, upper, h = _paper_sandwich(case, q, e, n)
+                want = (CERTAINLY_LARGE if h < lower
+                        else CERTAINLY_NOT_LARGE if h > upper else UNDETERMINED)
                 tri = sandwich(case, q, n=n)
-                assert type(tri.lower) is Fraction and type(tri.upper) is Fraction
-                assert (tri.lower, tri.upper, tri.threshold) == (lower, upper, h)
-                assert tri.verdict == bounds._verdict(lower, upper, h), (case, q, n)
+                assert type(tri) is BoundTriple, (case, q, n)
+                assert tri == (case, lower, upper, h, want), (case, q, n)
+                assert all(type(f) is Fraction for f in tri[1:4]), (case, q, n)
+                verdicts.add(want)
+    assert verdicts == {CERTAINLY_LARGE, CERTAINLY_NOT_LARGE}
 
 
 def test_sandwich_rejects_unknown_case():

@@ -304,6 +304,30 @@ def test_every_row_names_its_host_and_exact_rows_divide():
     assert bad == []
 
 
+def test_every_row_lists_its_params_in_key_order_and_plain_int_orders():
+    # constructors build their SubgroupEntry directly, so each must write its
+    # params in key order and hand over |H0| and |O1| as ints; a pool row
+    # appends its item label after them
+    rows = [e for g in _simple_hosts(prime_powers(2, 32), 12) for e in catalog.candidates(g)]
+    pooled = [e for q in (4, 8, 16, 32, 64) for e in catalog.sp4_graph_candidates(psp(4, q))]
+    pooled += [e for q in (2, 3, 4, 5, 7, 8, 9, 25, 27, 64)
+               for e in catalog.o8_triality_candidates(pomega(8, q, PLUS))]
+    bad = []
+    for e, pool_row in [(e, False) for e in rows] + [(e, True) for e in pooled]:
+        params = e.params
+        if pool_row:
+            if params[-1][0] != "item":
+                bad.append((str(e.host), e.type_descriptor, "no item label"))
+            params = params[:-1]
+        keys = [k for k, _ in params]
+        if type(params) is not tuple or keys != sorted(set(keys)):
+            bad.append((str(e.host), e.type_descriptor, keys))
+        if type(e.h0_order) is not int or type(e.o1_order) is not int:
+            bad.append((str(e.host), e.type_descriptor, "orders not int"))
+    assert bad == []
+    assert sum(bool(e.params) for e in rows) > 1000
+
+
 @pytest.mark.parametrize("name, degrees", [
     ("PSL(3,2048)", {11}), ("PSU(3,2048)", {11}), ("PSp(4,2048)", {11}),
     ("POmega+(8,32)", {5}), ("POmega(9,243)", {5}),
