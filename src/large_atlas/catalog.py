@@ -26,10 +26,10 @@ irreducible candidates.
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass, replace
 from functools import cache
 from importlib import resources
 from math import factorial, gcd, isqrt, lcm
+from typing import NamedTuple
 
 from .arith import is_prime, parse_prime_power
 from .errors import (ConstraintViolation, DataIntegrityError, GroupParseError,
@@ -729,8 +729,7 @@ def collection_a_host(d, p):
     return pomega(n, p, PLUS if sq else MINUS)
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One row of the irreducible almost simple candidate tables.
 
     Patterns may mention q (the host field size) or q0 (its square or cube
@@ -832,7 +831,7 @@ def _load_table(fname, table):
         if order(g0) % h0_order:
             raise DataIntegrityError(
                 f"{fname}:{lineno}: |{h0_name}| does not divide |{g0}|")
-        rows.append(replace(row, sample=got))
+        rows.append(row._replace(sample=got))
     return tuple(rows)
 
 

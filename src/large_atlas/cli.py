@@ -7,13 +7,13 @@ failed check or a reader that closed the output early, 2 parse error,
 selector's --class and --type ignore surrounding spaces.  check
 --h0-order reads no selector, and refuses one as a parse error; reproduce
 reads exactly one of a case id, --family and --all, and sweep --list no
-case id.
+case id.  reproduce refuses an --out-dir it cannot write (exit 2).
 
 A plain command line (the verb, its positionals, and each option spelled
 in full, at most once, with a value not starting with "-") is parsed
 straight from the verb's table of arguments in _VERBS, by _parse_plain.
-Every other command line, and every one of sweep and reproduce, goes to
-argparse (_build_parser), which prints help and usage errors; both routes
+Every other command line goes to the full argparse parser (_build_parser,
+built once per process), which prints help and usage errors; both routes
 give the same namespace.
 """
 
@@ -270,6 +270,12 @@ def cmd_sweep(args):
     return EXIT_OK if report.ok else 1
 
 
+def _cannot_write(out_dir, exc):
+    print(f"reproduce: cannot write reports under {out_dir!r}: {exc.strerror}",
+          file=sys.stderr)
+    return EXIT_PARSE
+
+
 def cmd_reproduce(args):
     from . import sweep as sweep_mod
 
@@ -283,21 +289,28 @@ def cmd_reproduce(args):
         print("reproduce: give only one of a case id, --family PREFIX and --all",
               file=sys.stderr)
         return EXIT_PARSE
-    if args.all:
-        reports = sweep_mod.run_all()
-    elif args.family:
-        reports = sweep_mod.run_all(prefix=args.family)
-        if not reports:
-            print(f"reproduce: no case id starts with {args.family!r}", file=sys.stderr)
-            return EXIT_PARSE
+    # every refusal comes before the directory is made, and the directory
+    # before any sweep runs
+    if args.case:
+        ids = [sweep_mod.get_case(args.case).case_id]
     else:
-        reports = [sweep_mod.run_case(args.case)]
-    os.makedirs(args.out_dir, exist_ok=True)
+        ids = sweep_mod.case_ids(args.family)
+    if not ids:
+        print(f"reproduce: no case id starts with {args.family!r}", file=sys.stderr)
+        return EXIT_PARSE
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        return _cannot_write(args.out_dir, exc)
+    reports = [sweep_mod.run_case(cid) for cid in ids]
     ok = True
     for report in reports:
         path = os.path.join(args.out_dir, report.case_id + ".json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json() + "\n")
+        except OSError as exc:
+            return _cannot_write(args.out_dir, exc)
         status = "ok" if report.ok else "DIFF"
         print(f"{status:<5} {report.case_id} ({report.elapsed_ms} ms) -> {path}")
         ok = ok and report.ok
@@ -415,20 +428,27 @@ _VERBS = {
 def _plain_grammar(verb):
     """The verb's arguments as _parse_plain reads them: (the positionals in
     order, {flag: option}, the namespace argparse starts from), where a
-    positional or option is (dest, takes a value, int-typed, choices).
-    None when an argument has a shape the direct parse leaves to argparse:
-    an action other than store and store_true, a type other than int, a
-    string default of an int, nargs or any other keyword."""
+    positional is (dest, required, int-typed, choices) and an option (dest,
+    takes a value, int-typed, choices).  An argument the direct parse cannot
+    read as argparse does is a mistake in _VERBS and raises ValueError: an
+    action other than store and store_true, a type other than int, a string
+    default of an int, nargs other than "?" on a lone positional without
+    choices (argparse hands an optional positional beside another one the
+    words in another order), or any other keyword."""
     _, fn, arguments = _VERBS[verb]
+    lone = sum(not flags[0].startswith("-") for flags, _ in arguments) == 1
     positionals, options, start = [], {}, {"verb": verb}
     for flags, kw in arguments:
         action, type_ = kw.get("action", "store"), kw.get("type")
-        if (not kw.keys() <= {"action", "choices", "default", "dest", "help", "type"}
+        is_option = flags[0].startswith("-")
+        if (not kw.keys() <= {"action", "choices", "default", "dest", "help", "nargs", "type"}
                 or action not in ("store", "store_true") or type_ not in (None, int)
-                or (type_ is int and isinstance(kw.get("default"), str))):
-            return None
-        if not flags[0].startswith("-"):
-            positionals.append((flags[0], True, False, kw.get("choices")))
+                or (type_ is int and isinstance(kw.get("default"), str))
+                or kw.get("nargs") not in (None, "?")
+                or ("nargs" in kw and (is_option or "choices" in kw or not lone))):
+            raise ValueError(f"{verb} {flags[0]}: the direct parse cannot read {kw}")
+        if not is_option:
+            positionals.append((flags[0], "nargs" not in kw, type_ is int, kw.get("choices")))
             start[flags[0]] = kw.get("default")
             continue
         # argparse's dest: the first long flag, without its dashes
@@ -444,16 +464,13 @@ def _plain_grammar(verb):
 def _parse_plain(verb, words):
     """The namespace of `verb` followed by `words`, parsed straight from the
     verb's arguments, or None where argparse is needed.  The direct parse
-    takes only the plain shape: the verb's positionals, each option spelled
-    in full and given at most once, each value not starting with "-", each
-    int value in ASCII decimal digits and each value with choices among
-    them.  On such a command line argparse makes the same namespace; any
-    other (help, errors, abbreviations, --flag=value, "--", a repeated
-    flag) returns None."""
-    grammar = _plain_grammar(verb)
-    if grammar is None:
-        return None
-    positionals, options, start = grammar
+    takes only the plain shape: the verb's positionals (an optional one may
+    be left out), each option spelled in full and given at most once, each
+    value not starting with "-", each int value in ASCII decimal digits and
+    each value with choices among them.  On such a command line argparse
+    makes the same namespace; any other (help, errors, abbreviations,
+    --flag=value, "--", a repeated flag) returns None."""
+    positionals, options, start = _plain_grammar(verb)
     values = dict(start)
     given = set()
     n = len(positionals)
@@ -488,65 +505,29 @@ def _parse_plain(verb, words):
         if choices is not None and word not in choices:
             return None
         values[dest] = word
-    return argparse.Namespace(**values) if k == n else None
-
-
-class _OneVerbParser(argparse.ArgumentParser):
-    """The top level of a one-verb parser.  A command line that starts with
-    the verb goes straight to the verb's subparser, `verb_parser`, so the
-    words after the verb are parsed once; the full route matches them
-    against the top-level pattern first and then hands them on.  Any other
-    command line takes the full route."""
-
-    verb = verb_parser = None
-
-    def parse_known_args(self, args=None, namespace=None):
-        if not args or args[0] != self.verb:
-            return super().parse_known_args(args, namespace)
-        # as argparse's subparsers action does: parse into a fresh namespace
-        # and copy it over.  The leftover words go back to parse_args, which
-        # refuses them under the top-level usage.
-        sub_namespace, extras = self.verb_parser.parse_known_args(args[1:], None)
-        if namespace is None:
-            namespace = argparse.Namespace()
-        namespace.verb = args[0]
-        for key, value in vars(sub_namespace).items():
-            setattr(namespace, key, value)
-        return namespace, extras
+    if any(required for _, required, _, _ in positionals[k:]):
+        return None
+    return argparse.Namespace(**values)
 
 
 @cache
-def _build_parser(verb=None):
-    """The command-line parser: with every verb's subparser, or with only
-    the subparser of `verb`.  main calls it only for a command line that
-    _parse_plain does not take: help, a usage error, argparse's other
+def _build_parser():
+    """The full command-line parser, with every verb's subparser.  main
+    calls it only for a command line that _parse_plain does not take: help,
+    a usage error, a first word that names no verb, or argparse's other
     shapes (abbreviated flags, --flag=value, "--", a repeated flag, a value
-    starting with "-"), and every command line of sweep and reproduce,
-    whose case id is optional.  A one-verb parser parses that verb's command
-    lines as the full one does, but parses the words after the verb once,
-    with the verb's subparser alone (_OneVerbParser); words that subparser
-    leaves over are refused by the top level, under its usage line.  That
-    usage line still names every verb (through the metavar), so the
-    top-level errors print the same text as the full parser's.  Each parser
-    is built once per process: parse_args keeps no state in the parser, and
-    every call gets a fresh namespace."""
-    top = (argparse.ArgumentParser if verb is None else _OneVerbParser)(
+    starting with "-").  It is built once per process: parse_args keeps no
+    state in the parser, and every call gets a fresh namespace."""
+    top = argparse.ArgumentParser(
         prog="large-atlas",
         description="Exact arithmetic for large maximal subgroups of "
                     "finite classical groups.")
-    metavar = None if verb is None else "{" + ",".join(_VERBS) + "}"
-    # the subparsers are plain parsers: by default they take the top
-    # level's class
-    sub = top.add_subparsers(dest="verb", required=True, metavar=metavar,
-                             parser_class=argparse.ArgumentParser)
-    for name in _VERBS if verb is None else (verb,):
-        help_, fn, arguments = _VERBS[name]
+    sub = top.add_subparsers(dest="verb", required=True)
+    for name, (help_, fn, arguments) in _VERBS.items():
         p = sub.add_parser(name, help=help_)
         for flags, kwargs in arguments:
             p.add_argument(*flags, **kwargs)
         p.set_defaults(fn=fn)
-    if verb is not None:
-        top.verb, top.verb_parser = verb, p
     return top
 
 
@@ -558,12 +539,11 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     # a plain command line of a verb is parsed straight from its arguments;
-    # any other gets a parser holding only the subparser of the verb named,
-    # and any other first word (none, --help, a typo) the full parser
-    verb = argv[0] if argv and argv[0] in _VERBS else None
-    args = None if verb is None else _parse_plain(verb, argv[1:])
+    # any other, and any other first word (none, --help, a typo), goes to
+    # the full parser
+    args = _parse_plain(argv[0], argv[1:]) if argv and argv[0] in _VERBS else None
     if args is None:
-        args = _build_parser(verb).parse_args(argv)
+        args = _build_parser().parse_args(argv)
     try:
         code = args.fn(args)
         # a reader that closed the output early shows here, not at exit

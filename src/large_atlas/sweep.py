@@ -27,11 +27,10 @@ s-collection-n-bound, are plain predicates whose grids yield member keys.
 import json
 import os
 import time
-from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from math import factorial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import catalog
 from .arith import prime_powers as _prime_power_objects
@@ -41,8 +40,7 @@ from .largeness import UPPER, decisive, is_large_h1
 from .orders import PLUS, is_simple, order, order_bits, pomega, psl, psp, psu
 
 
-@dataclass(frozen=True)
-class SweepCase:
+class SweepCase(NamedTuple):
     """One registered sweep: its grid and the golden it is diffed against.
 
     A catalog case's grid yields (member key, constructor, args); a plain
@@ -61,14 +59,13 @@ class SweepCase:
         return self.case_id + ".golden"
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     case_id: str
     members: list
     missing: list
     extra: list
     elapsed_ms: int
-    alarms: list = field(default_factory=list)
+    alarms: list
 
     @property
     def ok(self):
@@ -439,14 +436,21 @@ def _s_collection_n_bound():
             yield (d,)
 
 
-def case_ids():
-    return sorted(CASES)
+def case_ids(prefix=None):
+    """The registered case ids, sorted; only those starting with prefix
+    when one is given."""
+    return sorted(cid for cid in CASES if not prefix or cid.startswith(prefix))
+
+
+def get_case(case_id):
+    """The registered case of this id; UnknownCase if there is none."""
+    if case_id not in CASES:
+        raise UnknownCase(f"unknown sweep case {case_id!r}")
+    return CASES[case_id]
 
 
 def run_case(case_id):
-    if case_id not in CASES:
-        raise UnknownCase(f"unknown sweep case {case_id!r}")
-    case = CASES[case_id]
+    case = get_case(case_id)
     t0 = time.monotonic()
     alarms = []
     found = case.grid() if case.plain else _catalog_members(case, alarms)
@@ -459,9 +463,4 @@ def run_case(case_id):
 
 
 def run_all(prefix=None):
-    reports = []
-    for cid in case_ids():
-        if prefix and not cid.startswith(prefix):
-            continue
-        reports.append(run_case(cid))
-    return reports
+    return [run_case(cid) for cid in case_ids(prefix)]

@@ -377,6 +377,21 @@ def test_reproduce_refuses_a_selector_it_would_not_read(capsys, tmp_path, argv, 
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("where", ["a file", "empty", "a report path that is a directory"])
+def test_reproduce_refuses_an_out_dir_it_cannot_write(capsys, monkeypatch, tmp_path, where):
+    (tmp_path / "afile").write_text("")
+    out_dir = {"a file": str(tmp_path / "afile"), "empty": ""}.get(where, str(tmp_path))
+    (tmp_path / "psl-c3-r5.json").mkdir()
+    ran = []
+    run_case = sweep.run_case
+    monkeypatch.setattr(sweep, "run_case", lambda cid: ran.append(cid) or run_case(cid))
+    code, out, err = run(capsys, "reproduce", "psl-c3-r5", "--out-dir", out_dir)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith(f"reproduce: cannot write reports under {out_dir!r}: ")
+    # the directory is made before any sweep runs
+    assert ran == ([] if out_dir != str(tmp_path) else ["psl-c3-r5"])
+
+
 def test_sweep_refuses_a_case_beside_list(capsys):
     assert run(capsys, "sweep", "psl-c6", "--list") == (2, "", "sweep: --list takes no case id\n")
 
@@ -395,7 +410,7 @@ def test_table_rows_are_not_listed_twice(capsys, host, selector):
     assert code == 0
     # the rows `subgroups` lists, taken from its resolver: subgroups itself
     # refuses PSp(4,2) = S6, which is not simple
-    args = cli._build_parser("subgroups").parse_args(["subgroups", host])
+    args = cli._parse_plain("subgroups", [host])
     pool = cli._resolve_entries(parse_group(host), args)
     rows = [json.dumps(cli._entry_dict(e), sort_keys=True) for e in pool]
     assert any(selector in r for r in rows)
@@ -485,7 +500,7 @@ def test_hosts_without_a_field_exit_unsupported(capsys, host, argv):
     assert code == 3 and "error" in err
 
 
-# one command line per verb, parsed by the one-verb and the full parser
+# one plain command line per verb, parsed directly and by the full parser
 SAMPLE_ARGV = {
     "order": ["order", "PSL(4,5)"],
     "out": ["out", "PSL(2,7)"],
@@ -500,7 +515,7 @@ SAMPLE_ARGV = {
 
 
 def _subparsers(parser):
-    """{verb: subparser} of a parser _build_parser made."""
+    """{verb: subparser} of the parser _build_parser made."""
     return next(a.choices for a in parser._actions
                 if isinstance(a, argparse._SubParsersAction))
 
@@ -545,34 +560,53 @@ def _main(capsys, argv):
 
 @pytest.mark.parametrize("verb", list(cli._VERBS))
 def test_one_verb_parser_parses_as_the_full_parser(capsys, monkeypatch, tmp_path, verb):
-    full, one = cli._build_parser(), cli._build_parser(verb)
-    assert list(_subparsers(one)) == [verb]
-    assert _subparsers(one)[verb].format_help() == _subparsers(full)[verb].format_help()
-    edge = _edge_argv(verb)
-    for argv in (SAMPLE_ARGV[verb], [verb, "--help"], [verb], [verb, "--no-such-flag"],
-                 SAMPLE_ARGV[verb] + ["extra", "args"], *edge):
-        want = _parse(capsys, full, argv)
-        assert _parse(capsys, one, argv) == want, argv
+    full = cli._build_parser()
+    lines = [SAMPLE_ARGV[verb], [verb, "--help"], [verb], [verb, "--no-such-flag"],
+             SAMPLE_ARGV[verb] + ["extra", "args"], *_edge_argv(verb)]
+    for argv in lines:
         # the direct parse takes a command line only where argparse makes
         # the same namespace
         plain = cli._parse_plain(verb, argv[1:])
-        assert plain is None or (vars(plain), "", "") == want, argv
-    # the sample line is plain: the direct parse takes it, but for the
-    # optional case id of sweep and reproduce
-    assert (cli._parse_plain(verb, SAMPLE_ARGV[verb][1:]) is None) == (
-        verb in ("sweep", "reproduce"))
-    code, _, err = _parse(capsys, one, [verb])
+        assert plain is None or (vars(plain), "", "") == _parse(capsys, full, argv), argv
+    # the sample line is plain
+    assert cli._parse_plain(verb, SAMPLE_ARGV[verb][1:]) is not None
+    code, _, err = _parse(capsys, full, [verb])
     if verb not in ("sweep", "reproduce"):  # their case id is optional
         assert code == 2 and "the following arguments are required" in err
     # and main answers alike through its own routes as through the full
     # parser alone; reproduce writes its reports under the working directory
     monkeypatch.chdir(tmp_path)
-    lines = [SAMPLE_ARGV[verb], *edge]
     direct = [_main(capsys, argv) for argv in lines]
-    monkeypatch.setattr(cli, "_build_parser", lambda verb=None: full)
     monkeypatch.setattr(cli, "_parse_plain", lambda verb, words: None)
     assert [_main(capsys, argv) for argv in lines] == direct
     assert {code for code, _, _ in direct} >= {0, 2}
+
+
+def test_every_verb_has_a_grammar_the_direct_parse_reads():
+    # _plain_grammar raises on a shape it cannot read, so a mistake in
+    # _VERBS shows here and not on the first command line of that verb
+    verbs = _subparsers(cli._build_parser())
+    for verb in cli._VERBS:
+        positionals, options, start = cli._plain_grammar(verb)
+        dests = {a.dest for a in verbs[verb]._actions if a.dest != "help"}
+        assert {p[0] for p in positionals} | {o[0] for o in options.values()} == dests
+        assert start.keys() == dests | {"verb", "fn"}, verb
+
+
+@pytest.mark.parametrize("arguments", [
+    ((("case",), {"nargs": "+"}),),
+    ((("--tag",), {"action": "append"}),),
+    ((("--n",), {"type": float}),),
+    ((("--n",), {"type": int, "default": "5"}),),
+    ((("--n",), {"nargs": "?"}),),
+    ((("case",), {"nargs": "?", "choices": ("a", "b")}),),
+    ((("case",), {"nargs": "?"}), (("which",), {})),
+    ((("case",), {"metavar": "CASE"}),),
+])
+def test_a_shape_the_direct_parse_cannot_read_is_refused_at_once(monkeypatch, arguments):
+    monkeypatch.setitem(cli._VERBS, "bogus", ("", cli.cmd_out, arguments))
+    with pytest.raises(ValueError, match="^bogus"):
+        cli._plain_grammar("bogus")
 
 
 @pytest.mark.parametrize("argv", [[], ["bogus", "PSL(2,7)"], ["--help"], ["-h", "order"]])
@@ -581,25 +615,27 @@ def test_main_falls_back_to_the_full_parser(capsys, monkeypatch, argv):
     built = []
     build = cli._build_parser
 
-    def spy(verb=None):
-        built.append(verb)
-        return build(verb)
+    def spy():
+        built.append(1)
+        return build()
 
     monkeypatch.setattr(cli, "_build_parser", spy)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     out = capsys.readouterr()
     assert (exc.value.code, out.out, out.err) == want
-    assert built == [None]
-    # a plain command line builds no parser; any other builds the verb's
-    assert cli.main(["out", "PSL(2,7)"]) == 0 and built == [None]
-    assert cli.main(["out", "--", "PSL(2,7)"]) == 0 and built == [None, "out"]
-    assert capsys.readouterr().out == "2\n2\n"
+    assert len(built) == 1
+    # a plain command line calls no parser, sweep's too; any other calls
+    # the full one
+    for line, calls in ((["out", "PSL(2,7)"], 1), (["sweep", "--list"], 1),
+                        (["out", "--", "PSL(2,7)"], 2)):
+        assert cli.main(line) == 0 and len(built) == calls, line
+    lines = capsys.readouterr().out.splitlines()
+    assert (lines[0], lines[1], lines[-1]) == ("2", "psl-c2-t3", "2")
 
 
 def test_a_reused_parser_carries_no_state_between_calls(capsys, monkeypatch):
-    for verb in (None, *cli._VERBS):
-        assert cli._build_parser(verb) is cli._build_parser(verb), verb
+    assert cli._build_parser() is cli._build_parser()
     for argv, want in ((["subgroups", "PSL(2,7)", "--no-such-flag"], 2),
                        (["check", "PSL(2,7)"], 4)):  # no selector: ambiguous
         seen = []
@@ -622,7 +658,7 @@ def test_a_reused_parser_carries_no_state_between_calls(capsys, monkeypatch):
                         spy(argparse.ArgumentParser.parse_args))
     monkeypatch.setattr(cli, "_parse_plain", spy(cli._parse_plain))
     # plain lines are parsed directly, and make no argparse parse; the
-    # others fall back to the verb's reused parser
+    # others fall back to the reused full parser
     for argv in (["check", "PSL(2,7)", "--h0-order", "21"],
                  ["check", "PSL(2,7)", "--class", "C1"],
                  ["check", "PSL(2,7)", "--h0-order=21"],
@@ -675,16 +711,28 @@ def test_no_verb_loads_openssl():
     assert any(" M11 " in line for line in lines)
 
 
-def test_out_loads_no_dataclasses():
+def test_out_loads_no_dataclasses(tmp_path):
+    # one plain command line of each verb: none loads dataclasses, and none
+    # calls the argparse parser
+    lines = [["order", "PSL(4,5)"], ["out", "PSL(2,7)"], ["subgroups", "PSL(5,3)", "--json"],
+             ["check", "PSL(2,7)", "--h0-order", "21"],
+             ["explain", "PSL(5,3)", "--type", "M11"], ["sweep", "psl-c3-r5"],
+             ["reproduce", "psl-c3-r5", "--out-dir", str(tmp_path)], ["tables", "A"]]
+    assert [argv[0] for argv in lines] == list(cli._VERBS)
     code = ("import sys\n"
             "at_startup = 'dataclasses' in sys.modules\n"
-            "from large_atlas.cli import main\n"
-            "code = main(['out', 'PSL(2,7)'])\n"
-            "print(code, at_startup, 'dataclasses' in sys.modules)\n")
-    lines = _fresh_interpreter(code)
-    if lines[-1].split()[1] == "True":
+            "from large_atlas import cli\n"
+            "built, build = [], cli._build_parser\n"
+            "cli._build_parser = lambda: built.append(1) or build()\n"
+            f"for argv in {lines!r}:\n"
+            "    code = cli.main(argv)\n"
+            "    print('#', argv[0], code, 'dataclasses' in sys.modules, len(built), flush=True)\n"
+            "print('#', at_startup)\n")
+    got = [line for line in _fresh_interpreter(code) if line.startswith("# ")]
+    if got[-1] == "# True":
         pytest.skip("this interpreter loads dataclasses at startup")
-    assert lines == ["2", "0 False False"]
+    assert got == [f"# {argv[0]} 0 False 0" for argv in lines] + ["# False"]
+    assert [f.name for f in tmp_path.iterdir()] == ["psl-c3-r5.json"]
 
 
 def test_a_host_over_a_large_prime_field_is_answered_at_once(capsys):

@@ -195,9 +195,7 @@ def _readme_command_lines():
 def test_readme_examples_take_the_direct_route():
     lines = _readme_command_lines()
     assert len(lines) >= 8
-    plain = [argv for argv in lines if cli._plain_grammar(argv[0]) is not None]
-    assert len(plain) >= 6
-    for argv in plain:
+    for argv in lines:
         direct = cli._parse_plain(argv[0], argv[1:])
         assert direct is not None, argv
         assert vars(direct) == _full_parse(argv), argv
