@@ -1,14 +1,13 @@
-"""Exact rational bounds on classical group orders and ratio sandwiches.
+"""The paper's ratio sandwiches.
 
-Three parts live here.  order_bounds and omega_upper are the paper's
-quoted rational lower/upper envelopes on the classical orders (the integer
-bit-length bracket of an order is orders.order_bits).  order_bits_floor
-gives a bit-length floor for the other groups.  sandwich handles
-the recurring pattern where a ratio of group orders R is pinned between two
-rational functions f(q) < R < g(q) and compared against a rational threshold
-h(q): if h < f the underlying subgroup is certainly large, if h > g it
-certainly is not, and otherwise the sandwich is inconclusive and exact
-arithmetic must decide.
+A sandwich handles the recurring pattern where a ratio of group orders R
+is pinned between two rational functions f(q) < R < g(q) and compared
+against a rational threshold h(q): if h < f the underlying subgroup is
+certainly large, if h > g it certainly is not, and otherwise the sandwich
+is inconclusive and exact arithmetic must decide.  The sweeps read a
+decisive verdict as an alarm check on the exact cube test.  The bounds on
+a group order itself live in orders: order_bits brackets the bit length
+of a classical order, and order_bits_floor gives a floor for every family.
 """
 
 from math import gcd, lcm
@@ -16,76 +15,10 @@ from typing import NamedTuple
 
 from .arith import ExactRatio, parse_prime_power
 from .errors import ConstraintViolation, UnknownCase
-from .orders import sylow_exponent
 
 CERTAINLY_LARGE = "certainly_large"
 CERTAINLY_NOT_LARGE = "certainly_not_large"
 UNDETERMINED = "undetermined"
-
-
-def order_bounds(family, n, q):
-    """Rational (lower, upper) bounds on |family_n(q)|.
-
-    Families: GL, GU (n >= 2), Sp (n >= 4), SOcirc, SOplus, SOminus
-    (n >= 5).  Bounds are strict below; uppers are attained only in the GL
-    and GU lines.
-    """
-    qq = parse_prime_power(q)
-    q = qq.q
-    x = ExactRatio(1, q)
-    if family in ("GL", "GU"):
-        if n < 2 or q < 2:
-            raise ConstraintViolation(f"{family} bounds need n, q >= 2")
-        lead = ExactRatio(q) ** (n * n)
-        if family == "GL":
-            return ((1 - x - x ** 2) * lead, (1 - x) * (1 - x ** 2) * lead)
-        return ((1 + x) * (1 - x ** 2) * lead,
-                (1 + x) * (1 - x ** 2) * (1 + x ** 3) * lead)
-    if family == "Sp":
-        if n < 4:
-            raise ConstraintViolation("Sp bounds need n >= 4")
-        lead = ExactRatio(q) ** (n * (n + 1) // 2)
-        return ((1 - x ** 2 - x ** 4) * lead, (1 - x ** 2) * (1 - x ** 4) * lead)
-    if family in ("SOcirc", "SOplus", "SOminus"):
-        if n < 5:
-            raise ConstraintViolation("SO bounds need n >= 5")
-        lead = ExactRatio(q) ** (n * (n - 1) // 2)
-        if family == "SOcirc":
-            return ((1 - x ** 2 - x ** 4) * lead, (1 - x ** 2) * (1 - x ** 4) * lead)
-        c = gcd(2, q)
-        if family == "SOplus":
-            return (c * (1 - x ** 2 - x ** 4) * (1 - x ** (n // 2)) * lead,
-                    c * (1 - x ** 2) * (1 - x ** 4) * lead)
-        return (c * (1 - x ** 2 - x ** 4) * lead,
-                c * (1 - x ** 2) * (1 - x ** 4) * (1 + x ** (n // 2)) * lead)
-    raise UnknownCase(f"no order bounds for family {family!r}")
-
-
-def order_bits_floor(g):
-    """An integer b with 2^b <= |g|, for the groups that orders.order_bits
-    does not bracket: Alt(d) and Sym(d) have order at least floor(d/3)^d,
-    a group of Lie type holds a Sylow p-subgroup of order q^N, with
-    q >= 2^(a-1) for a the bit length of q, and a sporadic group has
-    order at least 2^0.  No order is built.
-    """
-    fam, n = g.family, g.n
-    if fam == "Sporadic":
-        return 0
-    if fam in ("Alt", "Sym"):
-        return n * max((n // 3).bit_length() - 1, 0)
-    return sylow_exponent(g) * (g.q.q.bit_length() - 1)
-
-
-def omega_upper(n, eps, q):
-    """Upper bound q^(n(n-1)/2)/(2,q-1) on |Omega_n^eps(q)|, n >= 2.
-
-    Not valid for (n, eps) = (2, -), where the group is cyclic of order
-    (q+1)/(2,q-1) and exceeds the would-be bound.
-    """
-    q = int(parse_prime_power(q))
-    if n == 2 and eps == "-":
-        raise ConstraintViolation("the bound fails for Omega_2^-")
-    return ExactRatio(q) ** (n * (n - 1) // 2) / gcd(2, q - 1)
 
 
 class BoundTriple(NamedTuple):

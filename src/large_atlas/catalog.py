@@ -974,6 +974,10 @@ CONSTRUCTORS = {
 _BY_CLASS = {family: {c.lower(): tuple(row for row in rows if row[0] == c) for c, _, _ in rows}
              for family, rows in CONSTRUCTORS.items()}
 
+# every class a row can carry, in lower case: those of CONSTRUCTORS, A and S
+# of the Table A/B rows, and X of the exceptional pools
+CLASSES = frozenset(c for by_class in _BY_CLASS.values() for c in by_class) | {"a", "s", "x"}
+
 
 def candidates(g0, klass=None):
     """All catalog entries whose constraints accept the given host: every

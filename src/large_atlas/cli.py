@@ -4,10 +4,11 @@ Verbs: order, out, subgroups, check, sweep, reproduce, tables, explain.
 All numeric output is exact decimal.  Exit codes: 0 success, 1 a
 failed check or a reader that closed the output early, 2 parse error,
 3 unsupported group, 4 ambiguous selector, 5 missing golden files.  The
-selector's --class and --type ignore surrounding spaces.  check
---h0-order reads no selector, and refuses one as a parse error; reproduce
-reads exactly one of a case id, --family and --all, and sweep --list no
-case id.  reproduce refuses an --out-dir it cannot write (exit 2).
+selector's --class and --type ignore surrounding spaces, and a --class
+that no catalog row carries (catalog.CLASSES) exits 2.  check --h0-order
+reads no selector, and refuses one as a parse error; reproduce reads
+exactly one of a case id, --family and --all, and sweep --list no case
+id.  reproduce refuses an --out-dir it cannot write (exit 2).
 
 A plain command line (the verb, its positionals, and each option spelled
 in full, at most once, with a value not starting with "-") is parsed
@@ -25,13 +26,12 @@ from contextlib import contextmanager
 from functools import cache
 from math import gcd
 
-from .bounds import order_bits_floor
 from .errors import (AmbiguousSelector, ConstraintViolation, GroupParseError,
                      LargeAtlasError, MissingGolden, NotAPrimePower,
                      UnknownCase, UnsupportedGroup)
 from .largeness import EXACT, is_large, is_large_h1
-from .orders import (FORM_FAMILIES, canonicalize, clear_memos, is_simple, order, order_bits,
-                     out_order, parse_group)
+from .orders import (canonicalize, clear_memos, is_simple, order, order_bits_floor, out_order,
+                     parse_group)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -88,6 +88,8 @@ def _resolve_entries(g0, args):
     from . import catalog
 
     klass = (args.klass or "").strip() or None
+    if klass and klass.lower() not in catalog.CLASSES:
+        raise GroupParseError(f"unknown class {klass!r}")
     if args.item and not args.exceptional:
         raise GroupParseError("--item needs --exceptional")
     if args.exceptional:
@@ -126,11 +128,9 @@ def _resolve_entry(g0, args):
 def _host(args):
     """The named host G0 and |G0|.  A host is refused before its order is
     built when a floor 2^b <= |G0| puts |G0| >= 10^MAX_DIGITS: 2^b >= 10^D
-    once 1000 b >= 3322 D, as log2(10) < 3.322.  The floor is the lower end
-    of order_bits for a classical family, else order_bits_floor."""
+    once 1000 b >= 3322 D, as log2(10) < 3.322; b is order_bits_floor(g0)."""
     g0 = parse_group(args.group)
-    b = order_bits(g0)[0] if g0.family in FORM_FAMILIES else order_bits_floor(g0)
-    if 1000 * b >= 3322 * MAX_DIGITS:
+    if 1000 * order_bits_floor(g0) >= 3322 * MAX_DIGITS:
         raise UnsupportedGroup(f"|{g0}| has more than {MAX_DIGITS} decimal digits")
     return g0, order(g0)
 

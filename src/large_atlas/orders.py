@@ -12,7 +12,8 @@ order formula: `order` looks a group up there, `GroupId.__str__` and
 orders of the fourteen classical families have one factored form,
 `classical_form`: the exported formulas evaluate it, `sylow_exponent`
 reads its exponent N, and `order_bits` brackets the bit length of the
-order from it without building the order.
+order from it without building the order.  `order_bits_floor` is the one
+floor on the bit length of an order, for every family.
 
 Seven pure functions, listed in MEMOIZED, keep a memo of their results
 (functools.cache); clear_memos empties them all, and the command line
@@ -244,6 +245,23 @@ def order_bits(g):
     h = (head ** 16).bit_length() - (d ** 16).bit_length()
     lo = (e * a + h - 2) // 16
     return lo if lo > 0 else 0, -((e * (a + (q & (q - 1) != 0)) + h + 2) // -16)
+
+
+def order_bits_floor(g):
+    """An integer b with 2^b <= |g|, for a group g of any family, without
+    building |g|: the lower end of order_bits for the families of
+    FORM_FAMILIES.  Alt(d) and Sym(d) have order at least floor(d/3)^d, a
+    group of Sz, G2 or 3D4 holds a Sylow p-subgroup of order q^N, with
+    q >= 2^(a-1) for a the bit length of q, and a sporadic group has order
+    at least 2^0."""
+    fam = g.family
+    if fam in FORM_FAMILIES:
+        return order_bits(g)[0]
+    if fam in ("Alt", "Sym"):
+        return g.n * max((g.n // 3).bit_length() - 1, 0)
+    if fam == "Sporadic":
+        return 0
+    return sylow_exponent(g) * (g.q.q.bit_length() - 1)
 
 
 def gl_order(n, q):

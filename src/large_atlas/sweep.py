@@ -13,15 +13,17 @@ GroupId the constructor builds its row for, as in
 does the rest for every case: it builds the row, skips points the
 constructor rejects and rows whose host is not simple, and decides
 membership by the cube inequality.  A case registered with named=True adds
-the row's name to the member key.  Membership is decided first from an
+the row's name to the member key.  The cube test is decided first from an
 integer bit-length bracket on |G0| (orders.order_bits, read off the
 factored order without building it) and from the exact |G0| only where
-the bracket cannot decide; both routes are exact,
-and no point's membership depends on which one settled it.  For a
-case with a ratio sandwich of the same name in bounds.SANDWICH_CASES, a
-decisive sandwich verdict that contradicts the membership is reported as an
-alarm.  The two cases without a catalog row, tableA-cutoff and
-s-collection-n-bound, are plain predicates whose grids yield member keys.
+the bracket cannot decide; both routes are exact, and no point's
+membership depends on which one settled it.  One rule, in _member, reads
+the row's bound kind on either route: a large row is a member unless it
+stores only an upper bound on |H0|.  For a case with a ratio sandwich of
+the same name in bounds.SANDWICH_CASES, a decisive sandwich verdict that
+contradicts the membership is reported as an alarm.  The two cases
+without a catalog row, tableA-cutoff and s-collection-n-bound, are plain
+predicates whose grids yield member keys.
 """
 
 import json
@@ -36,7 +38,7 @@ from . import catalog
 from .arith import prime_powers as _prime_power_objects
 from .bounds import CERTAINLY_LARGE, CERTAINLY_NOT_LARGE, SANDWICH_CASES, sandwich
 from .errors import ConstraintViolation, MissingGolden, UnknownCase
-from .largeness import UPPER, decisive, is_large_h1
+from .largeness import UPPER, is_large_h1
 from .orders import PLUS, is_simple, order, order_bits, pomega, psl, psp, psu
 
 
@@ -145,23 +147,23 @@ def prime_powers(lo, hi):
 
 
 def _member(g0, entry):
-    """Cube-inequality membership for one catalog entry: from the bit-length
-    bracket on |G0| when it decides, else from the exact order."""
-    got = _bracket_member(g0, entry)
-    if got is not None:
-        return got
-    return _exact_member(order(g0), entry)
+    """Cube-inequality membership for one catalog entry, the cube test
+    taken from the bit-length bracket on |G0| when it decides, else from
+    the exact order.  A large row is a member unless it stores only an
+    upper bound on |H0|: such a row settles nothing."""
+    large = _bracket_large(g0, entry)
+    if large is None:
+        large = is_large_h1(order(g0), entry).is_large
+    return large and entry.bound != UPPER
 
 
-def _bracket_member(g0, entry):
-    """Membership when 2^lo <= |G0| < 2^hi settles the cube test, else None.
+def _bracket_large(g0, entry):
+    """The cube test's truth when 2^lo <= |G0| < 2^hi settles it, else None.
 
     With 2^(b_lo - 1) <= rhs = |H0|^3 |O1|^2 < 2^b_hi, b_hi <= lo means
     rhs < |G0| (not large) and b_lo - 1 >= hi means rhs > |G0| (large).
     The bit lengths of |H0| and |O1| give b_lo and b_hi four apart; rhs is
     built, and b_lo = b_hi its bit length, only where they do not decide.
-    A large row is a member unless it stores only an upper bound on |H0|,
-    as in _exact_member.
     """
     lo, hi = order_bits(g0)
     h0, o1 = entry.h0_order, entry.o1_order
@@ -172,15 +174,8 @@ def _bracket_member(g0, entry):
     if b_hi <= lo:
         return False
     if b_lo - 1 >= hi:
-        return entry.bound != UPPER
+        return True
     return None
-
-
-def _exact_member(g0_order, entry):
-    """Membership from the exact |G0|: a large verdict that settles the
-    question (a one-sided row that settles nothing is not a member)."""
-    v = is_large_h1(g0_order, entry)
-    return v.is_large and decisive(v)
 
 
 def _alarm_check(alarms, scase, q, got):

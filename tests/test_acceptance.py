@@ -12,17 +12,13 @@ import importlib.util
 import pathlib
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from large_atlas import arith, bounds, catalog, cli, oracle, orders, sweep
 from large_atlas.arith import parse_prime_power, prime_powers
-from large_atlas.bounds import (
-    CERTAINLY_LARGE,
-    CERTAINLY_NOT_LARGE,
-    order_bounds,
-    sandwich,
-)
+from large_atlas.bounds import CERTAINLY_LARGE, CERTAINLY_NOT_LARGE, sandwich
 from large_atlas.largeness import is_large, is_large_h1
 from large_atlas.orders import (
     CIRC,
@@ -97,26 +93,69 @@ def _so_actual(n, eps, q):
     return so_order(n, eps, q)
 
 
+# The paper's quoted envelopes on the classical orders, kept as data:
+# name -> (the dimensions n <= 20 it is checked at, the exact order
+# exact(n, q) it brackets, its leading term lead(n, q), and its lower and
+# upper factors in x = 1/q).  The bound is lead times the factor; a lower
+# factor of None means the paper quotes only the upper bound.  The Omega
+# bound q^(n(n-1)/2) / (2, q - 1) fails for Omega_2^-, cyclic of order
+# (q + 1) / (2, q - 1), so its minus type starts at n = 4.
+ENVELOPES = {
+    "GL": (range(2, 21), gl_order, lambda n, q: q ** (n * n),
+           lambda x, n: 1 - x - x ** 2, lambda x, n: (1 - x) * (1 - x ** 2)),
+    "GU": (range(2, 21), gu_order, lambda n, q: q ** (n * n),
+           lambda x, n: (1 + x) * (1 - x ** 2),
+           lambda x, n: (1 + x) * (1 - x ** 2) * (1 + x ** 3)),
+    "Sp": (range(4, 21, 2), sp_order, lambda n, q: q ** (n * (n + 1) // 2),
+           lambda x, n: 1 - x ** 2 - x ** 4, lambda x, n: (1 - x ** 2) * (1 - x ** 4)),
+    "SOcirc": (range(5, 21, 2), lambda n, q: _so_actual(n, CIRC, q),
+               lambda n, q: q ** (n * (n - 1) // 2),
+               lambda x, n: 1 - x ** 2 - x ** 4, lambda x, n: (1 - x ** 2) * (1 - x ** 4)),
+    "SOplus": (range(6, 21, 2), lambda n, q: _so_actual(n, PLUS, q),
+               lambda n, q: gcd(2, q) * q ** (n * (n - 1) // 2),
+               lambda x, n: (1 - x ** 2 - x ** 4) * (1 - x ** (n // 2)),
+               lambda x, n: (1 - x ** 2) * (1 - x ** 4)),
+    "SOminus": (range(6, 21, 2), lambda n, q: _so_actual(n, MINUS, q),
+                lambda n, q: gcd(2, q) * q ** (n * (n - 1) // 2),
+                lambda x, n: 1 - x ** 2 - x ** 4,
+                lambda x, n: (1 - x ** 2) * (1 - x ** 4) * (1 + x ** (n // 2))),
+    "Omega": (range(3, 21, 2), lambda n, q: omega_order(n, CIRC, q),
+              lambda n, q: Fraction(q ** (n * (n - 1) // 2), gcd(2, q - 1)),
+              None, lambda x, n: 1),
+    "Omega+": (range(2, 21, 2), lambda n, q: omega_order(n, PLUS, q),
+               lambda n, q: Fraction(q ** (n * (n - 1) // 2), gcd(2, q - 1)),
+               None, lambda x, n: 1),
+    "Omega-": (range(4, 21, 2), lambda n, q: omega_order(n, MINUS, q),
+               lambda n, q: Fraction(q ** (n * (n - 1) // 2), gcd(2, q - 1)),
+               None, lambda x, n: 1),
+}
+
+
+def _envelope(name, n, q):
+    """(lower, exact, upper) of ENVELOPES[name] at n and q; lower is None
+    where the paper quotes no lower bound."""
+    _, exact, lead, lower, upper = ENVELOPES[name]
+    x, top = Fraction(1, q), lead(n, q)
+    return (None if lower is None else lower(x, n) * top, exact(n, q), upper(x, n) * top)
+
+
+def check_envelope(name, q):
+    """Assert lower < exact <= upper for ENVELOPES[name] at every n it is
+    checked at, over GF(q).  The GU lower bound is attained at n = 2: there
+    it asserts lower == exact (the strict form is the xfail below)."""
+    for n in ENVELOPES[name][0]:
+        lo, exact, up = _envelope(name, n, q)
+        assert exact <= up, (name, n, q)
+        if (name, n) == ("GU", 2):
+            assert lo == exact, q
+        elif lo is not None:
+            assert lo < exact, (name, n, q)
+
+
 def test_criterion_3_bound_suite():
     for q in BOUND_QS:
-        for n in range(2, 21):
-            lo, up = order_bounds("GL", n, q)
-            assert lo < gl_order(n, q) <= up
-            lo, up = order_bounds("GU", n, q)
-            if n == 2:
-                assert lo == gu_order(n, q) <= up  # lower attained, see below
-            else:
-                assert lo < gu_order(n, q) <= up
-            if n >= 4 and n % 2 == 0:
-                lo, up = order_bounds("Sp", n, q)
-                assert lo < sp_order(n, q) <= up
-            if n >= 5 and n % 2 == 1:
-                lo, up = order_bounds("SOcirc", n, q)
-                assert lo < _so_actual(n, CIRC, q) <= up
-            if n >= 6 and n % 2 == 0:
-                for fam, eps in (("SOplus", PLUS), ("SOminus", MINUS)):
-                    lo, up = order_bounds(fam, n, q)
-                    assert lo < _so_actual(n, eps, q) <= up
+        for name in ENVELOPES:
+            check_envelope(name, q)
     from math import factorial
     for t in range(2, 65):
         assert factorial(t) * 2 ** t < (t + 1) ** t
@@ -132,8 +171,8 @@ def test_criterion_3_bound_suite():
                           "of the grid is strict")
 def test_criterion_3_gu_lower_bound_strict_at_n2():
     for q in BOUND_QS:
-        lo, up = order_bounds("GU", 2, q)
-        assert lo < gu_order(2, q)
+        lo, exact, _ = _envelope("GU", 2, q)
+        assert lo < exact
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Rational order bounds and the ratio sandwich evaluations."""
+"""The ratio sandwich evaluations, and the paper's order envelopes by
+family."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -13,114 +14,35 @@ from large_atlas.bounds import (
     SANDWICH_CASES,
     UNDETERMINED,
     BoundTriple,
-    order_bounds,
-    omega_upper,
-    order_bits_floor,
     sandwich,
 )
-from large_atlas.errors import ConstraintViolation, UnknownCase, UnsupportedGroup
+from large_atlas.errors import ConstraintViolation, UnknownCase
 from large_atlas.largeness import is_large_h1
-from large_atlas.orders import (
-    CIRC,
-    MINUS,
-    PLUS,
-    gl_order,
-    gu_order,
-    omega_order,
-    order,
-    parse_group,
-    psl,
-    so_order,
-    sp_order,
-)
-
-QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
+from large_atlas.orders import gl_order, order, psl
+from test_acceptance import BOUND_QS, check_envelope
 
 
-def _so_actual(n, eps, q):
-    """|SO| where it is defined, |Omega| in even characteristic."""
-    if q % 2 == 0 and n % 2 == 1:
-        return omega_order(n, eps, q)
-    return so_order(n, eps, q)
-
-
-@pytest.mark.parametrize("q", QS)
+# the paper's order envelopes are data in test_acceptance, which checks
+# them all at each q of BOUND_QS; these run one family's check per q
+@pytest.mark.parametrize("q", BOUND_QS)
 def test_gl_bounds_bracket(q):
-    for n in range(2, 21):
-        lo, up = order_bounds("GL", n, q)
-        assert lo < gl_order(n, q) <= up
+    check_envelope("GL", q)
 
 
-@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("q", BOUND_QS)
 def test_gu_bounds_bracket(q):
-    # at n = 2 the lower expression is attained exactly, so only the weak
-    # inequality can hold there
-    lo, up = order_bounds("GU", 2, q)
-    assert lo == gu_order(2, q) <= up
-    for n in range(3, 21):
-        lo, up = order_bounds("GU", n, q)
-        assert lo < gu_order(n, q) <= up
+    check_envelope("GU", q)
 
 
-@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("q", BOUND_QS)
 def test_sp_bounds_bracket(q):
-    for n in range(4, 21, 2):
-        lo, up = order_bounds("Sp", n, q)
-        assert lo < sp_order(n, q) <= up
+    check_envelope("Sp", q)
 
 
-@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("q", BOUND_QS)
 def test_so_bounds_bracket(q):
-    for n in range(5, 21):
-        if n % 2 == 1:
-            lo, up = order_bounds("SOcirc", n, q)
-            assert lo < _so_actual(n, CIRC, q) <= up
-        else:
-            for fam, eps in (("SOplus", PLUS), ("SOminus", MINUS)):
-                lo, up = order_bounds(fam, n, q)
-                assert lo < _so_actual(n, eps, q) <= up
-
-
-def test_order_bounds_rejects_bad_input():
-    with pytest.raises(ConstraintViolation):
-        order_bounds("GL", 1, 5)
-    with pytest.raises(ConstraintViolation):
-        order_bounds("Sp", 3, 5)
-    with pytest.raises(UnknownCase):
-        order_bounds("XYZ", 6, 5)
-
-
-def test_order_bits_floor_never_exceeds_the_order():
-    hosts = [parse_group(f"{fam}({d})") for fam in ("Alt", "Sym") for d in range(1, 201)]
-    hosts += [parse_group(f"{fam}({q})") for fam in ("G2", "3D4") for q in (2, 3, 4, 5)]
-    hosts += [parse_group(f"Sz({q})") for q in (8, 32, 128)]
-    for q in [int(q) for q in prime_powers(2, 16)]:
-        for n in range(1, 13):
-            for fam in ("PSL", "PSU", "PSp", "GL", "SL", "PGL", "GU", "SU", "PGU", "Sp"):
-                hosts.append(parse_group(f"{fam}({n},{q})"))
-            for fam in ("POmega", "SO", "GO", "Omega"):
-                for sign in (("",) if n % 2 else ("+", "-")):
-                    hosts.append(parse_group(f"{fam}{sign}({n},{q})"))
-    checked = 0
-    for g in hosts:
-        try:
-            g_order = order(g)
-        except UnsupportedGroup:
-            continue  # Sp in odd dimension, SO(odd, even q), dimension too small
-        assert 2 ** order_bits_floor(g) <= g_order, str(g)
-        checked += 1
-    assert checked > 2000
-
-
-def test_omega_upper():
-    for q in (2, 3, 4, 5):
-        for n in range(3, 13):
-            for eps in (PLUS, MINUS, CIRC):
-                if (eps == CIRC) != (n % 2 == 1):
-                    continue
-                assert omega_order(n, eps, q) <= omega_upper(n, eps, q)
-    with pytest.raises(ConstraintViolation):
-        omega_upper(2, MINUS, 3)
+    for name in ("SOcirc", "SOplus", "SOminus"):
+        check_envelope(name, q)
 
 
 def test_sandwich_brackets_the_exact_gl_power_ratio():

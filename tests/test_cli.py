@@ -198,6 +198,20 @@ def test_class_selector_ignores_surrounding_spaces(capsys, host, selector):
     assert run(capsys, *typed, "--class", " C2", *selector) == expected
 
 
+@pytest.mark.parametrize("verb", ["subgroups", "check", "explain"])
+def test_a_class_no_row_carries_is_refused(capsys, verb):
+    # subgroups printed nothing and exited 0 here, check and explain exit 3
+    for klass in ("C9", " c9 ", "Z"):
+        code, out, err = run(capsys, verb, "PSL(20,2)", "--class", klass)
+        assert (code, out) == (2, "") and "Traceback" not in err
+        assert err == f"error: unknown class {klass.strip()!r}\n"
+    # every class a row can carry is still read, in either case
+    for klass in sorted(catalog.CLASSES):
+        for spelled in (klass, klass.upper()):
+            code, _, err = run(capsys, verb, "PSL(5,3)", "--class", spelled)
+            assert "unknown class" not in err and code in (0, 3, 4), (spelled, code)
+
+
 # below the least dimension of their family (orders.FAMILIES): each of
 # these printed 0, a wrong order or the order 1 of a zero-dimensional group
 BELOW_LEAST_DIMENSION = ["SL(0,5)", "SU(0,5)", "PGL(0,5)", "PGU(0,5)", "SO+(0,3)",
@@ -713,12 +727,13 @@ def test_no_verb_loads_openssl():
 
 def test_out_loads_no_dataclasses(tmp_path):
     # one plain command line of each verb: none loads dataclasses, and none
-    # calls the argparse parser
+    # calls the argparse parser.  Only the sweeps read the sandwiches: the
+    # other six verbs, run first, leave large_atlas.bounds unloaded
     lines = [["order", "PSL(4,5)"], ["out", "PSL(2,7)"], ["subgroups", "PSL(5,3)", "--json"],
              ["check", "PSL(2,7)", "--h0-order", "21"],
-             ["explain", "PSL(5,3)", "--type", "M11"], ["sweep", "psl-c3-r5"],
-             ["reproduce", "psl-c3-r5", "--out-dir", str(tmp_path)], ["tables", "A"]]
-    assert [argv[0] for argv in lines] == list(cli._VERBS)
+             ["explain", "PSL(5,3)", "--type", "M11"], ["tables", "A"], ["sweep", "psl-c3-r5"],
+             ["reproduce", "psl-c3-r5", "--out-dir", str(tmp_path)]]
+    assert sorted(argv[0] for argv in lines) == sorted(cli._VERBS)
     code = ("import sys\n"
             "at_startup = 'dataclasses' in sys.modules\n"
             "from large_atlas import cli\n"
@@ -726,12 +741,14 @@ def test_out_loads_no_dataclasses(tmp_path):
             "cli._build_parser = lambda: built.append(1) or build()\n"
             f"for argv in {lines!r}:\n"
             "    code = cli.main(argv)\n"
-            "    print('#', argv[0], code, 'dataclasses' in sys.modules, len(built), flush=True)\n"
+            "    print('#', argv[0], code, 'dataclasses' in sys.modules, len(built),\n"
+            "          'large_atlas.bounds' in sys.modules, flush=True)\n"
             "print('#', at_startup)\n")
     got = [line for line in _fresh_interpreter(code) if line.startswith("# ")]
     if got[-1] == "# True":
         pytest.skip("this interpreter loads dataclasses at startup")
-    assert got == [f"# {argv[0]} 0 False 0" for argv in lines] + ["# False"]
+    assert got == [f"# {argv[0]} 0 False 0 {argv[0] in ('sweep', 'reproduce')}"
+                   for argv in lines] + ["# False"]
     assert [f.name for f in tmp_path.iterdir()] == ["psl-c3-r5.json"]
 
 

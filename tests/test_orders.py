@@ -25,6 +25,7 @@ from large_atlas.orders import (
     omega_order,
     order,
     order_bits,
+    order_bits_floor,
     out_order,
     parse_group,
     pomega,
@@ -215,6 +216,35 @@ def test_order_bits_brackets_every_classical_order():
         assert len(orders.classical_form(g.family, g.n, int(g.q), g.eps)[1]) <= 2
         checked.add(g.family)
     assert checked == set(FORM_FAMILIES)
+
+
+def test_order_bits_floor_never_exceeds_the_order():
+    # on the families of classical_form the floor is the lower end of
+    # order_bits; the others have a floor of their own
+    hosts = [parse_group(f"{fam}({d})") for fam in ("Alt", "Sym") for d in range(1, 201)]
+    hosts += [parse_group(f"{fam}({q})") for fam in ("G2", "3D4") for q in (2, 3, 4, 5)]
+    hosts += [parse_group(f"Sz({q})") for q in (8, 32, 128)]
+    hosts += [parse_group(f"Sporadic({name})") for name in ("M11", "J3")]
+    for q in [int(q) for q in prime_powers(2, 16)]:
+        for n in range(1, 13):
+            for fam in ("PSL", "PSU", "PSp", "GL", "SL", "PGL", "GU", "SU", "PGU", "Sp"):
+                hosts.append(parse_group(f"{fam}({n},{q})"))
+            for fam in ("POmega", "SO", "GO", "Omega"):
+                for sign in (("",) if n % 2 else ("+", "-")):
+                    hosts.append(parse_group(f"{fam}{sign}({n},{q})"))
+    checked = []
+    for g in hosts:
+        try:
+            g_order = order(g)
+        except UnsupportedGroup:
+            continue  # Sp in odd dimension, SO(odd, even q), dimension too small
+        b = order_bits_floor(g)
+        assert 2 ** b <= g_order, str(g)
+        if g.family in FORM_FAMILIES:
+            assert b == order_bits(g)[0], str(g)
+        checked.append(g.family)
+    assert len(checked) > 2000
+    assert set(checked) == set(orders.FAMILIES)
 
 
 def test_out_order_of_a_large_orthogonal_host_reads_q_to_the_m_mod_4():

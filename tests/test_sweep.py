@@ -7,7 +7,8 @@ from collections import Counter
 import pytest
 
 from large_atlas import arith, bounds, catalog, orders, sweep
-from large_atlas.errors import MissingGolden, UnknownCase
+from large_atlas.errors import ConstraintViolation, MissingGolden, UnknownCase
+from large_atlas.largeness import is_large_h1
 
 
 def test_case_registry_is_complete():
@@ -85,21 +86,22 @@ def test_run_all_twice_gives_equal_reports(sweep_reports):
 
 
 def test_bracket_agrees_with_exact_membership(monkeypatch):
-    """Every point the bit-length bracket decides gets the same membership
-    from the exact |G0|.  The goldens alone cannot show this: pso-c2-o1p
-    and pso-c7 drop eps from their member tuples."""
-    bracket = sweep._bracket_member
+    """Every point the bit-length bracket decides gets the same cube test
+    from the exact |G0|, and so the same membership.  The goldens alone
+    cannot show this: pso-c2-o1p and pso-c7 drop eps from their member
+    tuples."""
+    bracket = sweep._bracket_large
     decided = []
 
     def checked(g0, entry):
         got = bracket(g0, entry)
         if got is not None:
-            exact = sweep._exact_member(orders.order(g0), entry)
+            exact = is_large_h1(orders.order(g0), entry).is_large
             assert got == exact, (str(g0), entry.type_descriptor)
             decided.append(g0)
         return got
 
-    monkeypatch.setattr(sweep, "_bracket_member", checked)
+    monkeypatch.setattr(sweep, "_bracket_large", checked)
     for cid in sweep.case_ids():
         sweep.run_case(cid)
     assert len(decided) >= 4347
@@ -124,13 +126,19 @@ def test_psp_c7_never_builds_the_dimension_1024_order(monkeypatch):
     (catalog.LOWER, False, True),
     (catalog.UPPER, False, False),
 ])
-def test_bracket_follows_the_one_sided_row_rule(bound, small, big):
+def test_bracket_follows_the_one_sided_row_rule(bound, small, big, monkeypatch):
+    # the bracket gives the cube test alone; _member reads the bound kind
+    # on both routes, the bracket's and the exact order's
     g0 = orders.psl(4, 5)
     g0_order = orders.order(g0)
-    for h0, want in ((2, small), (g0_order, big)):
-        entry = catalog.SubgroupEntry(g0, "C1", "test row", (), h0, 1, bound)
-        assert sweep._bracket_member(g0, entry) is want
-        assert sweep._exact_member(g0_order, entry) is want
+    rows = [(catalog.SubgroupEntry(g0, "C1", "test row", (), h0, 1, bound), want)
+            for h0, want in ((2, small), (g0_order, big))]
+    for entry, want in rows:
+        assert sweep._bracket_large(g0, entry) is (entry.h0_order == g0_order)
+        assert sweep._member(g0, entry) is want
+    monkeypatch.setattr(sweep, "_bracket_large", lambda g0, entry: None)
+    for entry, want in rows:
+        assert sweep._member(g0, entry) is want
 
 
 def _calls_by_case(monkeypatch, attr):
@@ -173,6 +181,29 @@ MEMBER_POINTS = {
 def test_member_decides_every_catalog_grid_point(monkeypatch):
     calls = _calls_by_case(monkeypatch, "_member")
     assert Counter(cid for cid, _ in calls) == MEMBER_POINTS
+
+
+def test_every_accepted_grid_point_is_a_row_the_catalog_offers():
+    # a catalog case names its constructor and builds its arguments by
+    # hand; every point the constructor accepts must be an argument tuple
+    # that catalog.CONSTRUCTORS offers for that host, so that the grid
+    # checks only rows that candidates lists
+    offered = {}
+    accepted = 0
+    for case in sweep.CASES.values():
+        if case.plain:
+            continue
+        for _, ctor, (host, *args) in case.grid():
+            try:
+                ctor(host, *args)
+            except ConstraintViolation:
+                continue
+            if host not in offered:
+                offered[host] = {(fn, tuple(a)) for _, fn, arguments
+                                 in catalog.CONSTRUCTORS[host.family] for a in arguments(host)}
+            assert (ctor, tuple(args)) in offered[host], (case.case_id, str(host), args)
+            accepted += 1
+    assert accepted == 4388
 
 
 def test_every_grid_reads_one_sieve():
