@@ -4,8 +4,10 @@ Verbs: order, out, subgroups, check, sweep, reproduce, tables, explain.
 All numeric output is exact decimal.  Exit codes: 0 success, 1 a
 failed check or a reader that closed the output early, 2 parse error,
 3 unsupported group, 4 ambiguous selector, 5 missing golden files.  The
-selector's --class and --type ignore surrounding spaces, and a --class
-that no catalog row carries (catalog.CLASSES) exits 2.  check --h0-order
+selector's --class and --type ignore surrounding spaces (a blank one is
+not read), a --class that no catalog row carries (catalog.CLASSES) exits
+2, and so does --class X without --exceptional, as --item does: only the
+two exceptional pools carry class X.  check --h0-order
 reads no selector, and refuses one as a parse error; reproduce reads
 exactly one of a case id, --family and --all, and sweep --list no case
 id.  reproduce refuses an --out-dir it cannot write (exit 2).
@@ -92,6 +94,9 @@ def _resolve_entries(g0, args):
         raise GroupParseError(f"unknown class {klass!r}")
     if args.item and not args.exceptional:
         raise GroupParseError("--item needs --exceptional")
+    # only the two exceptional pools carry class X
+    if klass and klass.lower() == "x" and not args.exceptional:
+        raise GroupParseError("--class X needs --exceptional")
     if args.exceptional:
         pool = catalog.EXCEPTIONAL[args.exceptional](g0)
         if args.item:
@@ -104,8 +109,8 @@ def _resolve_entries(g0, args):
             pool = [e for e in pool if e.aschbacher_class.lower() == klass.lower()]
     else:
         pool = catalog.candidates(g0, klass)
-    if args.type:
-        want = args.type.strip().lower()
+    want = (args.type or "").strip().lower()
+    if want:
         exact = [e for e in pool
                  if want in (e.type_descriptor.lower(), e.name.lower())]
         pool = exact or [e for e in pool

@@ -5,10 +5,19 @@ enumeration, without using any of the closed-form order formulas.  It exists
 so the formula module can be validated against an implementation that shares
 nothing with it: it imports only `arith` (to parse q), `errors` and the
 standard library.  The fields are GF(p) for any prime p and GF(p^2) for the
-primes in _QUADRATICS (so up to GF(49)); GL/SL counts take n <= 3 and GU/SU
-counts n <= 2.  That is enough to pin down every formula family.  The tests
-count GL/SL up to GF(7) and GU/SU up to GF(49), the unitary groups row by
-row: first rows of norm 1, then the second rows orthogonal to each.
+primes in _QUADRATICS (so up to GF(49)); GL/SL counts take n <= 3 (n = 3 up
+to GF(13)) and GU/SU counts n <= 2.  That is enough to pin down every
+formula family.  The tests count GL/SL up to GF(9) and GU/SU up to GF(49),
+the unitary groups row by row: first rows of norm 1, then the second rows
+orthogonal to each.
+
+A GL/SL count expands the determinant along the last row.  The top rows
+are tallied by their cofactor vector; for n = 3 that tally is read from
+three tables of 2 x 2 minors, summed and counted in C loops (_gl_tally).
+The last rows of each cofactor vector are then matched through hit tables
+that count, per value of the last term, the partial sums that give a
+determinant zero or one (_last_rows).  Every pair of top rows and every
+last row is visited; no counting lemma is used.
 
 One enumeration per (n, q) serves GL, SL and Sp2: it counts the nonzero
 and the unit determinants together, and the result is kept in a private
@@ -22,6 +31,7 @@ no count reads an order formula.
 from collections import Counter
 from functools import cache
 from itertools import product
+from operator import add as plus
 
 from .arith import parse_prime_power
 from .errors import UnsupportedGroup
@@ -85,9 +95,13 @@ def _field(q):
 
 def count_gl(n, q, det_one=False):
     """Count invertible n x n matrices over GF(q), optionally with det 1,
-    read from the one enumeration of (n, q) in _gl_tally."""
+    read from the one enumeration of (n, q) in _gl_tally.  An n = 3 count
+    takes q <= 13: its minor tables hold 3 q^5 integers, about 10 MB at
+    GF(13) but 7 GB at GF(49)."""
     if not 1 <= n <= 3:
         raise UnsupportedGroup(f"count_gl supports n <= 3, not n = {n}")
+    if n == 3 and q > 13:
+        raise UnsupportedGroup(f"count_gl supports n = 3 up to GF(13), not GF({q})")
     return _gl_tally(n, q)[1 if det_one else 0]
 
 
@@ -97,38 +111,76 @@ def _gl_tally(n, q):
     enumeration.
 
     The determinant is expanded along the last row.  The first n - 1 rows
-    are enumerated once and tallied by their cofactor vector c: (1) for
+    are enumerated once and tallied by their cofactor vector: (1) for
     n = 1, (-b, a) for a first row (a, b), and for n = 3 the three 2 x 2
-    minors of the top two rows, written out over rows of the multiplication
-    table.  For each distinct c, every last row x is enumerated once and its
-    determinant x_1 c_1 + ... + x_n c_n evaluated; each nonzero and each
-    unit determinant counts as many matrices as c's multiplicity.  For
-    n = 3 that is at most q^6 + q^3 (q + q^2 + q^3) field steps in place of
-    the q^9 matrices.
+    minors (bf - ce, cd - af, ae - bd) of a top row (a, b, c) over a second
+    row (d, e, f).  _last_rows then counts the last rows of each distinct
+    cofactor vector.
+
+    For n = 3 each minor reads only two entries of the top row, so three
+    minor tables list it once per such pair over all q^3 second rows,
+    scaled so that k1 q^2 + k2 q + k3 packs the vector into one integer
+    key.  They are laid out from one table of 2 x 2 determinants: q^4 field
+    steps, then at most 3 q^5 list steps.  Each of the q^3 top rows adds
+    its three lists and counts the q^3 keys in C loops, so the q^6 pairs of
+    top rows take no step of Python code.
     """
     F = _field(q)
-    els, add, sub, mul = F.elements, F._add, F._sub, F._mul
+    els, sub, mul = F.elements, F._sub, F._mul
     if n == 1:
         tally = {(1,): 1}
     elif n == 2:
         tally = Counter((sub[0][b], a) for a, b in product(els, repeat=2))
     else:
-        tally = Counter()
-        rows = list(product(els, repeat=3))
-        for a, b, c in rows:
-            ma, mb, mc = mul[a], mul[b], mul[c]
-            tally.update((sub[mb[f]][mc[e]], sub[mc[d]][ma[f]], sub[ma[e]][mb[d]])
-                         for d, e, f in rows)
-    invertible = unit = 0
+        qq = q * q
+        # minor[x q + y][u q + v] = x v - y u
+        minor = [[sub[mx[v]][my[u]] for u, v in product(els, repeat=2)]
+                 for mx, my in product(mul, repeat=2)]
+        # each top pair's minor over the second rows (d, e, f), in product order:
+        # bf - ce = minor[b q + c][e q + f], the same for every d;
+        # cd - af = minor[c q + a][f q + d], the same for every e;
+        # ae - bd = minor[a q + b][d q + e], the same for every f
+        k1 = [[k * qq for k in m] * q for m in minor]
+        k2 = [[k * q for d in els for k in m[d::q] * q] for m in minor]
+        k3 = [[k for k in m for _ in els] for m in minor]
+        keys = Counter()
+        for a, b, c in product(els, repeat=3):
+            keys.update(map(plus, map(plus, k1[b * q + c], k2[c * q + a]), k3[a * q + b]))
+        tally = {(k // qq, k // q % q, k % q): mult for k, mult in keys.items()}
+    return _last_rows(F, n, tally)
+
+
+def _last_rows(F, n, tally):
+    """(nonzero, unit) determinant counts of the n x n matrices whose first
+    n - 1 rows have the cofactor vectors in tally, each counted as many
+    times as its multiplicity: a last row x gives x_1 c_1 + ... + x_n c_n.
+
+    The partial sums s = x_1 c_1 + ... + x_(n-1) c_(n-1) of each head
+    (c_1, ..., c_(n-1)) are listed once, q^(n-1) field steps, and tallied
+    in C into two hit tables: for each value v of the last term x_n c_n,
+    how many sums make the determinant zero (s = -v) and how many make it
+    one (s = 1 - v).  Each cofactor vector then reads its q last terms
+    through them in C loops.  For n = 3 that is at most q^2 heads, so q^4
+    field steps.
+    """
+    add, mul = F._add, F._mul
+    neg, one_minus = F._sub[0], F._sub[1]
+    hit_tables = {}
+    zero = unit = 0
     for cof, mult in tally.items():
-        # the determinants of all q^n last rows, built column by column from
-        # the partial sums x_1 c_1 + ... + x_j c_j, in product(els, repeat=n) order
-        dets = [0]
-        for c in cof:
-            dets = [add[d][mul[x][c]] for d in dets for x in els]
-        invertible += mult * (len(dets) - dets.count(0))
-        unit += mult * dets.count(1)
-    return invertible, unit
+        head = cof[:-1]
+        hits = hit_tables.get(head)
+        if hits is None:
+            # x c = c x, so the row mul[c] lists x c for every x
+            sums = [0]
+            for c in head:
+                sums = [add[s][t] for s in sums for t in mul[c]]
+            hits = hit_tables[head] = (list(map(sums.count, neg)).__getitem__,
+                                       list(map(sums.count, one_minus)).__getitem__)
+        last_terms = mul[cof[-1]]
+        zero += mult * sum(map(hits[0], last_terms))
+        unit += mult * sum(map(hits[1], last_terms))
+    return F.q ** (n * n) - zero, unit
 
 
 def count_gu(n, q0, det_one=False):

@@ -205,11 +205,16 @@ def test_a_class_no_row_carries_is_refused(capsys, verb):
         code, out, err = run(capsys, verb, "PSL(20,2)", "--class", klass)
         assert (code, out) == (2, "") and "Traceback" not in err
         assert err == f"error: unknown class {klass.strip()!r}\n"
-    # every class a row can carry is still read, in either case
+    # every class a row can carry is still read, in either case; X only
+    # beside --exceptional, as only the exceptional pools carry it
     for klass in sorted(catalog.CLASSES):
         for spelled in (klass, klass.upper()):
             code, _, err = run(capsys, verb, "PSL(5,3)", "--class", spelled)
-            assert "unknown class" not in err and code in (0, 3, 4), (spelled, code)
+            assert "unknown class" not in err, spelled
+            if klass == "x":
+                assert (code, err) == (2, "error: --class X needs --exceptional\n")
+            else:
+                assert code in (0, 3, 4), (spelled, code)
 
 
 # below the least dimension of their family (orders.FAMILIES): each of
@@ -479,6 +484,42 @@ def test_item_without_an_exceptional_pool_exits_parse_error(capsys, argv):
     # the item labels index only the two pools; the catalog has none
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "--item needs --exceptional" in err
+
+
+@pytest.mark.parametrize("klass", ["X", " x "])
+@pytest.mark.parametrize("verb", ["subgroups", "check", "explain"])
+def test_class_x_without_an_exceptional_pool_exits_parse_error(capsys, verb, klass):
+    # only the two exceptional pools carry class X; the catalog has none
+    code, out, err = run(capsys, verb, "PSL(20,2)", "--class", klass)
+    assert code == 2 and out == "" and "--class X needs --exceptional" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("subgroups", "POmega+(8,3)", "--exceptional", "o8"),
+    ("check", "POmega+(8,2)", "--exceptional", "o8", "--item", "viii"),
+    ("explain", "PSp(4,4)", "--exceptional", "sp4", "--item", "i"),
+])
+def test_class_x_filters_an_exceptional_pool(capsys, argv):
+    code, out, err = run(capsys, *argv, "--class", "X")
+    assert code == 0 and err == "" and out
+    assert run(capsys, *argv, "--class", " x ") == (code, out, err)
+    if argv[0] == "subgroups":
+        rows = out.splitlines()
+        assert all(row.startswith(" X  ") for row in rows)
+        assert len(rows) < len(run(capsys, *argv)[1].splitlines())
+
+
+@pytest.mark.parametrize("argv", [
+    ("subgroups", "PSL(2,7)"),
+    ("check", "PSL(2,7)"),
+    ("explain", "PSL(2,7)"),
+    ("check", "PSL(2,7)", "--class", "C6"),
+    ("explain", "PSL(2,7)", "--class", "C6"),
+])
+@pytest.mark.parametrize("blank", [" ", "  \t"])
+def test_a_blank_type_is_not_read(capsys, argv, blank):
+    # a whitespace-only --type filters nothing, as --type "" does
+    assert run(capsys, *argv, "--type", blank) == run(capsys, *argv)
 
 
 def test_subgroups_text_output(capsys):

@@ -12,11 +12,14 @@ from itertools import product
 import pytest
 
 from large_atlas import oracle
+from large_atlas.errors import UnsupportedGroup
 from large_atlas.orders import gl_order, gu_order, sl_order, sp_order
 
 SMALL_Q = (2, 3, 4, 5)
-# GF(7) takes about 0.1 s per n = 3 count; visiting all 7^9 matrices would take 16 s
-GL_Q = SMALL_Q + (7,)
+# an n = 3 count takes about 13 ms over GF(7) and 70 ms over GF(9), the first
+# p^2 field above GF(4) (Python 3.11, 2 vCPU); visiting all 7^9 matrices
+# would take 16 s
+GL_Q = SMALL_Q + (7, 9)
 
 
 @pytest.mark.parametrize("q", GL_Q)
@@ -46,6 +49,13 @@ def test_gu_count_matches_formula(n, q0):
 @pytest.mark.parametrize("q", SMALL_Q)
 def test_sp2_count_is_sl2(q):
     assert oracle.count_sp2(q) == sp_order(2, q) == sl_order(2, q)
+
+
+@pytest.mark.parametrize("q", (16, 17, 25, 49))
+def test_gl3_refuses_a_field_whose_minor_tables_would_not_fit(q):
+    # 3 q^5 table entries: 7 GB at GF(49); refused before any is built
+    with pytest.raises(UnsupportedGroup, match=r"up to GF\(13\)"):
+        oracle.count_gl(3, q)
 
 
 def test_field_arithmetic_is_a_field():
