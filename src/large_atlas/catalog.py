@@ -35,12 +35,11 @@ from .arith import is_prime, parse_prime_power
 from .errors import (ConstraintViolation, DataIntegrityError, GroupParseError,
                      UnknownCase, UnsupportedGroup)
 from .largeness import EXACT, LOWER, UPPER
-from .orders import (CIRC, MINUS, PLUS, alt_order, g2_order,
-                     gl_order, go_order, gu_order, omega_order, order,
-                     out_order, parse_group, pomega, pomega_center, psl_order,
-                     psp, psp_order, psu_order, sl_order, so_order, sp_order,
-                     su_order, subgroup_name_order, sylow_exponent, sym_order,
-                     sz_order, tri_d4_order)
+from .orders import (CIRC, MINUS, PLUS, alt_order, g2_order, gl_order, go_order,
+                     gu_order, omega_order, order, out_order, parse_group, pomega,
+                     pomega_center, pomega_order, psl_order, psp, psp_order, psu_order,
+                     sl_order, so_order, sp_order, su_order, subgroup_name_order,
+                     sylow_exponent, sym_order, sz_order, tri_d4_order)
 
 
 class SubgroupEntry(namedtuple("SubgroupEntry", "host aschbacher_class type_descriptor "
@@ -683,7 +682,8 @@ def o8_triality_candidates(g):
                                          tri_d4_order(q0), o1, name=f"3D4({q0})",
                                          formula="o8-tri")))
     if qq.e == 1 and q % 2 == 1:
-        rows.append(("xii", SubgroupEntry(g, "X", "POmega8+(2)", (), 174182400, o1,
+        rows.append(("xii", SubgroupEntry(g, "X", "POmega8+(2)", (),
+                                          pomega_order(8, PLUS, 2), o1,
                                           name="POmega8+(2)", formula="o8-tri")))
     if q == 5:
         rows.append(("xiii", SubgroupEntry(g, "X", "Sz(8)", (), sz_order(8), o1,
@@ -732,9 +732,11 @@ def collection_a_host(d, p):
 class TableRow(NamedTuple):
     """One row of the irreducible almost simple candidate tables.
 
-    Patterns may mention q (the host field size) or q0 (its square or cube
-    root); the condition field restricts q.  Concrete rows use condition "-".
-    sample is (host, subgroup name, |H0|) at sample_q(), set by _load_table.
+    Its host and subgroup patterns name the field size q, and its condition
+    restricts q; a fixed row names no q and has condition "-".  instantiate
+    is the one reader: a host written in q0^2 or q0^3 takes only a square
+    or a cube q, whose root is the subgroup's q0.  sample is the row built
+    at the first field size of _SAMPLE_QS it admits, set by _load_table.
     """
 
     g0_pattern: str
@@ -744,70 +746,40 @@ class TableRow(NamedTuple):
     table: str
     sample: tuple = None
 
-    def matches_q(self, q):
+    def matches_q(self, qq):
+        """Whether the condition admits the prime power qq."""
         cond = self.condition
         if cond == "-" or cond == "q:any":
             return True
         if cond == "q:odd":
-            return q % 2 == 1
+            return qq.p != 2
         if cond == "q:even":
-            return q % 2 == 0
+            return qq.p == 2
         if cond == "q:sz":
-            qq = parse_prime_power(q)
             return qq.p == 2 and qq.e % 2 == 1 and qq.e >= 3
         if cond.startswith("q:in:"):
-            return q in {int(v) for v in cond[5:].split(",")}
+            return qq.q in {int(v) for v in cond[5:].split(",")}
         raise DataIntegrityError(f"bad condition {cond!r}")
-
-    def _q0(self, qq):
-        if "q0^2" in self.g0_pattern:
-            return qq.p ** (qq.e // 2) if qq.e % 2 == 0 else None
-        if "q0^3" in self.g0_pattern:
-            return qq.p ** (qq.e // 3) if qq.e % 3 == 0 else None
-        return 0
 
     def instantiate(self, q):
         """Concrete (host, subgroup name, |H0|) at field size q, or None if
         the row does not apply there."""
         qq = parse_prime_power(q)
-        q = qq.q
-        if not self.matches_q(q):
+        k = 2 if "q0^2" in self.g0_pattern else 3 if "q0^3" in self.g0_pattern else 1
+        if qq.e % k or not self.matches_q(qq):
             return None
-        q0 = self._q0(qq)
-        if q0 is None:
-            return None
-        g0_name = self.g0_pattern.replace("q0^2", str(q)).replace("q0^3", str(q))
-        g0_name = _subst_q(g0_name, q)
-        h0_name = _subst_q(_subst_q0(self.h0_pattern, q0), q)
-        g0 = parse_group(g0_name)
-        h0_order = subgroup_name_order(h0_name)
-        return g0, h0_name, h0_order
-
-    def sample_q(self):
-        cond = self.condition
-        if cond == "-":
-            return parse_group(self.g0_pattern).q.q
-        if cond.startswith("q:in:"):
-            return int(cond[5:].split(",")[0])
-        if cond == "q:even":
-            return 4
-        if cond == "q:sz":
-            return 8
-        if "q0^2" in self.g0_pattern:
-            return 9
-        if "q0^3" in self.g0_pattern:
-            return 27
-        if cond in ("q:any", "q:odd"):
-            return 3
-        raise DataIntegrityError(f"bad condition {cond!r}")
+        value = {"q": str(qq.q), "q0": str(qq.p ** (qq.e // k))}
+        h0_name = _FIELD.sub(lambda m: value.get(m[0], m[0]), self.h0_pattern)
+        return (parse_group(_FIELD.sub(value["q"], self.g0_pattern)), h0_name,
+                subgroup_name_order(h0_name))
 
 
-def _subst_q(text, q):
-    return re.sub(r"\bq\b", str(q), text)
-
-
-def _subst_q0(text, q0):
-    return re.sub(r"\bq0\b", str(q0), text)
+# a field size in a pattern: q, its root q0, or a host's q0^2 or q0^3 (q
+# itself); a host names only q, so every one in it is q
+_FIELD = re.compile(r"\bq0\^[23]|\bq0?\b")
+# the probe for a row's sample: an odd q first, then a square and a cube for
+# a q0^2 or q0^3 host, 4 for q:even and 8 for q:sz; a fixed host ignores q
+_SAMPLE_QS = (3, 9, 27, 4, 8)
 
 
 def _load_table(fname, table):
@@ -822,7 +794,7 @@ def _load_table(fname, table):
             raise DataIntegrityError(f"{fname}:{lineno}: expected 4 fields")
         row = TableRow(parts[0], parts[1], parts[2], parts[3], table)
         try:
-            got = row.instantiate(row.sample_q())
+            got = next(filter(None, map(row.instantiate, _SAMPLE_QS)), None)
         except (GroupParseError, UnsupportedGroup, ConstraintViolation) as exc:
             raise DataIntegrityError(f"{fname}:{lineno}: {exc}") from None
         if got is None:

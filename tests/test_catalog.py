@@ -6,7 +6,8 @@ import pytest
 
 from large_atlas import catalog, cli
 from large_atlas.arith import gcd, prime_powers
-from large_atlas.errors import ConstraintViolation, UnknownCase, UnsupportedGroup
+from large_atlas.errors import (ConstraintViolation, DataIntegrityError, UnknownCase,
+                                UnsupportedGroup)
 from large_atlas.largeness import is_large_h1
 from large_atlas.orders import (CIRC, FAMILIES, MINUS, PLUS, GroupId, is_simple,
                                 order, out_order, parse_group, pomega, psl, psp,
@@ -171,6 +172,52 @@ def test_table_rows_load_once():
     assert catalog.table_rows("A") is catalog.table_rows("A")
     with pytest.raises(UnknownCase):
         catalog.table_rows("C")
+
+
+def test_every_table_row_divides_its_host_at_every_q_it_admits():
+    # _load_table checks |H0| | |G0| at the sample only; a row is a family in
+    # q, so check each member up to 64 (none fails up to 1024 either)
+    built = [got for q in prime_powers(2, 64) for _, got in _every_row_built_at(q)]
+    for g0, h0_name, h0_order in built:
+        assert order(g0) % h0_order == 0, (str(g0), h0_name)
+    assert len(built) > 1000
+
+
+def _sample_q(row):
+    """The field size a row's sample is pinned to, by the kind of the row."""
+    if row.condition == "-":
+        return parse_group(row.g0_pattern).q.q
+    kinds = {"q:in:3,5,7": 3, "q:even": 4, "q:sz": 8}
+    if row.condition in kinds:
+        return kinds[row.condition]
+    assert row.condition in ("q:any", "q:odd")
+    return 9 if "q0^2" in row.g0_pattern else 27 if "q0^3" in row.g0_pattern else 3
+
+
+def test_each_row_kind_takes_its_sample_at_a_fixed_field_size():
+    seen = set()
+    for which in ("A", "B"):
+        for row in catalog.table_rows(which):
+            want = _sample_q(row)
+            assert row.sample[0].q.q == want, (row.g0_pattern, row.h0_pattern)
+            assert row.sample == row.instantiate(want)
+            seen.add(want)
+    assert {3, 4, 8, 9, 27} <= seen
+
+
+def _load(monkeypatch, tmp_path, text):
+    """_load_table on a table file that holds text."""
+    (tmp_path / "table_x.txt").write_text(text)
+    monkeypatch.setattr(catalog, "resources", argparse.Namespace(files=lambda pkg: tmp_path))
+    return catalog._load_table("table_x.txt", "X")
+
+
+def test_a_row_no_probe_field_size_admits_is_refused(monkeypatch, tmp_path):
+    # the probe passes over 3 to the first field size the row admits
+    (row,) = _load(monkeypatch, tmp_path, "PSL(2,q) | A5 | q:in:9,11 | -\n")
+    assert row.sample == (parse_group("PSL(2,9)"), "A5", 60)
+    with pytest.raises(DataIntegrityError, match="sample field size rejected"):
+        _load(monkeypatch, tmp_path, "PSL(2,q) | A5 | q:in:11,19 | -\n")
 
 
 def test_candidates_cover_expected_classes():
