@@ -5,7 +5,7 @@ inequality test, interval bounds, subgroup catalogs, and the parameter
 sweeps that regression-check the whole thing against golden lists.
 """
 
-from .arith import ExactRatio, gcd, lcm, parse_prime_power
+from .arith import parse_prime_power
 from .errors import (
     AmbiguousSelector,
     ConstraintViolation,
@@ -14,7 +14,7 @@ from .errors import (
     MissingGolden,
     UnsupportedGroup,
 )
-from .largeness import LargenessVerdict, decisive, is_large, is_large_h1
+from .largeness import LargenessVerdict, is_large, is_large_h1
 from .orders import order, out_order, parse_group, subgroup_name_order
 
 __version__ = "0.1.0"
@@ -22,17 +22,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguousSelector",
     "ConstraintViolation",
-    "ExactRatio",
     "GroupParseError",
     "LargeAtlasError",
     "LargenessVerdict",
     "MissingGolden",
     "UnsupportedGroup",
-    "decisive",
-    "gcd",
     "is_large",
     "is_large_h1",
-    "lcm",
     "order",
     "out_order",
     "parse_group",

@@ -1,33 +1,18 @@
-"""Exact integer and rational arithmetic helpers.
+"""Exact integer helpers: prime powers and primality.
 
 Everything in this package is computed over arbitrary-precision integers and
-exact rationals.  No floats are used anywhere: quantities that are naturally
-logarithmic (field degrees, factorial growth) are restated as integer power
-comparisons by the callers.
+exact rationals (fractions.Fraction).  No floats are used anywhere:
+quantities that are naturally logarithmic (field degrees, factorial growth)
+are restated as integer power comparisons by the callers.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, isqrt, lcm, prod
+from math import isqrt
 
 from .errors import NotAPrimePower, UnsupportedGroup
 
-__all__ = [
-    "ExactRatio",
-    "PrimePower",
-    "parse_prime_power",
-    "is_prime",
-    "prime_powers",
-    "factorial",
-    "gcd",
-    "lcm",
-    "prod",
-]
-
-# Exact rational numbers.  fractions.Fraction already guarantees the contract
-# we need: lowest terms, positive denominator, exact comparison and hashing.
-ExactRatio = Fraction
+__all__ = ["PrimePower", "parse_prime_power", "is_prime", "prime_powers"]
 
 
 def is_prime(n):

@@ -10,10 +10,11 @@ a group order itself live in orders: order_bits brackets the bit length
 of a classical order, and order_bits_floor gives a floor for every family.
 """
 
+from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .arith import ExactRatio, parse_prime_power
+from .arith import parse_prime_power
 from .errors import ConstraintViolation, UnknownCase
 
 CERTAINLY_LARGE = "certainly_large"
@@ -26,9 +27,9 @@ class BoundTriple(NamedTuple):
     against and the resulting verdict.  An immutable named tuple."""
 
     case: str
-    lower: ExactRatio
-    upper: ExactRatio
-    threshold: ExactRatio
+    lower: Fraction
+    upper: Fraction
+    threshold: Fraction
     verdict: str
 
 
@@ -117,5 +118,4 @@ def sandwich(case, q, n=None):
         verdict = CERTAINLY_NOT_LARGE
     else:
         verdict = UNDETERMINED
-    return BoundTriple(case, ExactRatio(ln, ld), ExactRatio(un, ud), ExactRatio(hn, hd),
-                       verdict)
+    return BoundTriple(case, Fraction(ln, ld), Fraction(un, ud), Fraction(hn, hd), verdict)

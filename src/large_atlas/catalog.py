@@ -32,8 +32,8 @@ from math import factorial, gcd, isqrt, lcm
 from typing import NamedTuple
 
 from .arith import is_prime, parse_prime_power
-from .errors import (ConstraintViolation, DataIntegrityError, GroupParseError,
-                     UnknownCase, UnsupportedGroup)
+from .errors import (ConstraintViolation, DataIntegrityError, LargeAtlasError, UnknownCase,
+                     UnsupportedGroup)
 from .largeness import EXACT, LOWER, UPPER
 from .orders import (CIRC, MINUS, PLUS, alt_order, g2_order, gl_order, go_order,
                      gu_order, omega_order, order, out_order, parse_group, pomega,
@@ -78,6 +78,17 @@ def c1_stabilizer(g):
     desc = "parabolic P1" if g.family == "PSL" else "subspace stabilizer"
     return SubgroupEntry(g, "C1", desc, (), g.q.q ** sylow_exponent(g), 1,
                          bound=LOWER, formula="sylow-p-lower")
+
+
+def _out_without_graph(g):
+    """|Out(G0)| without the graph automorphism that never normalizes a
+    geometric row: the one of order 2 of PSp(4, 2^e) and the triality of
+    order 3 of POmega+(8, q)."""
+    if g.family == "PSp" and g.n == 4 and g.q.p == 2:
+        return out_order(g) // 2
+    if g.family == "POmega" and (g.n, g.eps) == (8, PLUS):
+        return out_order(g) // 3
+    return out_order(g)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +230,7 @@ def psu_c4(g, n1, n2):
     cc = gcd(gcd(q + 1, n1), n2)
     h0 = su_order(n1, q) * su_order(n2, q) * cc * cc // d
     return SubgroupEntry(g, "C4", f"GU({n1},{q}) (x) GU({n2},{q})", (("n1", n1), ("n2", n2)),
-                         h0, out_order(g) // max(cc, 1),
+                         h0, out_order(g) // cc,
                          bound=UPPER, formula="psu-c4")
 
 
@@ -296,25 +307,21 @@ def psp_c2_gl(g):
 
 
 def psp_c2_wr(g, m, t):
-    n, qq = g.n, g.q
-    q = qq.q
+    n, q = g.n, g.q.q
     _require(n == m * t and t >= 2 and m >= 2 and m % 2 == 0,
              "imprimitive type needs n = m*t with even m")
     _require((m, q) != (2, 2), "blocks Sp2(2) do not occur")
-    d = gcd(2, q - 1)
-    h0 = sp_order(m, q) ** t * factorial(t) // d
+    h0 = sp_order(m, q) ** t * factorial(t) // gcd(2, q - 1)
     return SubgroupEntry(g, "C2", f"Sp({m},{q}) wr S{t}", (("m", m), ("t", t)),
-                         h0, d * qq.e, formula="psp-c2")
+                         h0, _out_without_graph(g), formula="psp-c2")
 
 
 def psp_c3(g, m, r):
-    n, qq = g.n, g.q
-    q = qq.q
+    n, q = g.n, g.q.q
     _require(n == m * r and m % 2 == 0 and is_prime(r), "extension degree must be prime")
-    d = gcd(2, q - 1)
-    h0 = r * sp_order(m, q ** r) // d
+    h0 = r * sp_order(m, q ** r) // gcd(2, q - 1)
     return SubgroupEntry(g, "C3", f"Sp({m},{q}^{r})", (("m", m), ("r", r)),
-                         h0, d * qq.e, formula="psp-c3")
+                         h0, _out_without_graph(g), formula="psp-c3")
 
 
 def psp_c3_gu(g):
@@ -325,8 +332,7 @@ def psp_c3_gu(g):
 
 
 def psp_c4(g, n1, n2, eps):
-    n, qq = g.n, g.q
-    q = qq.q
+    n, q = g.n, g.q.q
     _require(q % 2 == 1, "symplectic-orthogonal tensor needs odd q")
     _require(n == n1 * n2 and n1 % 2 == 0 and n1 >= 2 and n2 >= 3 and eps in signs(n2),
              "tensor type needs n = n1*n2 with n1 even, n2 >= 3, a sign for n2")
@@ -334,7 +340,7 @@ def psp_c4(g, n1, n2, eps):
     h0 = psp_order(n1, q) * (go_order(n2, eps, q) // 2) * gcd(2, n2)
     return SubgroupEntry(g, "C4", f"Sp({n1},{q}) (x) GO{eps_tag(eps)}({n2},{q})",
                          (("eps", eps), ("n1", n1), ("n2", n2)), h0,
-                         gcd(2, q - 1) * qq.e, formula="psp-c4")
+                         _out_without_graph(g), formula="psp-c4")
 
 
 def psp_c5(g, r):
@@ -366,16 +372,14 @@ def psp_c6(g):
 
 
 def psp_c7(g, m, t):
-    n, qq = g.n, g.q
-    q = qq.q
+    n, q = g.n, g.q.q
     _require(n == m ** t and m >= 2 and m % 2 == 0 and t >= 2,
              "tensor-power type needs n = m^t with even m")
     _require(q % 2 == 1 and t % 2 == 1, "this type needs q and t odd")
     _require((m, q) != (2, 3), "the (2,3) tensor-power case does not occur")
-    d = gcd(2, q - 1)
-    h0 = sp_order(m, q) ** t * factorial(t) // d
+    h0 = sp_order(m, q) ** t * factorial(t) // gcd(2, q - 1)
     return SubgroupEntry(g, "C7", f"Sp({m},{q}) wr S{t} (tensor)", (("m", m), ("t", t)),
-                         h0, d * qq.e, formula="psp-c7")
+                         h0, _out_without_graph(g), formula="psp-c7")
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +395,6 @@ def _framed_sign(n, q):
     """The sign of the n-dimensional form with an orthonormal basis over
     GF(q), n even and q odd: the square class of its discriminant."""
     return PLUS if ((q - 1) * n // 4) % 2 == 0 else MINUS
-
-
-def _pso_o1(g):
-    """Outer part available to the normalizer of a geometric subgroup of an
-    orthogonal group: |Out| without the order-3 graph automorphism of the
-    8-dimensional plus type, which never normalizes these subgroups."""
-    return out_order(g) // (3 if (g.n, g.eps) == (8, PLUS) else 1)
 
 
 def pso_c2_gl(g):
@@ -468,7 +465,7 @@ def pso_c2_go_wr(g, m, eps1, t):
           * 2 ** (gcd(2, q - 1) * (t - 1)) * factorial(t))
     _require(h0 % z == 0, "central quotient must divide the stabilizer order")
     return SubgroupEntry(g, "C2", f"GO{eps_tag(eps1)}({m},{q}) wr S{t}",
-                         (("eps1", eps1), ("m", m), ("t", t)), h0 // z, _pso_o1(g),
+                         (("eps1", eps1), ("m", m), ("t", t)), h0 // z, _out_without_graph(g),
                          formula="pso-c2-go-wr")
 
 
@@ -501,7 +498,7 @@ def pso_c3_extra(g, m, s):
     h0 = omega_order(m, eps if m % 2 == 0 else CIRC, q ** s) * s
     _require(h0 % z == 0, "central quotient must divide the stabilizer order")
     return SubgroupEntry(g, "C3", f"GO{eps_tag(eps)}({m},{q}^{s})", (("m", m), ("s", s)),
-                         h0 // z, _pso_o1(g), formula="pso-c3-extra")
+                         h0 // z, _out_without_graph(g), formula="pso-c3-extra")
 
 
 def pso_c4(g):
@@ -513,7 +510,7 @@ def pso_c4(g):
     desc = f"Sp(2,{q}) (x) Sp({n // 2},{q})"
     if q % 2:
         h0 = sp_order(2, q) * sp_order(n // 2, q) // 2 * gcd(2, n // 4) // 2
-        return SubgroupEntry(g, "C4", desc, (), h0, _pso_o1(g), formula="pso-c4-odd")
+        return SubgroupEntry(g, "C4", desc, (), h0, _out_without_graph(g), formula="pso-c4-odd")
     return SubgroupEntry(g, "C4", desc, (), sp_order(2, q) * sp_order(n // 2, q), 1,
                          bound=LOWER, formula="pso-c4-lower")
 
@@ -529,7 +526,7 @@ def pso_c5(g, r, eps_sub):
         _require(eps_sub in signs(n), "the subfield form's sign must suit the dimension")
     h0 = omega_order(n, eps_sub, q0) // gcd(2, q0 - 1)
     return SubgroupEntry(g, "C5", f"GO{eps_tag(eps_sub)}({n},{q0})",
-                         (("q0", q0), ("r", r)), h0, _pso_o1(g), formula="pso-c5")
+                         (("q0", q0), ("r", r)), h0, _out_without_graph(g), formula="pso-c5")
 
 
 def pso_c6(g):
@@ -575,7 +572,7 @@ def pso_c7(g, m, t, kind, eps1):
         h0 = so_order(m, eps1, q) ** t * 2 ** (t - 1) * factorial(t)
         desc = f"GO{eps1}({m},{q}) wr S{t} (tensor)"
         bound = UPPER
-    return SubgroupEntry(g, "C7", desc, (("m", m), ("t", t)), h0, _pso_o1(g),
+    return SubgroupEntry(g, "C7", desc, (("m", m), ("t", t)), h0, _out_without_graph(g),
                          bound=bound, formula="pso-c7")
 
 
@@ -757,8 +754,9 @@ class TableRow(NamedTuple):
             return qq.p == 2
         if cond == "q:sz":
             return qq.p == 2 and qq.e % 2 == 1 and qq.e >= 3
-        if cond.startswith("q:in:"):
-            return qq.q in {int(v) for v in cond[5:].split(",")}
+        values = cond[5:].split(",")
+        if cond.startswith("q:in:") and all(v.isdecimal() for v in values):
+            return qq.q in set(map(int, values))
         raise DataIntegrityError(f"bad condition {cond!r}")
 
     def instantiate(self, q):
@@ -795,7 +793,7 @@ def _load_table(fname, table):
         row = TableRow(parts[0], parts[1], parts[2], parts[3], table)
         try:
             got = next(filter(None, map(row.instantiate, _SAMPLE_QS)), None)
-        except (GroupParseError, UnsupportedGroup, ConstraintViolation) as exc:
+        except LargeAtlasError as exc:
             raise DataIntegrityError(f"{fname}:{lineno}: {exc}") from None
         if got is None:
             raise DataIntegrityError(f"{fname}:{lineno}: sample field size rejected")
@@ -942,13 +940,10 @@ CONSTRUCTORS = {
 }
 
 
-# family -> class in lower case -> the CONSTRUCTORS rows of that class, in order
-_BY_CLASS = {family: {c.lower(): tuple(row for row in rows if row[0] == c) for c, _, _ in rows}
-             for family, rows in CONSTRUCTORS.items()}
-
 # every class a row can carry, in lower case: those of CONSTRUCTORS, A and S
 # of the Table A/B rows, and X of the exceptional pools
-CLASSES = frozenset(c for by_class in _BY_CLASS.values() for c in by_class) | {"a", "s", "x"}
+CLASSES = (frozenset(c.lower() for rows in CONSTRUCTORS.values() for c, _, _ in rows)
+           | {"a", "s", "x"})
 
 
 def candidates(g0, klass=None):
@@ -963,13 +958,12 @@ def candidates(g0, klass=None):
     if g0.family not in CONSTRUCTORS:
         raise UnsupportedGroup(f"no catalog for family {g0.family}")
     out_order(g0)  # refuses a degenerate host
-    if klass is None:
-        ctors = CONSTRUCTORS[g0.family]
-    else:
+    if klass is not None:
         klass = klass.lower()
-        ctors = _BY_CLASS[g0.family].get(klass, ())
     out = []
-    for _, fn, arguments in ctors:
+    for c, fn, arguments in CONSTRUCTORS[g0.family]:
+        if klass is not None and c.lower() != klass:
+            continue
         for args in arguments(g0):
             try:
                 out.append(fn(g0, *args))

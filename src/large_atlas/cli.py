@@ -26,7 +26,6 @@ import os
 import sys
 from contextlib import contextmanager
 from functools import cache
-from math import gcd
 
 from .errors import (AmbiguousSelector, ConstraintViolation, GroupParseError,
                      LargeAtlasError, MissingGolden, NotAPrimePower,
@@ -46,13 +45,12 @@ MAX_DIGITS = 2_000_000
 
 
 def _verdict_dict(v):
-    # the margin rhs/lhs in lowest terms, as LargenessVerdict.margin gives it
-    g = gcd(v.rhs, v.lhs)
+    num, den = v.margin.as_integer_ratio()
     return {
         "is_large": v.is_large,
         "lhs": v.lhs,
         "rhs": v.rhs,
-        "margin": f"{v.rhs // g}/{v.lhs // g}",
+        "margin": f"{num}/{den}",
         "mode": v.mode,
     }
 

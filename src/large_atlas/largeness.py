@@ -8,9 +8,9 @@ stabilize the G0-class of H0.  Everything here is integer arithmetic; no
 verdict ever depends on floating point.
 """
 
+from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import ExactRatio
 from .errors import ConstraintViolation
 
 EXACT = "exact"
@@ -49,7 +49,7 @@ class LargenessVerdict(NamedTuple):
         """rhs / lhs in lowest terms; built on demand, since the gcd of two
         huge orders costs more than the test itself.  Each read builds it
         again, so a caller that needs it twice should read it once."""
-        return ExactRatio(self.rhs, self.lhs)
+        return Fraction(self.rhs, self.lhs)
 
     def __str__(self):
         rel = "<=" if self.is_large else ">"
@@ -83,13 +83,3 @@ def is_large_h1(g0_order, entry):
     callers know it settles nothing.
     """
     return is_large(g0_order, entry.h0_order, entry.o1_order, entry.bound)
-
-
-def decisive(verdict):
-    """Whether a verdict from is_large_h1 is trustworthy as stated.
-
-    Exact entries are always decisive.  Upper bounds decide only negative
-    answers; lower bounds only positive ones.  A bound_only verdict is
-    never decisive.
-    """
-    return verdict.mode in (EXACT, FORCED_LARGE, EXCLUDED_BY_BOUND)

@@ -24,9 +24,9 @@ import re
 from collections import namedtuple
 from functools import cache
 from importlib import resources
-from math import gcd
+from math import factorial, gcd
 
-from .arith import PrimePower, factorial, parse_prime_power
+from .arith import PrimePower, parse_prime_power
 from .errors import DataIntegrityError, GroupParseError, UnsupportedGroup
 
 # epsilon markers for orthogonal groups

@@ -7,7 +7,6 @@ import pytest
 
 from large_atlas import arith
 from large_atlas.arith import (
-    ExactRatio,
     PrimePower,
     is_prime,
     parse_prime_power,
@@ -164,15 +163,3 @@ def test_prime_powers_sieve_matches_trial_division():
             assert prime_powers(lo, hi) == want, (lo, hi)
     assert [(q.p, q.e) for q in prime_powers(1000, 1024)] == [
         (1009, 1), (1013, 1), (1019, 1), (1021, 1), (2, 10)]
-
-
-def test_exact_ratio_is_exact():
-    # one third plus one sixth is exactly one half, no rounding anywhere
-    assert ExactRatio(1, 3) + ExactRatio(1, 6) == ExactRatio(1, 2)
-    big = ExactRatio(10) ** 40
-    assert big + 1 - big == 1
-
-
-def test_exact_ratio_comparisons():
-    assert ExactRatio(2, 3) < ExactRatio(3, 4)
-    assert ExactRatio(7, 7) == 1

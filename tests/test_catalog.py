@@ -1,11 +1,12 @@
 """Subgroup catalog entries: orders, outer contributions, constraints."""
 
 import argparse
+from math import gcd
 
 import pytest
 
 from large_atlas import catalog, cli
-from large_atlas.arith import gcd, prime_powers
+from large_atlas.arith import prime_powers
 from large_atlas.errors import (ConstraintViolation, DataIntegrityError, UnknownCase,
                                 UnsupportedGroup)
 from large_atlas.largeness import is_large_h1
@@ -218,6 +219,19 @@ def test_a_row_no_probe_field_size_admits_is_refused(monkeypatch, tmp_path):
     assert row.sample == (parse_group("PSL(2,9)"), "A5", 60)
     with pytest.raises(DataIntegrityError, match="sample field size rejected"):
         _load(monkeypatch, tmp_path, "PSL(2,q) | A5 | q:in:11,19 | -\n")
+
+
+@pytest.mark.parametrize("line, why", [
+    ("PSL(2,q) | A5 | q:any", "expected 4 fields"),
+    ("PXL(2,q) | A5 | q:any | -", "PXL"),
+    ("PSL(2,q) | Foo7 | q:any | -", "Foo7"),
+    ("PSL(2,q) | A7 | q:any | -", r"\|A7\| does not divide \|PSL\(2,3\)\|"),
+    ("PSL(2,q) | A5 | q:prime | -", "bad condition 'q:prime'"),
+    ("PSL(2,q) | A5 | q:in:x | -", "bad condition 'q:in:x'"),
+])
+def test_every_refused_row_names_its_file_and_line(monkeypatch, tmp_path, line, why):
+    with pytest.raises(DataIntegrityError, match=rf"^table_x\.txt:1: .*{why}"):
+        _load(monkeypatch, tmp_path, line + "\n")
 
 
 def test_candidates_cover_expected_classes():

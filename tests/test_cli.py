@@ -107,6 +107,19 @@ def test_unsupported_exit_code(capsys):
     assert code == 3
 
 
+def test_any_other_package_error_exits_1_with_one_error_line(capsys, monkeypatch):
+    # a data file that fails its checksum is neither a parse error nor an
+    # unsupported group: the generic exit 1
+    monkeypatch.setattr(orders, "_SPORADIC_SHA256", "0" * 64)
+    orders._sporadic_orders.cache_clear()
+    try:
+        code, out, err = run(capsys, "order", "Sporadic(J3)")
+    finally:
+        orders._sporadic_orders.cache_clear()
+    assert code == 1 and out == ""
+    assert err == "error: sporadic_orders.txt failed its checksum\n"
+
+
 @pytest.mark.parametrize("verb", ["order", "out", "subgroups"])
 def test_odd_dimensional_symplectic_host_exits_unsupported(capsys, verb):
     code, out, err = run(capsys, verb, "PSp(5,3)")

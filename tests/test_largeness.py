@@ -1,17 +1,16 @@
 """The cube inequality |G0| <= |H0|^3 |O|^2 and its verdict modes."""
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
-from large_atlas.arith import ExactRatio
 from large_atlas.errors import ConstraintViolation
 from large_atlas.largeness import (
     BOUND_ONLY,
     EXACT,
     EXCLUDED_BY_BOUND,
     FORCED_LARGE,
-    decisive,
     is_large,
     is_large_h1,
 )
@@ -28,7 +27,7 @@ def test_is_large_basic():
     # |A5| = 60 and a subgroup of order 4 with trivial outer part: 64 >= 60
     v = is_large(60, 4)
     assert v.is_large and v.rhs == 64 and v.lhs == 60
-    assert v.margin == ExactRatio(64, 60)
+    assert v.margin == Fraction(64, 60)
     assert v.mode == EXACT
 
 
@@ -49,31 +48,22 @@ def test_rejects_nonpositive_orders():
         is_large(10, -1)
 
 
-def test_exact_entries_are_decisive_both_ways():
-    assert decisive(is_large_h1(60, FakeEntry(4)))
-    assert decisive(is_large_h1(1000, FakeEntry(4)))
-
-
 def test_upper_bound_entries():
     # an overestimate that still fails proves the genuine order fails
     v = is_large_h1(1000, FakeEntry(4, bound="upper"))
     assert not v.is_large and v.mode == EXCLUDED_BY_BOUND
-    assert decisive(v)
     # an overestimate that passes proves nothing
     v = is_large_h1(60, FakeEntry(4, bound="upper"))
     assert v.is_large and v.mode == BOUND_ONLY
-    assert not decisive(v)
 
 
 def test_lower_bound_entries():
     # an underestimate that passes proves the genuine order passes
     v = is_large_h1(60, FakeEntry(4, bound="lower"))
     assert v.is_large and v.mode == FORCED_LARGE
-    assert decisive(v)
     # an underestimate that fails proves nothing
     v = is_large_h1(1000, FakeEntry(4, bound="lower"))
     assert not v.is_large and v.mode == BOUND_ONLY
-    assert not decisive(v)
 
 
 def test_unknown_bound_kind_rejected():

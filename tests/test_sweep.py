@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from large_atlas import arith, bounds, catalog, orders, sweep
+from large_atlas import arith, bounds, catalog, cli, orders, sweep
 from large_atlas.errors import ConstraintViolation, MissingGolden, UnknownCase
 from large_atlas.largeness import is_large_h1
 
@@ -157,6 +157,28 @@ def _calls_by_case(monkeypatch, attr):
         current[0] = cid
         sweep.run_case(cid)
     return calls
+
+
+def test_a_sandwich_that_contradicts_the_exact_verdict_is_an_alarm(monkeypatch, capsys):
+    # psl-c3-r3 has the member q = 2 and not q = 13: a sandwich that calls
+    # the one not large and the other large contradicts the exact cube test
+    inner = sweep.sandwich
+    flipped = {2: bounds.CERTAINLY_NOT_LARGE, 13: bounds.CERTAINLY_LARGE}
+
+    def contradicting(case, q, n=None):
+        tri = inner(case, q, n)
+        return tri._replace(verdict=flipped[q]) if q in flipped else tri
+
+    monkeypatch.setattr(sweep, "sandwich", contradicting)
+    alarms = ["psl-c3-r3: sandwich says not large at q=2, exact says yes",
+              "psl-c3-r3: sandwich says large at q=13, exact says no"]
+    report = sweep.run_case("psl-c3-r3")
+    assert report.alarms == alarms and not report.ok
+    assert not report.missing and not report.extra
+    assert cli.main(["sweep", "psl-c3-r3"]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("  alarm:")] == [
+        f"  alarm:   {a}" for a in alarms]
 
 
 def test_sandwich_runs_on_exactly_the_sandwich_cases(monkeypatch):
