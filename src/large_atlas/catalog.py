@@ -14,19 +14,22 @@ automorphism hosts.  A family constructor returns one row, or raises
 ConstraintViolation where its type does not occur in the host.
 candidates is one loop over CONSTRUCTORS, which lists per family the
 constructors it tries, C1 first, each with the Aschbacher class of its
-rows and the arguments that follow the host; it offers only arguments the
-host admits (signs gives the orthogonal signs of a dimension).  Given a
-class, candidates calls only the constructors of that class, and builds
-the Table A/B rows only for class A or S.  EXCEPTIONAL holds the two
-pools by --exceptional name.  pso_c4 (type Sp2 (x) Sp_{n/2}) is exact at
-odd q, a lower bound at even q.  The module also provides the
-permutation-module host map and the two literal tables of almost simple
-irreducible candidates.
+rows and the arguments that follow the host.  The argument generators
+offer every divisor split and prime degree of n and of e (signs gives the
+orthogonal signs of a dimension), and the constructor refuses the shapes
+its type cannot take.  Given a class, candidates calls only the
+constructors of that class, and builds the Table A/B rows only for class
+A or S.  EXCEPTIONAL holds the two pools by --exceptional name; each
+states a row through _pool_row, which fixes class X, |O1| = |Out(G0)| and
+the pool's formula id.  pso_c4 (type Sp2 (x) Sp_{n/2}) is exact at odd q,
+a lower bound at even q.  The module also provides the permutation-module
+host map and the two literal tables of almost simple irreducible
+candidates.
 """
 
 import re
 from collections import namedtuple
-from functools import cache
+from functools import cache, partial
 from importlib import resources
 from math import factorial, gcd, isqrt, lcm
 from typing import NamedTuple
@@ -318,7 +321,8 @@ def psp_c2_wr(g, m, t):
 
 def psp_c3(g, m, r):
     n, q = g.n, g.q.q
-    _require(n == m * r and m % 2 == 0 and is_prime(r), "extension degree must be prime")
+    _require(n == m * r and is_prime(r), "extension degree must be prime")
+    _require(m % 2 == 0, "the symplectic space over GF(q^r) needs even m")
     h0 = r * sp_order(m, q ** r) // gcd(2, q - 1)
     return SubgroupEntry(g, "C3", f"Sp({m},{q}^{r})", (("m", m), ("r", r)),
                          h0, _out_without_graph(g), formula="psp-c3")
@@ -405,6 +409,14 @@ def pso_c2_gl(g):
                          formula="pso-c2-gl-lower")
 
 
+# the framed-basis rows whose |H0| is known exactly, by (q, n): (k, "A")
+# for |H0| = 2^k |A_n|, (k, "S") for 2^k |S_n|.  Every other (q, n) keeps
+# the upper bound 2^(n-1) n!.
+_FRAMED = {(3, n): (n - gcd(2, n) - 1, "A") for n in range(7, 14)} | {
+    (3, 14): (12, "A"), (3, 15): (14, "A"),
+    (5, 7): (5, "S"), (5, 8): (6, "A"), (5, 9): (8, "A")}
+
+
 def pso_c2_o1p(g):
     """Type GO1(p) wr Sn: the framed-basis stabilizer over a prime field."""
     n, eps, qq = g.n, g.eps, g.q
@@ -414,29 +426,12 @@ def pso_c2_o1p(g):
         _require(eps == CIRC, "odd dimension takes no sign")
     else:
         _require(eps == _framed_sign(n, q), "sign forced by the discriminant of the framed form")
-    bound = EXACT
-    if q == 3 and 7 <= n <= 13:
-        h0 = 2 ** (n - gcd(2, n) - 1) * factorial(n) // 2
-        name = f"2^{n - gcd(2, n) - 1}.A{n}"
-    elif q == 3 and n == 14:
-        h0 = 2 ** 12 * factorial(14) // 2
-        name = "2^12.A14"
-    elif q == 3 and n == 15:
-        h0 = 2 ** 14 * factorial(15) // 2
-        name = "2^14.A15"
-    elif q == 5 and n == 7:
-        h0 = 2 ** 5 * factorial(7)
-        name = "2^5.S7"
-    elif q == 5 and n == 8:
-        h0 = 2 ** 6 * factorial(8) // 2
-        name = "2^6.A8"
-    elif q == 5 and n == 9:
-        h0 = 2 ** 8 * factorial(9) // 2
-        name = "2^8.A9"
+    if (q, n) in _FRAMED:
+        k, top = _FRAMED[q, n]
+        h0 = 2 ** k * (alt_order(n) if top == "A" else sym_order(n))
+        name, bound = f"2^{k}.{top}{n}", EXACT
     else:
-        h0 = 2 ** (n - 1) * factorial(n)
-        name = f"<= 2^{n - 1}.S{n}"
-        bound = UPPER
+        h0, name, bound = 2 ** (n - 1) * factorial(n), f"<= 2^{n - 1}.S{n}", UPPER
     if n % 2:
         o1 = 2 if q % 8 in (3, 5) else 1
     else:
@@ -447,7 +442,8 @@ def pso_c2_o1p(g):
 
 def pso_c2_go_wr(g, m, eps1, t):
     n, eps, q = g.n, g.eps, g.q.q
-    _require(n == m * t and t >= 2 and m >= 2, "imprimitive type needs n = m*t")
+    _require(n == m * t and t >= 2, "imprimitive type needs n = m*t")
+    _require(m >= 2, "blocks of dimension 1 are the framed-basis type")
     if m % 2 == 0:
         want = PLUS if (eps1 == PLUS or t % 2 == 0) else MINUS
         _require(eps == want, "sign must be the t-th power of the block sign")
@@ -592,6 +588,13 @@ def _with_item(entry, label):
     return entry._replace(params=entry.params + (("item", label),))
 
 
+def _pool_row(g, formula, desc, h0, name=None, params=(), o1=None, bound=EXACT):
+    """A row of an exceptional pool of the host g: class X, |O1| = |Out(g)|
+    and the name desc unless the row gives its own."""
+    return SubgroupEntry(g, "X", desc, params, h0, out_order(g) if o1 is None else o1,
+                         bound=bound, name=desc if name is None else name, formula=formula)
+
+
 def sp4_graph_candidates(g):
     """Candidates in the host g = PSp(4,q), q even >= 4, when the overgroup
     realizes the graph automorphism.  Every row carries an "item"
@@ -602,25 +605,14 @@ def sp4_graph_candidates(g):
     q = qq.q
     if qq.p != 2 or q < 4:
         raise UnsupportedGroup("the graph automorphism case needs Sp4(2^e), q >= 4")
-    o1 = out_order(g)
-    rows = [
-        SubgroupEntry(g, "X", "[q^4]:(q-1)^2", (), q ** 4 * (q - 1) ** 2, o1,
-                      name="[q^4]:(q-1)^2", formula="sp4-graph"),
-        SubgroupEntry(g, "X", "(q-1)^2:D8", (), (q - 1) ** 2 * 8, o1,
-                      name="(q-1)^2:D8", formula="sp4-graph"),
-        SubgroupEntry(g, "X", "(q+1)^2:D8", (), (q + 1) ** 2 * 8, o1,
-                      name="(q+1)^2:D8", formula="sp4-graph"),
-        SubgroupEntry(g, "X", "(q^2+1):4", (), (q * q + 1) * 4, o1,
-                      name="(q^2+1):4", formula="sp4-graph"),
-    ]
+    row = partial(_pool_row, g, "sp4-graph")
+    rows = [row("[q^4]:(q-1)^2", q ** 4 * (q - 1) ** 2), row("(q-1)^2:D8", (q - 1) ** 2 * 8),
+            row("(q+1)^2:D8", (q + 1) ** 2 * 8), row("(q^2+1):4", (q * q + 1) * 4)]
     for r in _prime_divisors(qq.e):
         q0 = qq.p ** (qq.e // r)
-        rows.append(SubgroupEntry(g, "X", f"Sp(4,{q0})", (("q0", q0), ("r", r)),
-                                  sp_order(4, q0), o1, name=f"Sp4({q0})",
-                                  formula="sp4-graph"))
+        rows.append(row(f"Sp(4,{q0})", sp_order(4, q0), f"Sp4({q0})", (("q0", q0), ("r", r))))
     if qq.e % 2 == 1 and qq.e >= 3:
-        rows.append(SubgroupEntry(g, "X", f"Sz({q})", (), sz_order(q), o1,
-                                  name=f"Sz({q})", formula="sp4-graph"))
+        rows.append(row(f"Sz({q})", sz_order(q)))
     return [_with_item(e, label) for label, e in zip(ROMAN, rows)]
 
 
@@ -637,54 +629,34 @@ def o8_triality_candidates(g):
     qq = g.q
     q = qq.q
     d = gcd(2, q - 1)
-    o1 = out_order(g)
-    rows = [
-        ("i", SubgroupEntry(g, "X", "parabolic", (), q ** 12, o1, bound=LOWER,
-                            name="parabolic", formula="o8-tri")),
-        ("ii", SubgroupEntry(g, "X", f"G2({q})", (), g2_order(q), o1,
-                             name=f"G2({q})", formula="o8-tri")),
-    ]
-    for e2 in (PLUS, MINUS):
-        rows.append(("iii", SubgroupEntry(g, "X", f"GO{e2}(2,{q}) perp GO{e2}(6,{q})",
-                                          (), omega_order(6, e2, q) // d, o1,
-                                          bound=LOWER, name=f"O{e2}6 point",
-                                          formula="o8-tri")))
+    row = partial(_pool_row, g, "o8-tri")
+    rows = [("i", row("parabolic", q ** 12, bound=LOWER)), ("ii", row(f"G2({q})", g2_order(q)))]
+    rows += [("iii", row(f"GO{e2}(2,{q}) perp GO{e2}(6,{q})", omega_order(6, e2, q) // d,
+                         f"O{e2}6 point", bound=LOWER)) for e2 in (PLUS, MINUS)]
     if qq.e == 1 and q % 2 == 1:
-        rows.append(("iv", SubgroupEntry(g, "X", "2^3.2^6.PSL3(2)", (), 2 ** 9 * 168,
-                                         o1, name="2^3.2^6.PSL3(2)", formula="o8-tri")))
+        rows.append(("iv", row("2^3.2^6.PSL3(2)", 2 ** 9 * 168)))
     rows.append(("v", pso_c2_go_wr(g, 2, MINUS, 4)))
     if q >= 5:
         rows.append(("vi", pso_c2_go_wr(g, 2, PLUS, 4)))
     if q >= 3:
         rows.append(("vii", pso_c2_go_wr(g, 4, PLUS, 2)))
-    rows.append(("viii", SubgroupEntry(g, "X", "(D_{2(q^2+1)/d})^2.[2d].S2", (),
-                                       (2 * (q * q + 1) // d) ** 2 * 2 * d * 2, o1,
-                                       name="torus normalizer", formula="o8-tri")))
+    rows.append(("viii", row("(D_{2(q^2+1)/d})^2.[2d].S2", (2 * (q * q + 1) // d) ** 2 * 2 * d * 2,
+                             "torus normalizer")))
     if qq.e % 2 == 0:
-        for e2 in (PLUS, MINUS):
-            rows.append(("ix", pso_c5(g, 2, e2)))
+        rows += [("ix", pso_c5(g, 2, e2)) for e2 in (PLUS, MINUS)]
     if qq.e % 3 == 0:
         rows.append(("ix", pso_c5(g, 3, PLUS)))
     if q % 3 == 1:
-        rows.append(("x", SubgroupEntry(g, "X", f"PSL3({q}).3", (),
-                                        3 * psl_order(3, q), 6 * qq.e,
-                                        name=f"PSL3({q}).3", formula="o8-tri")))
+        rows.append(("x", row(f"PSL3({q}).3", 3 * psl_order(3, q), o1=6 * qq.e)))
     if q % 3 == 2 and q != 2:
-        rows.append(("x", SubgroupEntry(g, "X", f"PSU3({q}).3", (), su_order(3, q),
-                                        6 * qq.e, name=f"PSU3({q}).3",
-                                        formula="o8-tri")))
+        rows.append(("x", row(f"PSU3({q}).3", su_order(3, q), o1=6 * qq.e)))
     if qq.e % 3 == 0:
         q0 = qq.p ** (qq.e // 3)
-        rows.append(("xi", SubgroupEntry(g, "X", f"3D4({q0})", (("q0", q0),),
-                                         tri_d4_order(q0), o1, name=f"3D4({q0})",
-                                         formula="o8-tri")))
+        rows.append(("xi", row(f"3D4({q0})", tri_d4_order(q0), params=(("q0", q0),))))
     if qq.e == 1 and q % 2 == 1:
-        rows.append(("xii", SubgroupEntry(g, "X", "POmega8+(2)", (),
-                                          pomega_order(8, PLUS, 2), o1,
-                                          name="POmega8+(2)", formula="o8-tri")))
+        rows.append(("xii", row("POmega8+(2)", pomega_order(8, PLUS, 2))))
     if q == 5:
-        rows.append(("xiii", SubgroupEntry(g, "X", "Sz(8)", (), sz_order(8), o1,
-                                           name="Sz(8)", formula="o8-tri")))
+        rows.append(("xiii", row("Sz(8)", sz_order(8))))
     return [_with_item(e, label) for label, e in rows]
 
 
@@ -856,13 +828,8 @@ def _host_only(g):
 
 
 def _splits(g):
-    """(m, t) with n = m*t and t >= 2: the block splits of C2."""
+    """(m, t) with n = m*t and t >= 2, t ascending: C2's block splits; reversed, C4's factors."""
     return [(g.n // t, t) for t in range(2, g.n + 1) if g.n % t == 0]
-
-
-def _swapped_splits(g):
-    """(t, m) for each block split (m, t): the tensor factors of C4."""
-    return [(t, m) for m, t in _splits(g)]
 
 
 def _extension_degrees(g):
@@ -896,7 +863,7 @@ CONSTRUCTORS = {
         ("C1", c1_stabilizer, _host_only),
         ("C2", psl_c2, _splits),
         ("C3", psl_c3, _extension_degrees),
-        ("C4", psl_c4, _swapped_splits),
+        ("C4", psl_c4, lambda g: _splits(g)[::-1]),
         ("C5", psl_c5, _subfield_indices),
         ("C6", psl_c6, _host_only),
         ("C7", psl_c7, _power_splits),
@@ -907,7 +874,7 @@ CONSTRUCTORS = {
         ("C2", psu_c2_gl, _host_only),
         ("C2", psu_c2_wr, _splits),
         ("C3", psu_c3, _extension_degrees),
-        ("C4", psu_c4, _swapped_splits),
+        ("C4", psu_c4, lambda g: _splits(g)[::-1]),
         ("C5", psu_c5_subfield, _subfield_indices),
         ("C5", psu_c5_form, lambda g: [("Sp",)] + [(e,) for e in signs(g.n)]),
         ("C6", psu_c6, _host_only),

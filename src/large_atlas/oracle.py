@@ -99,7 +99,7 @@ def count_gl(n, q, det_one=False):
     takes q <= 13: its minor tables hold 3 q^5 integers, about 10 MB at
     GF(13) but 7 GB at GF(49)."""
     if not 1 <= n <= 3:
-        raise UnsupportedGroup(f"count_gl supports n <= 3, not n = {n}")
+        raise UnsupportedGroup(f"count_gl supports 1 <= n <= 3, not n = {n}")
     if n == 3 and q > 13:
         raise UnsupportedGroup(f"count_gl supports n = 3 up to GF(13), not GF({q})")
     return _gl_tally(n, q)[1 if det_one else 0]
@@ -187,7 +187,7 @@ def count_gu(n, q0, det_one=False):
     """Count n x n unitary matrices over GF(q0^2), optionally with det 1,
     read from the one enumeration of (n, q0) in _gu_tally (n <= 2)."""
     if not 1 <= n <= 2:
-        raise UnsupportedGroup(f"count_gu supports n <= 2, not n = {n}")
+        raise UnsupportedGroup(f"count_gu supports 1 <= n <= 2, not n = {n}")
     return _gu_tally(n, q0)[1 if det_one else 0]
 
 

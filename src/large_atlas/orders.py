@@ -584,17 +584,18 @@ def parse_group(text):
 # resolver for subgroup names appearing in the data tables
 # ---------------------------------------------------------------------------
 
-_SHORT_RE = re.compile(r"^(?P<fam>A|S)(?P<d>\d+)$")
-_CLASSICAL_RE = re.compile(r"^(?P<fam>PSL|PSU|PSp|PGL|PGU|SL|SU|Sp)(?P<n>\d+)\((?P<q>\d+)\)$")
-_POMEGA_RE = re.compile(r"^POmega(?P<n>\d+)(?P<sign>[+-]?)\((?P<q>\d+)\)$")
+# table shorthand and the parse_group name it stands for: A7 = Alt(7),
+# S9 = Sym(9), 2B2(8) = Sz(8), and a classical family with its dimension
+# and sign before the field, PSU4(3) = PSU(4,3), POmega8+(2) = POmega+(8,2)
+_SHORT_FAMILIES = {"A": "Alt", "S": "Sym", "2B2": "Sz"}
+_SHORTHAND_RE = re.compile(rf"(?P<fam>A|S|2B2|{'|'.join(FORM_FAMILIES)})"
+                           r"(?P<n>\d*)(?P<sign>[+-]?)(?:\((?P<q>\d+)\))?")
 
 
 def subgroup_name_order(name):
-    """Order of a subgroup written in table shorthand.
-
-    Handles A7 / S9, classical shorthands like PSU4(3), an optional ".k"
-    extension suffix, 2B2(q) = Sz(q), and the grammar of parse_group.
-    """
+    """Order of a subgroup written in table shorthand: a fixed group of
+    data/sporadic_orders.txt by its name, or a name of parse_group or its
+    shorthand in _SHORTHAND_RE, with an optional ".k" extension suffix."""
     name = name.strip()
     mult = 1
     if "." in name:
@@ -603,22 +604,12 @@ def subgroup_name_order(name):
             name, mult = base, int(tail)
     if name in _sporadic_orders():
         return mult * _sporadic_orders()[name]
-    m = _SHORT_RE.match(name)
-    if m:
-        d = int(m.group("d"))
-        return mult * (alt_order(d) if m.group("fam") == "A" else sym_order(d))
-    m = _CLASSICAL_RE.match(name)
-    if m:
-        g = GroupId(m.group("fam"), int(m.group("n")), parse_prime_power(int(m.group("q"))))
-        return mult * order(g)
-    m = _POMEGA_RE.match(name)
-    if m:
-        n = int(m.group("n"))
-        eps = m.group("sign") or CIRC
-        return mult * pomega_order(n, eps, int(m.group("q")))
-    if name.startswith("2B2(") and name.endswith(")"):
-        return mult * sz_order(int(name[4:-1]))
+    full = name
+    m = _SHORTHAND_RE.fullmatch(name)
+    if m:  # its arguments: the dimension or degree, then the field size
+        fam, n, sign, q = m.groups()
+        full = f"{_SHORT_FAMILIES.get(fam, fam)}{sign}({','.join(filter(None, (n, q)))})"
     try:
-        return mult * order(parse_group(name))
+        return mult * order(parse_group(full))
     except GroupParseError:
         raise UnsupportedGroup(f"cannot resolve subgroup name {name!r}") from None

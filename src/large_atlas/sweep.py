@@ -457,5 +457,5 @@ def run_case(case_id):
     return SweepReport(case_id, members, missing, extra, elapsed, alarms)
 
 
-def run_all(prefix=None):
-    return [run_case(cid) for cid in case_ids(prefix)]
+def run_all():
+    return [run_case(cid) for cid in case_ids()]

@@ -10,7 +10,7 @@ from large_atlas.arith import prime_powers
 from large_atlas.errors import (ConstraintViolation, DataIntegrityError, UnknownCase,
                                 UnsupportedGroup)
 from large_atlas.largeness import is_large_h1
-from large_atlas.orders import (CIRC, FAMILIES, MINUS, PLUS, GroupId, is_simple,
+from large_atlas.orders import (CIRC, FAMILIES, MINUS, PLUS, GroupId, canonicalize, is_simple,
                                 order, out_order, parse_group, pomega, psl, psp,
                                 psp_order, psu)
 
@@ -72,6 +72,16 @@ def test_orthogonal_outer_contribution_never_counts_triality():
 def test_go_wreath_constraints():
     with pytest.raises((ConstraintViolation, UnsupportedGroup)):
         catalog.pso_c2_go_wr(pomega(8, 5, PLUS), 3, MINUS, 4)  # 3 * 4 != 8
+
+
+@pytest.mark.parametrize("make, args, why", [
+    (catalog.psp_c3, (psp(6, 3), 3, 2), "needs even m"),
+    (catalog.pso_c2_go_wr, (pomega(7, 3), 1, CIRC, 7), "blocks of dimension 1"),
+])
+def test_refusal_names_the_condition_that_failed(make, args, why):
+    # an odd m over a prime degree, blocks of dimension 1 on an exact split
+    with pytest.raises(ConstraintViolation, match=why):
+        make(*args)
 
 
 def test_o8_triality_candidates_are_labeled():
@@ -331,6 +341,18 @@ def test_collection_a_host_map():
     assert str(catalog.collection_a_host(12, 2)) == "POmega-(10,2)"
     with pytest.raises(ConstraintViolation):
         catalog.collection_a_host(4, 2)
+
+
+@pytest.mark.parametrize("row", catalog.table_rows("A"),
+                         ids=lambda r: f"{r.g0_pattern} {r.h0_pattern}")
+def test_table_a_hosts_are_the_permutation_module_hosts(row):
+    # the typed-in host of each Table A row against the host map of A_d on
+    # its fully deleted permutation module; both sides canonicalized, since
+    # the map gives POmega-(4,3) where PSL(2,9) is meant, and the table
+    # writes POmega(9,2) for PSp(8,2)
+    host, name, _ = row.sample
+    d, p = int(name[1:]), host.q.p
+    assert canonicalize(host) == canonicalize(catalog.collection_a_host(d, p))
 
 
 def _simple_hosts(qs, nmax):

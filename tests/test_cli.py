@@ -107,6 +107,19 @@ def test_unsupported_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("name, exit_code", [
+    # refused by the order of the family: exit 3
+    ("Sz(4)", 3), ("Alt(0)", 3), ("Sym(0)", 3), ("Sporadic(Foo)", 3),
+    # refused by the name grammar: exit 2
+    ("Sporadic+(J3)", 2), ("Sporadic(J3,J4)", 2), ("PSL+(3,5)", 2),
+])
+def test_order_refusals_print_one_error_line(capsys, name, exit_code):
+    code, out, err = run(capsys, "order", name)
+    assert code == exit_code and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_any_other_package_error_exits_1_with_one_error_line(capsys, monkeypatch):
     # a data file that fails its checksum is neither a parse error nor an
     # unsupported group: the generic exit 1

@@ -58,6 +58,28 @@ def test_gl3_refuses_a_field_whose_minor_tables_would_not_fit(q):
         oracle.count_gl(3, q)
 
 
+@pytest.mark.parametrize("make, args", [
+    (oracle.count_gl, (4, 2)), (oracle.count_gl, (0, 2)),
+    (oracle.count_gu, (3, 2)), (oracle.count_gu, (0, 2)),
+    (oracle.SmallField, (8,)), (oracle.SmallField, (121,)),
+], ids=["gl-n4", "gl-n0", "gu-n3", "gu-n0", "field-8", "field-121"])
+def test_oracle_refuses_what_it_cannot_count(make, args):
+    with pytest.raises(UnsupportedGroup):
+        make(*args)
+
+
+def test_count_refusals_state_the_range_of_n():
+    with pytest.raises(UnsupportedGroup, match="1 <= n <= 3, not n = 0"):
+        oracle.count_gl(0, 2)
+    with pytest.raises(UnsupportedGroup, match="1 <= n <= 2, not n = 0"):
+        oracle.count_gu(0, 2)
+
+
+def test_frobenius_of_a_prime_field_is_the_identity():
+    f = oracle.SmallField(5)
+    assert [f.frob(a) for a in f.elements] == f.elements
+
+
 def test_field_arithmetic_is_a_field():
     f4 = oracle.SmallField(4)
     nonzero = [a for a in f4.elements if a != 0]
