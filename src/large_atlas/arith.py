@@ -15,22 +15,6 @@ from .errors import NotAPrimePower, UnsupportedGroup
 __all__ = ["PrimePower", "parse_prime_power", "is_prime", "prime_powers"]
 
 
-def is_prime(n):
-    """Deterministic primality by trial division (fine for the sizes here)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f <= isqrt(n):
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 class PrimePower(namedtuple("PrimePower", "p e q")):
     """A prime power q = p^e, kept normalized.  An immutable named tuple
     (p, e, q), q built once at construction, so that its hash, equality
@@ -63,18 +47,28 @@ def parse_prime_power(q):
     return _factor_prime_power(int(q))
 
 
-# the first thirteen primes: the Miller-Rabin bases of _is_strong_probable_prime,
-# and the trial divisors of _factor_prime_power
+# the first thirteen primes: the trial divisors of is_prime and
+# _factor_prime_power, and the Miller-Rabin bases of is_prime
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Miller-Rabin on the bases _SMALL_PRIMES is proven correct for every n below
 # this bound (Sorenson and Webster 2017, psi_13 = 3317044064679887385961981)
 _MILLER_RABIN_BOUND = 3317044064679887385961981
 
 
-def _is_strong_probable_prime(n):
-    """Whether the odd n > 41 passes Miller-Rabin on every base of
-    _SMALL_PRIMES: a proof that n is prime below _MILLER_RABIN_BOUND, and a
-    proof that it is composite when it fails."""
+def is_prime(n):
+    """Whether the int n is prime.  Trial division by _SMALL_PRIMES settles
+    every n < 43^2, since a composite below that has a prime factor up to
+    41.  Above it, Miller-Rabin on the same bases decides: a failed round
+    proves n composite, and passing every round proves it prime below
+    _MILLER_RABIN_BOUND.  An n at or above the bound that passes every
+    round is refused with UnsupportedGroup, as unproven."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -89,6 +83,10 @@ def _is_strong_probable_prime(n):
                 break
         else:
             return False
+    if n >= _MILLER_RABIN_BOUND:
+        raise UnsupportedGroup(
+            f"{n} passes the Miller-Rabin test on the bases up to 41, which proves"
+            f" primality only below {_MILLER_RABIN_BOUND}")
     return True
 
 
@@ -112,10 +110,8 @@ def _factor_prime_power(q):
     A prime factor up to 41 fixes p.  Otherwise every prime factor exceeds
     41 > 2^5, so q = p^e has e < bitlen(q) / 5.  Every exact root of q is
     p^(e/k) for some k dividing e, so counting down from there, the first e
-    with an exact e-th root p of q is the exponent, and p must be prime.
-    Primality is Miller-Rabin on the bases up to 41, proven below
-    _MILLER_RABIN_BOUND; a p above the bound that passes every round is
-    refused with UnsupportedGroup, as unproven.
+    with an exact e-th root p of q is the exponent, and p must be prime, as
+    is_prime decides; a p it refuses as unproven refuses q.
     """
     if q < 2:
         raise NotAPrimePower(f"{q} is not a prime power")
@@ -132,13 +128,14 @@ def _factor_prime_power(q):
         p = _iroot(q, e)
         if p ** e == q:
             break
-    if not _is_strong_probable_prime(p):
-        raise NotAPrimePower(f"{q} is not a prime power")
-    if p >= _MILLER_RABIN_BOUND:
+    try:
+        if is_prime(p):
+            return PrimePower(p, e)
+    except UnsupportedGroup:
         raise UnsupportedGroup(
             f"{q} is a prime power only if {p} is prime, and the Miller-Rabin test"
-            f" on the bases up to 41 proves that only below {_MILLER_RABIN_BOUND}")
-    return PrimePower(p, e)
+            f" on the bases up to 41 proves that only below {_MILLER_RABIN_BOUND}") from None
+    raise NotAPrimePower(f"{q} is not a prime power")
 
 
 def prime_powers(lo, hi):

@@ -25,6 +25,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from functools import cache
 
 from .errors import (AmbiguousSelector, ConstraintViolation, GroupParseError,
@@ -42,6 +43,9 @@ EXIT_MISSING_GOLDEN = 5
 
 # the most decimal digits an integer in the output may have
 MAX_DIGITS = 2_000_000
+# _decimal prints an int of up to this many bits with str(), a longer one
+# by halves, since str() of an int takes quadratic time before Python 3.12
+_STR_BITS = 20_000
 
 
 def _verdict_dict(v):
@@ -50,7 +54,7 @@ def _verdict_dict(v):
         "is_large": v.is_large,
         "lhs": v.lhs,
         "rhs": v.rhs,
-        "margin": f"{num}/{den}",
+        "margin": f"{_decimal(num)}/{_decimal(den)}",
         "mode": v.mode,
     }
 
@@ -161,6 +165,36 @@ def _digit_cap():
             f"output holds an integer of more than {MAX_DIGITS} decimal digits") from None
 
 
+def _decimal(n):
+    """str(n) for an int n >= 0: the one route by which the CLI writes an
+    integer itself.  Above _STR_BITS bits, n = hi * 2^k + lo with k half
+    its bit length, each half written the same way down to 128 bits, and
+    the halves joined in decimal arithmetic on integer operands, exact in
+    a MAX_PREC context (the method of CPython 3.12's _pylong).  More than
+    MAX_DIGITS digits raise ValueError, as str does under main's digit cap;
+    where the bit length shows it, before any digit is built."""
+    bits = n.bit_length()
+    if bits <= _STR_BITS:
+        return str(n)
+    powers = {}
+
+    def join(m, width):
+        if width <= 128:
+            return Decimal(m)
+        k = width >> 1
+        if k not in powers:
+            powers[k] = Decimal(2) ** k
+        hi = m >> k
+        return join(hi, width - k) * powers[k] + join(m - (hi << k), k)
+
+    if 1000 * (bits - 1) < 3322 * MAX_DIGITS:  # else n >= 2^(bits-1) >= 10^MAX_DIGITS
+        with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])):
+            d = join(n, bits)
+        if d.adjusted() < MAX_DIGITS:
+            return str(d)
+    raise ValueError(f"an integer of more than {MAX_DIGITS} decimal digits")
+
+
 # ---------------------------------------------------------------------------
 # verb handlers
 # ---------------------------------------------------------------------------
@@ -169,7 +203,7 @@ def _digit_cap():
 def cmd_order(args):
     _, g0_order = _host(args)
     with _digit_cap():
-        print(g0_order)
+        print(_decimal(g0_order))
     return EXIT_OK
 
 
@@ -190,8 +224,9 @@ def cmd_subgroups(args):
         else:
             for e, v in verdicts:
                 star = "large" if v.is_large else "not large"
-                print(f"{e.aschbacher_class:>2}  {e.type_descriptor:<34} |H0|={e.h0_order} "
-                      f"o1={e.o1_order} [{e.bound}] -> {star} ({v.mode})")
+                print(f"{e.aschbacher_class:>2}  {e.type_descriptor:<34} "
+                      f"|H0|={_decimal(e.h0_order)} o1={_decimal(e.o1_order)} "
+                      f"[{e.bound}] -> {star} ({v.mode})")
     return EXIT_OK
 
 
@@ -224,7 +259,7 @@ def cmd_explain(args):
             d["g0_order"] = g0_order
             print(json.dumps(d, indent=2))
             return EXIT_OK
-        g0_text = str(g0_order)  # |G0| appears twice; convert it once
+        g0_text = _decimal(g0_order)  # |G0| appears twice; convert it once
         lines = [f"host           {entry.host}  (order {g0_text})",
                  f"class          {entry.aschbacher_class}",
                  f"type           {entry.type_descriptor}"]
@@ -233,9 +268,9 @@ def cmd_explain(args):
         lines.append(f"formula        {entry.formula}")
         if entry.params:
             lines.append("parameters     " + ", ".join(f"{k}={val}" for k, val in entry.params))
-        lines += [f"|H0|           {entry.h0_order}  ({entry.bound})",
-                  f"|O1|           {entry.o1_order}",
-                  f"cube test      |H0|^3 |O1|^2 = {v.rhs} vs |G0| = {g0_text}",
+        lines += [f"|H0|           {_decimal(entry.h0_order)}  ({entry.bound})",
+                  f"|O1|           {_decimal(entry.o1_order)}",
+                  f"cube test      |H0|^3 |O1|^2 = {_decimal(v.rhs)} vs |G0| = {g0_text}",
                   f"verdict        {'large' if v.is_large else 'not large'} ({v.mode})"]
         print("\n".join(lines))
     return EXIT_OK

@@ -18,12 +18,12 @@ integer bit-length bracket on |G0| (orders.order_bits, read off the
 factored order without building it) and from the exact |G0| only where
 the bracket cannot decide; both routes are exact, and no point's
 membership depends on which one settled it.  One rule, in _member, reads
-the row's bound kind on either route: a large row is a member unless it
-stores only an upper bound on |H0|.  For a case with a ratio sandwich of
-the same name in bounds.SANDWICH_CASES, a decisive sandwich verdict that
-contradicts the membership is reported as an alarm.  The two cases
-without a catalog row, tableA-cutoff and s-collection-n-bound, are plain
-predicates whose grids yield member keys.
+the row's bound kind before either route: a row that stores only an upper
+bound on |H0| is no member, and takes no cube test.  For a case with a
+ratio sandwich of the same name in bounds.SANDWICH_CASES, a decisive
+sandwich verdict that contradicts the membership is reported as an alarm.
+The two cases without a catalog row, tableA-cutoff and s-collection-n-bound,
+are plain predicates whose grids yield member keys.
 """
 
 import json
@@ -149,12 +149,14 @@ def prime_powers(lo, hi):
 def _member(g0, entry):
     """Cube-inequality membership for one catalog entry, the cube test
     taken from the bit-length bracket on |G0| when it decides, else from
-    the exact order.  A large row is a member unless it stores only an
-    upper bound on |H0|: such a row settles nothing."""
+    the exact order.  A row that stores only an upper bound on |H0| settles
+    nothing, so it is no member and takes no cube test."""
+    if entry.bound == UPPER:
+        return False
     large = _bracket_large(g0, entry)
     if large is None:
         large = is_large_h1(order(g0), entry).is_large
-    return large and entry.bound != UPPER
+    return large
 
 
 def _bracket_large(g0, entry):

@@ -85,6 +85,35 @@ def test_parse_prime_power_factors_every_small_q_as_trial_division_does():
         assert (got and (got.p, got.e)) == _factor_by_trial_division(q), q
 
 
+def test_is_prime_and_parse_prime_power_agree_with_a_sieve():
+    # trial division by the primes up to 41 settles every n < 43^2 and
+    # Miller-Rabin every n above, so the range holds both routes
+    hi = 1 << 16
+    least = list(range(hi))
+    for p in range(2, isqrt(hi - 1) + 1):
+        if least[p] == p:
+            for m in range(p * p, hi, p):
+                if least[m] == m:
+                    least[m] = p
+    for n in range(-2, hi):
+        want = None
+        if n >= 2:
+            p, e, rest = least[n], 0, n
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            want = (p, e) if rest == 1 else None
+        assert is_prime(n) is (want == (n, 1)), n
+        try:
+            got = parse_prime_power(n)
+        except NotAPrimePower:
+            got = None
+        assert (got and (got.p, got.e)) == want, n
+    # 41 * 43, the largest prime below 43^2, 43^2 and 43 * 47
+    assert [is_prime(n) for n in (1763, 1847, 1849, 2021)] == [False, True, False, False]
+    assert [parse_prime_power(n) for n in (1847, 1849)] == [PrimePower(1847, 1), PrimePower(43, 2)]
+
+
 @pytest.mark.parametrize("q, p, e", [
     (10 ** 18 + 3, 10 ** 18 + 3, 1),
     ((10 ** 9 + 7) ** 2, 10 ** 9 + 7, 2),

@@ -1,6 +1,7 @@
 """Subgroup catalog entries: orders, outer contributions, constraints."""
 
 import argparse
+import re
 from math import gcd
 
 import pytest
@@ -341,6 +342,34 @@ def test_collection_a_host_map():
     assert str(catalog.collection_a_host(12, 2)) == "POmega-(10,2)"
     with pytest.raises(ConstraintViolation):
         catalog.collection_a_host(4, 2)
+
+
+def _a0_rule_holds(cond, d, p):
+    """Whether the condition a tables A0 rule states holds at (d, p)."""
+    if cond == "p divides d":
+        return d % p == 0
+    if cond == "p does not divide d":
+        return d % p != 0
+    residues, modulus = re.fullmatch(r"d = (.+) mod (\d+)", cond).groups()
+    return d % int(modulus) in {int(r) for r in residues.split(" or ")}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_tables_a0_rules_state_the_permutation_module_host_map(p):
+    # tables A0 prints the host map as text (cli._A0_RULES), and
+    # collection_a_host states it as code: at every (d, p), the one rule
+    # whose condition holds names the host's family, its dimension and,
+    # for p = 2, its sign
+    family = {"Sp": "PSp", "POmega": "POmega"}
+    for d in range(5, 41):
+        hosts = [host for cond, rule_p, host in cli._A0_RULES
+                 if rule_p == ("2" if p == 2 else "odd") and _a0_rule_holds(cond, d, p)]
+        assert len(hosts) == 1, (d, p, hosts)
+        name, sign, k = re.match(r"(Sp|POmega)([+-]?)\(d-([12]), ", hosts[0]).groups()
+        g = catalog.collection_a_host(d, p)
+        assert (family[name], d - int(k)) == (g.family, g.n), (d, p, hosts[0])
+        if p == 2:
+            assert sign == g.eps, (d, hosts[0])
 
 
 @pytest.mark.parametrize("row", catalog.table_rows("A"),

@@ -92,6 +92,61 @@ def test_digit_cap_hit_while_printing_exits_unsupported(capsys, monkeypatch):
         sys.set_int_max_str_digits(old)
 
 
+@pytest.fixture
+def no_digit_cap():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("bits", [1, 64, 129, 19_999, 20_000, 20_001, 20_002, 40_001, 99_999])
+def test_decimal_writes_what_str_writes_across_the_split(bits, no_digit_cap):
+    for n in (1 << (bits - 1), (1 << bits) - 1, 3 ** (bits * 100 // 159) + 10 ** (bits // 5)):
+        assert cli._decimal(n) == str(n), (bits, n.bit_length())
+    assert cli._decimal(0) == "0"
+
+
+def test_decimal_writes_a_million_digits(no_digit_cap):
+    # the digit patterns are known, so str() need not build them
+    assert cli._decimal((10 ** 999_996 - 1) // 7) == "142857" * 166_666
+    n = 4 * 10 ** 299_999 + 10 ** 150_000 + 1
+    assert cli._decimal(n) == "4" + "0" * 149_998 + "1" + "0" * 149_999 + "1"
+
+
+def test_decimal_refuses_more_than_max_digits(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_DIGITS", 10_000)
+    assert cli._decimal(10 ** 10_000 - 1) == "9" * 10_000
+    # 10^10000 is past the cap by its digits, 2^40000 already by its bits
+    for n in (10 ** 10_000, 1 << 40_000):
+        with pytest.raises(ValueError):
+            cli._decimal(n)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no digit cap")
+def test_digit_cap_hit_while_writing_by_halves_exits_unsupported(capsys, monkeypatch):
+    # with a 10000-digit cap the bracket of PSL(145,3) cannot refuse it
+    # (lo = 32850 bits, below 33220), but its 10031-digit order, past
+    # _STR_BITS, fails to print, and so does the margin's numerator;
+    # PSL(144,3) has 9893 digits and prints
+    old = sys.get_int_max_str_digits()
+    monkeypatch.setattr(cli, "MAX_DIGITS", 10_000)
+    try:
+        for argv in (("order",), ("explain", "--class", "C1"), ("check", "--class", "C1")):
+            code, out, err = run(capsys, argv[0], "PSL(145,3)", *argv[1:])
+            assert code == 3 and out == "", argv
+            assert err == "error: output holds an integer of more than 10000 decimal digits\n"
+        code, out, _ = run(capsys, "order", "PSL(144,3)")
+        sys.set_int_max_str_digits(0)
+        assert code == 0 and out == str(orders.order(parse_group("PSL(144,3)"))) + "\n"
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_out_verb(capsys):
     code, out, _ = run(capsys, "out", "POmega+(8,2)")
     assert code == 0 and out.strip() == "6"

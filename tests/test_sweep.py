@@ -86,22 +86,24 @@ def test_run_all_twice_gives_equal_reports(sweep_reports):
 
 
 def test_bracket_agrees_with_exact_membership(monkeypatch):
-    """Every point the bit-length bracket decides gets the same cube test
-    from the exact |G0|, and so the same membership.  The goldens alone
-    cannot show this: pso-c2-o1p and pso-c7 drop eps from their member
-    tuples."""
-    bracket = sweep._bracket_large
+    """At every accepted grid point, the upper-bound rows included, the
+    bit-length bracket gives, where it decides, the same cube test as the
+    exact |G0|.  The points are those _member is asked about; the bracket
+    is called here, since _member gives an upper row no cube test.  The
+    goldens alone cannot show this: pso-c2-o1p and pso-c7 drop eps from
+    their member tuples."""
+    member = sweep._member
     decided = []
 
     def checked(g0, entry):
-        got = bracket(g0, entry)
+        got = sweep._bracket_large(g0, entry)
         if got is not None:
             exact = is_large_h1(orders.order(g0), entry).is_large
             assert got == exact, (str(g0), entry.type_descriptor)
             decided.append(g0)
-        return got
+        return member(g0, entry)
 
-    monkeypatch.setattr(sweep, "_bracket_large", checked)
+    monkeypatch.setattr(sweep, "_member", checked)
     for cid in sweep.case_ids():
         sweep.run_case(cid)
     assert len(decided) >= 4347
@@ -139,6 +141,18 @@ def test_bracket_follows_the_one_sided_row_rule(bound, small, big, monkeypatch):
     monkeypatch.setattr(sweep, "_bracket_large", lambda g0, entry: None)
     for entry, want in rows:
         assert sweep._member(g0, entry) is want
+
+
+def test_an_upper_row_is_no_member_and_takes_no_cube_test(monkeypatch):
+    g0 = orders.psl(4, 5)
+    entry = catalog.SubgroupEntry(g0, "C1", "test row", (), orders.order(g0), 1, catalog.UPPER)
+
+    def cube_test(*args):
+        raise AssertionError("an upper row took the cube test")
+
+    monkeypatch.setattr(sweep, "_bracket_large", cube_test)
+    monkeypatch.setattr(sweep, "order", cube_test)
+    assert sweep._member(g0, entry) is False
 
 
 def _calls_by_case(monkeypatch, attr):
