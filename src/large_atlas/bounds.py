@@ -4,10 +4,13 @@ A sandwich handles the recurring pattern where a ratio of group orders R
 is pinned between two rational functions f(q) < R < g(q) and compared
 against a rational threshold h(q): if h < f the underlying subgroup is
 certainly large, if h > g it certainly is not, and otherwise the sandwich
-is inconclusive and exact arithmetic must decide.  The sweeps read a
-decisive verdict as an alarm check on the exact cube test.  The bounds on
-a group order itself live in orders: order_bits brackets the bit length
-of a classical order, and order_bits_floor gives a floor for every family.
+is inconclusive and exact arithmetic must decide.  sandwich_verdict and
+sandwich decide the verdict by one cross-multiplication rule on integers.
+The sweeps read only sandwich_verdict, as an alarm check on the exact cube
+test; only sandwich builds the three reduced Fractions of a BoundTriple.
+The bounds on a group order itself live in orders: order_bits brackets the
+bit length of a classical order, and order_bits_floor gives a floor for
+every family.
 """
 
 from fractions import Fraction
@@ -102,20 +105,32 @@ def _sandwich_bounds(case, q, e, n):
     raise UnknownCase(f"unknown sandwich case {case!r}")
 
 
+def _verdict(ln, ld, un, ud, hn, hd):
+    """The verdict of a sandwich from the six integers of _sandwich_bounds,
+    by cross multiplication: every denominator is positive."""
+    if hn * ld < ln * hd:
+        return CERTAINLY_LARGE
+    if hn * ud > un * hd:
+        return CERTAINLY_NOT_LARGE
+    return UNDETERMINED
+
+
+def sandwich_verdict(case, q, n=None):
+    """The verdict of sandwich(case, q, n) alone, decided on integers
+    without building a Fraction.  The sweeps' alarm check reads only this."""
+    qq = parse_prime_power(q)
+    return _verdict(*_sandwich_bounds(case, qq.q, qq.e, n))
+
+
 def sandwich(case, q, n=None):
     """Evaluate the named ratio sandwich at field size q.
 
     q is the smaller field parameter (q0) in the field-extension and
     subfield cases.  The psl-c5-r3 case also needs the dimension n to form
-    its exact threshold.  The verdict compares the integer bounds by cross
-    multiplication; the three bounds are reduced only for the BoundTriple.
+    its exact threshold.  The verdict is sandwich_verdict's; the three
+    bounds are reduced to fractions only for the BoundTriple.
     """
     qq = parse_prime_power(q)
-    ln, ld, un, ud, hn, hd = _sandwich_bounds(case, qq.q, qq.e, n)
-    if hn * ld < ln * hd:
-        verdict = CERTAINLY_LARGE
-    elif hn * ud > un * hd:
-        verdict = CERTAINLY_NOT_LARGE
-    else:
-        verdict = UNDETERMINED
-    return BoundTriple(case, Fraction(ln, ld), Fraction(un, ud), Fraction(hn, hd), verdict)
+    parts = _sandwich_bounds(case, qq.q, qq.e, n)
+    ln, ld, un, ud, hn, hd = parts
+    return BoundTriple(case, Fraction(ln, ld), Fraction(un, ud), Fraction(hn, hd), _verdict(*parts))

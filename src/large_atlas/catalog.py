@@ -15,16 +15,17 @@ ConstraintViolation where its type does not occur in the host.
 candidates is one loop over CONSTRUCTORS, which lists per family the
 constructors it tries, C1 first, each with the Aschbacher class of its
 rows and the arguments that follow the host.  The argument generators
-offer every divisor split and prime degree of n and of e (signs gives the
-orthogonal signs of a dimension), and the constructor refuses the shapes
-its type cannot take.  Given a class, candidates calls only the
-constructors of that class, and builds the Table A/B rows only for class
-A or S.  EXCEPTIONAL holds the two pools by --exceptional name; each
-states a row through _pool_row, which fixes class X, |O1| = |Out(G0)| and
-the pool's formula id.  pso_c4 (type Sp2 (x) Sp_{n/2}) is exact at odd q,
-a lower bound at even q.  The module also provides the permutation-module
-host map and the two literal tables of almost simple irreducible
-candidates.
+offer the divisor splits and prime degrees of n and of e (signs gives the
+orthogonal signs of a dimension); C4 is offered only the tensor shapes its
+type takes.  Each constructor still refuses what its type cannot take,
+for callers that build their own arguments.  Given a class, candidates
+calls only the constructors of that class, and builds the Table A/B rows
+only for class A or S.  EXCEPTIONAL holds the two pools by --exceptional
+name; each states a row through _pool_row, which fixes class X,
+|O1| = |Out(G0)| and the pool's formula id.  pso_c4 (type Sp2 (x)
+Sp_{n/2}) is exact at odd q, a lower bound at even q.  The module also
+provides the permutation-module host map and the two literal tables of
+almost simple irreducible candidates.
 """
 
 import re
@@ -828,8 +829,14 @@ def _host_only(g):
 
 
 def _splits(g):
-    """(m, t) with n = m*t and t >= 2, t ascending: C2's block splits; reversed, C4's factors."""
+    """(m, t) with n = m*t and t >= 2, t ascending: C2's block splits."""
     return [(g.n // t, t) for t in range(2, g.n + 1) if g.n % t == 0]
+
+
+def _tensor_splits(g):
+    """(n1, n2) with n = n1*n2 and 2 <= n1 < n2, n1 ascending: the tensor
+    factors of C4 on PSL and PSU."""
+    return [(n1, g.n // n1) for n1 in range(2, isqrt(g.n - 1) + 1) if g.n % n1 == 0]
 
 
 def _extension_degrees(g):
@@ -863,7 +870,7 @@ CONSTRUCTORS = {
         ("C1", c1_stabilizer, _host_only),
         ("C2", psl_c2, _splits),
         ("C3", psl_c3, _extension_degrees),
-        ("C4", psl_c4, lambda g: _splits(g)[::-1]),
+        ("C4", psl_c4, _tensor_splits),
         ("C5", psl_c5, _subfield_indices),
         ("C6", psl_c6, _host_only),
         ("C7", psl_c7, _power_splits),
@@ -874,7 +881,7 @@ CONSTRUCTORS = {
         ("C2", psu_c2_gl, _host_only),
         ("C2", psu_c2_wr, _splits),
         ("C3", psu_c3, _extension_degrees),
-        ("C4", psu_c4, lambda g: _splits(g)[::-1]),
+        ("C4", psu_c4, _tensor_splits),
         ("C5", psu_c5_subfield, _subfield_indices),
         ("C5", psu_c5_form, lambda g: [("Sp",)] + [(e,) for e in signs(g.n)]),
         ("C6", psu_c6, _host_only),
@@ -886,7 +893,8 @@ CONSTRUCTORS = {
         ("C2", psp_c2_wr, _splits),
         ("C3", psp_c3, _extension_degrees),
         ("C3", psp_c3_gu, _host_only),
-        ("C4", psp_c4, lambda g: [(n1, n2, e) for n1, n2 in _splits(g) for e in signs(n2)]),
+        ("C4", psp_c4, lambda g: [(n1, n2, e) for n1, n2 in _splits(g)
+                                  if n1 % 2 == 0 and n2 >= 3 for e in signs(n2)]),
         ("C5", psp_c5, _subfield_indices),
         ("C6", psp_c6, _host_only),
         ("C7", psp_c7, _power_splits),

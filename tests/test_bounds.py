@@ -15,6 +15,7 @@ from large_atlas.bounds import (
     UNDETERMINED,
     BoundTriple,
     sandwich,
+    sandwich_verdict,
 )
 from large_atlas.errors import ConstraintViolation, UnknownCase
 from large_atlas.largeness import is_large_h1
@@ -139,11 +140,22 @@ def test_sandwich_triples_equal_the_paper_forms_in_x():
     assert verdicts == {CERTAINLY_LARGE, CERTAINLY_NOT_LARGE}
 
 
+def test_sandwich_verdict_is_the_verdict_of_sandwich():
+    # the integer-only entry point the sweeps read and the BoundTriple
+    # share one rule: they agree on every case at every q up to 4096
+    for qq in prime_powers(2, 4096):
+        q = qq.q
+        for case in SANDWICH_CASES:
+            for n in ((2, 3, 4, 5, 6) if case == "psl-c5-r3" else (None,)):
+                assert sandwich_verdict(case, q, n) == sandwich(case, q, n).verdict, (case, q, n)
+
+
 def test_sandwich_rejects_unknown_case():
-    with pytest.raises(UnknownCase):
-        sandwich("no-such-case", 5)
-    with pytest.raises(ConstraintViolation):
-        sandwich("psl-c5-r3", 5)  # needs the dimension
+    for evaluate in (sandwich, sandwich_verdict):
+        with pytest.raises(UnknownCase):
+            evaluate("no-such-case", 5)
+        with pytest.raises(ConstraintViolation):
+            evaluate("psl-c5-r3", 5)  # needs the dimension
 
 
 def test_factorial_versus_power_inequality():

@@ -2,6 +2,7 @@
 
 import argparse
 import re
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -323,6 +324,26 @@ def test_every_constructor_call_returns_one_row_or_raises_constraint_violation()
                     bad.add((fn.__name__, str(g), args))
     assert bad == set()
     assert calls > 20000
+
+
+def test_c4_generators_offer_only_shapes_their_constructors_accept():
+    # psl_c4 and psu_c4 take n1 < n2 with n1 >= 2, psp_c4 n1 even with
+    # n2 >= 3; psp_c4 also refuses even q, a field condition, so PSp is
+    # checked at odd q only
+    offered = Counter()
+    for fam, make, step in (("PSL", psl, 1), ("PSU", psu, 1), ("PSp", psp, 2)):
+        (fn, arguments), = [(fn, a) for klass, fn, a in catalog.CONSTRUCTORS[fam] if klass == "C4"]
+        for q in prime_powers(2, 64):
+            if fam == "PSp" and q.p == 2:
+                continue
+            for n in range(2, 41, step):
+                g = make(n, q.q)
+                if not is_simple(g) or canonicalize(g) != g:
+                    continue
+                for args in arguments(g):
+                    fn(g, *args)  # a refusal raises ConstraintViolation
+                    offered[fam] += 1
+    assert offered == {"PSL": 999, "PSU": 999, "PSp": 1113}
 
 
 @pytest.mark.parametrize("name", ["PSL(1,4)", "PSU(1,4)", "PSp(5,3)", "POmega(1,9)",

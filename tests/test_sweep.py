@@ -3,10 +3,11 @@
 import json
 import os
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from large_atlas import arith, bounds, catalog, cli, orders, sweep
+from large_atlas import arith, bounds, catalog, cli, largeness, orders, sweep
 from large_atlas.errors import ConstraintViolation, MissingGolden, UnknownCase
 from large_atlas.largeness import is_large_h1
 
@@ -176,14 +177,13 @@ def _calls_by_case(monkeypatch, attr):
 def test_a_sandwich_that_contradicts_the_exact_verdict_is_an_alarm(monkeypatch, capsys):
     # psl-c3-r3 has the member q = 2 and not q = 13: a sandwich that calls
     # the one not large and the other large contradicts the exact cube test
-    inner = sweep.sandwich
+    inner = sweep.sandwich_verdict
     flipped = {2: bounds.CERTAINLY_NOT_LARGE, 13: bounds.CERTAINLY_LARGE}
 
     def contradicting(case, q, n=None):
-        tri = inner(case, q, n)
-        return tri._replace(verdict=flipped[q]) if q in flipped else tri
+        return flipped[q] if q in flipped else inner(case, q, n)
 
-    monkeypatch.setattr(sweep, "sandwich", contradicting)
+    monkeypatch.setattr(sweep, "sandwich_verdict", contradicting)
     alarms = ["psl-c3-r3: sandwich says not large at q=2, exact says yes",
               "psl-c3-r3: sandwich says large at q=13, exact says no"]
     report = sweep.run_case("psl-c3-r3")
@@ -197,9 +197,24 @@ def test_a_sandwich_that_contradicts_the_exact_verdict_is_an_alarm(monkeypatch, 
 
 def test_sandwich_runs_on_exactly_the_sandwich_cases(monkeypatch):
     want = {"psl-c2-t3", "psl-c3-r3", "psu-c2-t3", "psu-c3-r3"}
-    calls = _calls_by_case(monkeypatch, "sandwich")
+    calls = _calls_by_case(monkeypatch, "sandwich_verdict")
     assert {(cid, args[0]) for cid, args in calls} == {(c, c) for c in want}
     assert want == set(bounds.SANDWICH_CASES) & set(sweep.CASES)
+
+
+def test_the_sweeps_build_no_fraction(monkeypatch):
+    # the alarm check reads only the integer verdict, and no sweep point
+    # reads a margin: one run of every case builds no Fraction at all
+    built = []
+    for module in (bounds, largeness):
+        inner = module.Fraction
+        monkeypatch.setattr(module, "Fraction",
+                            lambda *args, inner=inner: built.append(args) or inner(*args))
+    reports = sweep.run_all()
+    assert len(reports) == 25 and not any(r.alarms for r in reports)
+    assert built == []
+    assert type(bounds.sandwich("psl-c3-r3", 5).lower) is Fraction
+    assert len(built) == 3  # the spies are live: sandwich() builds three
 
 
 # grid points whose membership _member decides, per case, 4387 in all
