@@ -4,13 +4,16 @@ Verbs: order, out, subgroups, check, sweep, reproduce, tables, explain.
 All numeric output is exact decimal.  Exit codes: 0 success, 1 a
 failed check or a reader that closed the output early, 2 parse error,
 3 unsupported group, 4 ambiguous selector, 5 missing golden files.  The
-selector's --class and --type ignore surrounding spaces (a blank one is
-not read), a --class that no catalog row carries (catalog.CLASSES) exits
-2, and so does --class X without --exceptional, as --item does: only the
-two exceptional pools carry class X.  check --h0-order
-reads no selector, and refuses one as a parse error; reproduce reads
-exactly one of a case id, --family and --all, and sweep --list no case
-id.  reproduce refuses an --out-dir it cannot write (exit 2).
+three selector verbs, subgroups, check and explain, refuse a host that is
+not simple or not in its canonical form (exit 3, the canonical name on
+stderr) before they read the selector.  The selector's --class and --type
+ignore surrounding spaces (a blank one is not read), a --class that no
+catalog row carries (catalog.CLASSES) exits 2, and so does --class X
+without --exceptional, as --item does: only the two exceptional pools
+carry class X.  check --h0-order reads no selector and no catalog row, so
+it takes any host, and refuses a selector as a parse error; reproduce
+reads exactly one of a case id, --family and --all, and sweep --list no
+case id.  reproduce refuses an --out-dir it cannot write (exit 2).
 
 A plain command line (the verb, its positionals, and each option spelled
 in full, at most once, with a value not starting with "-") is parsed
@@ -88,9 +91,12 @@ def _parse_item(text, labels):
 
 
 def _resolve_entries(g0, args):
-    """All catalog entries matched by the selector flags."""
+    """All catalog entries matched by the selector flags.  The catalog lists
+    the subgroups of a simple host under its canonical name; any other host
+    is refused, not rewritten (_require_simple_canonical)."""
     from . import catalog
 
+    _require_simple_canonical(g0)
     klass = (args.klass or "").strip() or None
     if klass and klass.lower() not in catalog.CLASSES:
         raise GroupParseError(f"unknown class {klass!r}")
@@ -213,10 +219,7 @@ def cmd_out(args):
 
 
 def cmd_subgroups(args):
-    # the catalog lists the subgroups of a simple host under its canonical
-    # name; any other name is refused, not rewritten
     g0, g0_order = _host(args)
-    _require_simple_canonical(g0)
     verdicts = [(e, is_large_h1(g0_order, e)) for e in _resolve_entries(g0, args)]
     with _digit_cap():
         if args.json:

@@ -23,15 +23,17 @@ One enumeration per (n, q) serves GL, SL and Sp2: it counts the nonzero
 and the unit determinants together, and the result is kept in a private
 memo (_gl_tally), so count_gl(n, q), count_gl(n, q, det_one=True) and
 count_sp2(q) share one brute-force count.  GU and SU share one count per
-(n, q0) the same way (_gu_tally).  Each field's tables are built once
-and shared by its counts (_field).  The memos hold counts and fields only;
-no count reads an order formula.
+(n, q0) the same way (_gu_tally).  A field is one Field record, its
+element list and its add, sub and mul tables, built once by _field and
+indexed by every count.  The memos hold counts and fields only; no count
+reads an order formula.
 """
 
 from collections import Counter
 from functools import cache
 from itertools import product
 from operator import add as plus
+from typing import NamedTuple
 
 from .arith import parse_prime_power
 from .errors import UnsupportedGroup
@@ -40,57 +42,46 @@ from .errors import UnsupportedGroup
 _QUADRATICS = {2: (1, 1), 3: (0, 1), 5: (0, 2), 7: (0, 1)}
 
 
-class SmallField:
-    """GF(p) or GF(p^2) with elements encoded as integers 0..q-1.
+class Field(NamedTuple):
+    """GF(p) or GF(p^2) as its tables: the q elements 0..q-1 and the
+    addition, subtraction and multiplication tables, read add[a][b]."""
 
-    Degree-two elements are pairs (a0, a1) packed as a0 + p*a1, representing
-    a0 + a1*x modulo an irreducible quadratic x^2 + bx + c of _QUADRATICS.
-    The addition, subtraction and multiplication tables are built once, at
-    construction; an element of GF(p) is the pair (a, 0).
-    """
-
-    def __init__(self, q):
-        pp = parse_prime_power(q)
-        if pp.e > 2 or (pp.e == 2 and pp.p not in _QUADRATICS):
-            raise UnsupportedGroup(f"SmallField supports GF(p) and GF(p^2) for small p, not {q}")
-        self.p = p = pp.p
-        self.e = pp.e
-        self.q = pp.q
-        self.elements = list(range(self.q))
-        pairs = [(a % p, a // p) for a in self.elements]
-        # (a0 + a1 x)(b0 + b1 x) with x^2 = -b x - c; over GF(p) a1 = b1 = 0
-        b, c = _QUADRATICS.get(p, (0, 0))
-        self._add = [[(a0 + b0) % p + p * ((a1 + b1) % p) for b0, b1 in pairs]
-                     for a0, a1 in pairs]
-        self._sub = [[(a0 - b0) % p + p * ((a1 - b1) % p) for b0, b1 in pairs]
-                     for a0, a1 in pairs]
-        self._mul = [[(a0 * b0 - a1 * b1 * c) % p
-                      + p * ((a0 * b1 + a1 * b0 - a1 * b1 * b) % p) for b0, b1 in pairs]
-                     for a0, a1 in pairs]
-
-    def add(self, a, b):
-        return self._add[a][b]
-
-    def sub(self, a, b):
-        return self._sub[a][b]
-
-    def mul(self, a, b):
-        return self._mul[a][b]
-
-    def frob(self, a):
-        """The q0-power map on GF(q0^2), identity on a prime field."""
-        if self.e == 1:
-            return a
-        r = a
-        for _ in range(self.p - 1):
-            r = self.mul(r, a)
-        return r
+    q: int
+    elements: list
+    add: list
+    sub: list
+    mul: list
 
 
 @cache
 def _field(q):
-    """The SmallField of order q, built once per field size."""
-    return SmallField(q)
+    """The Field of order q, built once per field size.
+
+    A degree-two element is the pair (a0, a1) packed as a0 + p*a1, standing
+    for a0 + a1*x modulo the irreducible quadratic x^2 + bx + c of
+    _QUADRATICS; an element of GF(p) is the pair (a, 0).
+    """
+    pp = parse_prime_power(q)
+    if pp.e > 2 or (pp.e == 2 and pp.p not in _QUADRATICS):
+        raise UnsupportedGroup(f"the oracle supports GF(p) and GF(p^2) for small p, not {q}")
+    p = pp.p
+    elements = list(range(pp.q))
+    pairs = [(a % p, a // p) for a in elements]
+    # (a0 + a1 x)(b0 + b1 x) with x^2 = -b x - c; over GF(p) a1 = b1 = 0
+    b, c = _QUADRATICS.get(p, (0, 0))
+    add = [[(a0 + b0) % p + p * ((a1 + b1) % p) for b0, b1 in pairs] for a0, a1 in pairs]
+    sub = [[(a0 - b0) % p + p * ((a1 - b1) % p) for b0, b1 in pairs] for a0, a1 in pairs]
+    mul = [[(a0 * b0 - a1 * b1 * c) % p + p * ((a0 * b1 + a1 * b0 - a1 * b1 * b) % p)
+            for b0, b1 in pairs] for a0, a1 in pairs]
+    return Field(pp.q, elements, add, sub, mul)
+
+
+def _powers(F, k):
+    """The table of x^k for every element x of F, read from its mul table."""
+    table = [1] * F.q
+    for _ in range(k):
+        table = [F.mul[t][x] for t, x in zip(table, F.elements)]
+    return table
 
 
 def count_gl(n, q, det_one=False):
@@ -126,7 +117,7 @@ def _gl_tally(n, q):
     top rows take no step of Python code.
     """
     F = _field(q)
-    els, sub, mul = F.elements, F._sub, F._mul
+    els, sub, mul = F.elements, F.sub, F.mul
     if n == 1:
         tally = {(1,): 1}
     elif n == 2:
@@ -163,8 +154,8 @@ def _last_rows(F, n, tally):
     through them in C loops.  For n = 3 that is at most q^2 heads, so q^4
     field steps.
     """
-    add, mul = F._add, F._mul
-    neg, one_minus = F._sub[0], F._sub[1]
+    add, mul = F.add, F.mul
+    neg, one_minus = F.sub[0], F.sub[1]
     hit_tables = {}
     zero = unit = 0
     for cof, mult in tally.items():
@@ -197,16 +188,16 @@ def _gu_tally(n, q0):
     enumeration.
 
     A matrix is unitary when its rows have norm x x^q0 summed to 1 and are
-    orthogonal under the hermitian form.  The q0-power and norm tables are
-    built once per field.  For n = 1 the count reads the norm table.  For
-    n = 2 the rows of norm 1 are listed once; for each first row, every
-    second row is tested for orthogonality, and the determinant is checked
-    last.  Every matrix with two rows of norm 1 is visited; the ones left
-    out have a row of another norm, and no unitary matrix has one.
+    orthogonal under the hermitian form.  The q0-power table (_powers) and
+    the norm table are built once.  For n = 1 the count reads the norm
+    table.  For n = 2 the rows of norm 1 are listed once; for each first
+    row, every second row is tested for orthogonality, and the determinant
+    is checked last.  Every matrix with two rows of norm 1 is visited; the
+    ones left out have a row of another norm, and no unitary matrix has one.
     """
     F = _field(q0 * q0)
-    els, add, sub, mul = F.elements, F._add, F._sub, F._mul
-    frob = [F.frob(a) for a in els]
+    els, add, sub, mul = F.elements, F.add, F.sub, F.mul
+    frob = _powers(F, q0)
     norm = [mul[a][frob[a]] for a in els]
     if n == 1:
         return sum(1 for a in els if norm[a] == 1), int(norm[1] == 1)

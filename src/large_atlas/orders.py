@@ -434,15 +434,16 @@ def is_simple(g):
     Alt with the usual small exceptions, True for the sporadic groups.  Any
     other family raises UnsupportedGroup (GL(3,2) is simple, GL(3,3) not)."""
     fam, n, q = g.family, g.n, g.q.q if g.q else 0
+    # PSU(2, q), PSp(2, q) and POmega(3, q) are PSL(2, q), simple for q >= 4
     if fam == "PSL":
-        return not (n == 2 and q in (2, 3))
+        return n >= 3 or n == 2 and q >= 4
     if fam == "PSU":
-        return n >= 3 and (n, q) != (3, 2)
+        return n >= 3 and (n, q) != (3, 2) or n == 2 and q >= 4
     if fam == "PSp":
         return n % 2 == 0 and (n >= 4 and (n, q) != (4, 2) or (n == 2 and q >= 4))
     if fam == "POmega":
         if n % 2:
-            return n >= 5 and q >= 3 or n >= 7
+            return n >= 5 and q >= 3 or n >= 7 or n == 3 and q >= 4
         if n == 4 and g.eps == PLUS:
             return False  # PSL_2(q) x PSL_2(q)
         return n >= 4

@@ -14,6 +14,7 @@ from large_atlas.bounds import (
     SANDWICH_CASES,
     UNDETERMINED,
     BoundTriple,
+    _verdict,
     sandwich,
     sandwich_verdict,
 )
@@ -148,6 +149,12 @@ def test_sandwich_verdict_is_the_verdict_of_sandwich():
         for case in SANDWICH_CASES:
             for n in ((2, 3, 4, 5, 6) if case == "psl-c5-r3" else (None,)):
                 assert sandwich_verdict(case, q, n) == sandwich(case, q, n).verdict, (case, q, n)
+
+
+def test_a_sandwich_that_straddles_its_threshold_is_undetermined():
+    # no sandwich case is undetermined at any q <= 4096, so the rule is
+    # called directly: 1/2 < 1 < 3/2 decides nothing
+    assert _verdict(1, 2, 3, 2, 1, 1) == UNDETERMINED
 
 
 def test_sandwich_rejects_unknown_case():

@@ -92,6 +92,25 @@ def test_digit_cap_hit_while_printing_exits_unsupported(capsys, monkeypatch):
         sys.set_int_max_str_digits(old)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no digit cap")
+def test_an_int_option_beyond_the_digit_cap_is_left_to_argparse(capsys, monkeypatch):
+    # the direct parse cannot read 1001 digits under a 1000-digit cap, so
+    # argparse parses the line, and refuses the value as a usage error
+    old = sys.get_int_max_str_digits()
+    monkeypatch.setattr(cli, "MAX_DIGITS", 1000)
+    words = ["PSL(3,5)", "--h0-order", "9" * 1001]
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check"] + words)
+        assert cli._parse_plain("check", words) is None
+    finally:
+        sys.set_int_max_str_digits(old)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "invalid int value" in out.err and "Traceback" not in out.err
+
+
 @pytest.fixture
 def no_digit_cap():
     if not hasattr(sys, "set_int_max_str_digits"):
@@ -505,15 +524,12 @@ def test_sweep_without_a_case_exits_parse_error(capsys):
 @pytest.mark.parametrize("host, selector", [
     ("PSL(4,2)", "A7"), ("PSp(4,2)", "A5"),
 ])
-def test_table_rows_are_not_listed_twice(capsys, host, selector):
-    code, out, _ = run(capsys, "check", host, "--type", selector)
-    assert code == 0
-    # the rows `subgroups` lists, taken from its resolver: subgroups itself
-    # refuses PSp(4,2) = S6, which is not simple
-    args = cli._parse_plain("subgroups", [host])
-    pool = cli._resolve_entries(parse_group(host), args)
-    rows = [json.dumps(cli._entry_dict(e), sort_keys=True) for e in pool]
-    assert any(selector in r for r in rows)
+def test_table_rows_are_not_listed_twice(host, selector):
+    # read from the catalog: every selector verb refuses PSp(4,2) = S6,
+    # which is not simple
+    g0 = parse_group(host)
+    assert [e.name for e in catalog.table_entries(g0)].count(selector) == 1
+    rows = [json.dumps(cli._entry_dict(e), sort_keys=True) for e in catalog.candidates(g0)]
     assert len(rows) == len(set(rows))
 
 
@@ -537,6 +553,26 @@ def test_subgroups_refuses_a_host_not_simple_or_not_canonical(capsys, host, cano
     # the group itself is still a group: its order prints
     code, out, _ = run(capsys, "order", host)
     assert code == 0 and out.strip().isdigit()
+
+
+@pytest.mark.parametrize("verb", ["check", "explain"])
+@pytest.mark.parametrize("host, selector, why", [
+    ("PSp(4,2)", ("--type", "A5"), "PSp(4,2) is not simple"),
+    ("PSp(4,2)", ("--class", "C1"), "PSp(4,2) is not simple"),
+    ("POmega+(6,3)", ("--class", "C1"), "use PSL(4,3)"),
+    ("POmega(5,3)", ("--class", "C2"), "use PSp(4,3)"),
+    ("Sym(6)", ("--class", "C1"), "simplicity of Sym(6) is not decided"),
+])
+def test_every_selector_verb_refuses_the_hosts_subgroups_refuses(capsys, verb, host,
+                                                                 selector, why):
+    code, out, err = run(capsys, verb, host, *selector)
+    assert (code, out) == (3, "") and why in err
+    assert run(capsys, "subgroups", host)[0] == 3
+
+
+def test_check_with_an_explicit_order_reads_no_catalog_and_takes_any_host(capsys):
+    code, out, _ = run(capsys, "check", "PSp(4,2)", "--h0-order", "60")
+    assert code == 0 and json.loads(out)["lhs"] == 720
 
 
 @pytest.mark.parametrize("host", ["PSp(4,8)", "PSp(4,32)"])

@@ -12,6 +12,7 @@ from itertools import product
 import pytest
 
 from large_atlas import oracle
+from large_atlas.arith import parse_prime_power
 from large_atlas.errors import UnsupportedGroup
 from large_atlas.orders import gl_order, gu_order, sl_order, sp_order
 
@@ -61,7 +62,7 @@ def test_gl3_refuses_a_field_whose_minor_tables_would_not_fit(q):
 @pytest.mark.parametrize("make, args", [
     (oracle.count_gl, (4, 2)), (oracle.count_gl, (0, 2)),
     (oracle.count_gu, (3, 2)), (oracle.count_gu, (0, 2)),
-    (oracle.SmallField, (8,)), (oracle.SmallField, (121,)),
+    (oracle._field, (8,)), (oracle._field, (121,)),
 ], ids=["gl-n4", "gl-n0", "gu-n3", "gu-n0", "field-8", "field-121"])
 def test_oracle_refuses_what_it_cannot_count(make, args):
     with pytest.raises(UnsupportedGroup):
@@ -75,28 +76,34 @@ def test_count_refusals_state_the_range_of_n():
         oracle.count_gu(0, 2)
 
 
-def test_frobenius_of_a_prime_field_is_the_identity():
-    f = oracle.SmallField(5)
-    assert [f.frob(a) for a in f.elements] == f.elements
+def test_q0_power_table_is_an_involution_fixing_the_subfield():
+    # x -> x^q0 on GF(q0^2) is the field's nontrivial automorphism: applied
+    # twice it is the identity, and it fixes exactly the q0 elements of GF(q0)
+    for q0 in GU_Q0:
+        F = oracle._field(q0 * q0)
+        frob = oracle._powers(F, q0)
+        assert [frob[x] for x in frob] == F.elements, q0
+        assert sum(frob[x] == x for x in F.elements) == q0, q0
 
 
 def test_field_arithmetic_is_a_field():
-    f4 = oracle.SmallField(4)
+    f4 = oracle._field(4)
     nonzero = [a for a in f4.elements if a != 0]
     assert len(nonzero) == 3
     for a in nonzero:
         # every nonzero element has an inverse
-        assert any(f4.mul(a, b) == 1 for b in nonzero)
+        assert any(f4.mul[a][b] == 1 for b in nonzero)
 
 
 def _count_gl3_literally(q, det_one=False):
     """Every one of the q^9 matrices, with the six-term determinant."""
-    F = oracle.SmallField(q)
-    add, mul = F.add, F.mul
+    F = oracle._field(q)
+    add, sub, mul = F.add, F.sub, F.mul
     count = 0
     for a, b, c, d, e, f, g, h, i in product(F.elements, repeat=9):
-        det = F.sub(add(add(mul(a, mul(e, i)), mul(b, mul(f, g))), mul(c, mul(d, h))),
-                    add(add(mul(c, mul(e, g)), mul(b, mul(d, i))), mul(a, mul(f, h))))
+        plus = add[add[mul[a][mul[e][i]]][mul[b][mul[f][g]]]][mul[c][mul[d][h]]]
+        minus = add[add[mul[c][mul[e][g]]][mul[b][mul[d][i]]]][mul[a][mul[f][h]]]
+        det = sub[plus][minus]
         count += det != 0 and (not det_one or det == 1)
     return count
 
@@ -110,19 +117,26 @@ def test_grouped_count_equals_literal_enumeration(q):
 
 def _count_gu2_literally(q0, det_one=False):
     """Every one of the q^4 matrices over GF(q0^2), tested for M conj(M)^T = I."""
-    F = oracle.SmallField(q0 * q0)
+    F = oracle._field(q0 * q0)
     add, mul = F.add, F.mul
+
+    def frob(x):
+        r = 1
+        for _ in range(q0):
+            r = mul[r][x]
+        return r
+
     count = 0
     for m in product(F.elements, repeat=4):
         a, b, c, d = m
-        fa, fb, fc, fd = (F.frob(x) for x in m)
-        if add(mul(a, fa), mul(b, fb)) != 1:
+        fa, fb, fc, fd = map(frob, m)
+        if add[mul[a][fa]][mul[b][fb]] != 1:
             continue
-        if add(mul(c, fa), mul(d, fb)) != 0:
+        if add[mul[c][fa]][mul[d][fb]] != 0:
             continue
-        if add(mul(c, fc), mul(d, fd)) != 1:
+        if add[mul[c][fc]][mul[d][fd]] != 1:
             continue
-        det = F.sub(mul(a, d), mul(b, c))
+        det = F.sub[mul[a][d]][mul[b][c]]
         count += det != 0 and (not det_one or det == 1)
     return count
 
@@ -150,10 +164,10 @@ def test_oracle_imports_no_formula():
 
 def _count_gl2_literally(q, det_one=False):
     """Every one of the q^4 matrices, with the two-term determinant."""
-    F = oracle.SmallField(q)
+    F = oracle._field(q)
     count = 0
     for a, b, c, d in product(F.elements, repeat=4):
-        det = F.sub(F.mul(a, d), F.mul(b, c))
+        det = F.sub[F.mul[a][d]][F.mul[b][c]]
         count += det != 0 and (not det_one or det == 1)
     return count
 
@@ -202,22 +216,22 @@ def _field_op_literally(F, op, a, b):
     """a op b in GF(p) or GF(p^2), element by element: the pairs (a0, a1)
     of a = a0 + p a1 stand for a0 + a1 x, with x^2 = -b x - c for the
     quadratic (b, c) of the field's prime."""
-    p = F.p
+    p, e = parse_prime_power(F.q)[:2]
     a0, a1, b0, b1 = a % p, a // p, b % p, b // p
     if op == "add":
         r0, r1 = a0 + b0, a1 + b1
     elif op == "sub":
         r0, r1 = a0 - b0, a1 - b1
     else:
-        bb, cc = oracle._QUADRATICS[p] if F.e == 2 else (0, 0)
+        bb, cc = oracle._QUADRATICS[p] if e == 2 else (0, 0)
         r0, r1 = a0 * b0 - a1 * b1 * cc, a0 * b1 + a1 * b0 - a1 * b1 * bb
     return r0 % p + p * (r1 % p)
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 9, 25, 49))
 def test_field_tables_equal_the_element_wise_definitions(q):
-    F = oracle.SmallField(q)
-    for op, table in (("add", F._add), ("sub", F._sub), ("mul", F._mul)):
+    F = oracle._field(q)
+    for op, table in (("add", F.add), ("sub", F.sub), ("mul", F.mul)):
         assert table == [[_field_op_literally(F, op, a, b) for b in F.elements]
                          for a in F.elements], op
 

@@ -398,6 +398,19 @@ def test_is_simple():
     assert not is_simple(parse_group("PSL(2,2)"))
     assert not is_simple(parse_group("PSL(2,3)"))
     assert not is_simple(parse_group("PSU(3,2)"))
+    assert not is_simple(orders.psl(0, 5)) and not is_simple(orders.psl(1, 5))
+    # both are PSL(2,5)
+    assert is_simple(parse_group("PSU(2,5)")) and is_simple(parse_group("POmega(3,5)"))
+
+
+def test_a_name_and_its_canonical_form_are_simple_together():
+    bad = []
+    for q in prime_powers(2, 64):
+        for n in range(14):
+            hosts = [orders.psl(n, q.q), orders.psu(n, q.q), orders.psp(n, q.q)]
+            hosts += [pomega(n, q.q, eps) for eps in ((CIRC,) if n % 2 else (PLUS, MINUS))]
+            bad += [str(g) for g in hosts if is_simple(g) != is_simple(canonicalize(g))]
+    assert bad == []
 
 
 def test_is_simple_decides_alternating_and_sporadic_groups():
